@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .complexes import OrderedComplex, order_complex
@@ -62,21 +61,7 @@ def _as_complex(data):
     raise UsageError("input is neither a complex, a poset, nor a cube complex")
 
 
-def _threads_cap():
-    raw = os.environ.get("CUBLINK_THREADS")
-    if raw is None:
-        return 1
-    try:
-        cap = int(raw)
-    except ValueError as err:
-        raise UsageError("CUBLINK_THREADS must be an integer") from err
-    if cap < 1:
-        raise UsageError("CUBLINK_THREADS must be at least 1")
-    return cap  # checks are evaluated sequentially, within any cap
-
-
 def cmd_check(args):
-    _threads_cap()
     data = _read_input(args.input)
     X = _as_complex(data)
     if args.type == "A":
@@ -261,7 +246,7 @@ def main(argv=None):
     except CublinkError as err:
         print(json.dumps({"error": type(err).__name__, "detail": str(err)}))
         return 2
-    except (ValueError, KeyError) as err:
+    except (ValueError, KeyError, TypeError) as err:
         print(json.dumps({"error": "input", "detail": str(err)}))
         return 2
 

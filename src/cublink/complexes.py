@@ -52,7 +52,7 @@ class OrderedComplex:
     """
 
     __slots__ = ("order_type", "vertices", "maximal_simplices", "_vertex_set",
-                 "_max_sets", "_adjacency", "_simplex_cache")
+                 "_max_sets", "_incident", "_adjacency")
 
     def __init__(self, order_type, vertices, maximal_simplices):
         if order_type not in ("A", "C"):
@@ -71,32 +71,35 @@ class OrderedComplex:
                 if v not in self._vertex_set:
                     raise UnknownLabel(f"simplex uses undeclared vertex {v!r}")
             key = frozenset(s)
-            if key in seen:
+            if not s or key in seen:
                 continue
             seen.add(key)
             cleaned.append(s)
-        # keep only inclusion-maximal simplices; bare vertices stay as 0-simplices
-        covered = set()
-        for v in self.vertices:
-            if not any(v in s for s in cleaned):
-                cleaned.append((v,))
+        # keep only inclusion-maximal simplices; larger ones are kept first, and
+        # a simplex containing s goes through every vertex of s, so the
+        # shortest list of kept simplices through a vertex of s suffices
         kept = []
+        through = {v: [] for v in self.vertices}
         for s in sorted(cleaned, key=len, reverse=True):
-            if frozenset(s) not in covered:
-                kept.append(s)
-                for r in range(1, len(s) + 1):
-                    covered.update(map(frozenset, combinations(s, r)))
+            key = frozenset(s)
+            if any(key <= m for m in min((through[v] for v in s), key=len)):
+                continue
+            kept.append(s)
+            for v in s:
+                through[v].append(key)
+        kept += [(v,) for v in self.vertices if not through[v]]  # bare vertices
         if self.order_type == "A":
             kept = [canonical_rotation(s) for s in kept]
         self.maximal_simplices = tuple(sorted(kept, key=lambda s: tuple(map(_key, s))))
         self._max_sets = tuple(frozenset(s) for s in self.maximal_simplices)
+        incident = {v: [] for v in self.vertices}
         adj = {v: set() for v in self.vertices}
-        for s in self.maximal_simplices:
-            for a, b in combinations(s, 2):
-                adj[a].add(b)
-                adj[b].add(a)
-        self._adjacency = {v: frozenset(nb) for v, nb in adj.items()}
-        self._simplex_cache = {}
+        for i, s in enumerate(self.maximal_simplices):
+            for v in s:
+                incident[v].append(i)
+                adj[v].update(s)
+        self._incident = {v: tuple(ids) for v, ids in incident.items()}
+        self._adjacency = {v: frozenset(nb - {v}) for v, nb in adj.items()}
 
     def __eq__(self, other):
         return (
@@ -111,15 +114,20 @@ class OrderedComplex:
 
     # -- membership -----------------------------------------------------
 
+    def carrier(self, face):
+        """Index of the first maximal simplex that contains the face, or None.
+
+        Only the simplices through one vertex of the face can contain it, so
+        this scans the shortest incidence list among the face's vertices.
+        """
+        face = frozenset(face)
+        ids = min((self._incident.get(v, ()) for v in face), key=len,
+                  default=range(len(self.maximal_simplices)))
+        return next((i for i in ids if face <= self._max_sets[i]), None)
+
     def has_simplex(self, vertex_set):
         vs = frozenset(vertex_set)
-        if not vs:
-            return True
-        hit = self._simplex_cache.get(vs)
-        if hit is None:
-            hit = any(vs <= m for m in self._max_sets)
-            self._simplex_cache[vs] = hit
-        return hit
+        return not vs or self.carrier(vs) is not None
 
     def neighbors(self, x):
         if x not in self._adjacency:
@@ -135,11 +143,11 @@ class OrderedComplex:
     def induced_tuple(self, vertex_set):
         """The order the complex induces on a face, from its first carrier simplex."""
         vs = frozenset(vertex_set)
-        for s, ms in zip(self.maximal_simplices, self._max_sets):
-            if vs <= ms:
-                t = tuple(v for v in s if v in vs)
-                return canonical_rotation(t) if self.order_type == "A" else t
-        raise UnknownLabel(f"{sorted(map(str, vertex_set))} is not a face")
+        i = self.carrier(vs)
+        if i is None:
+            raise UnknownLabel(f"{sorted(map(str, vs))} is not a face")
+        t = tuple(v for v in self.maximal_simplices[i] if v in vs)
+        return canonical_rotation(t) if self.order_type == "A" else t
 
     def dimension(self):
         return max((len(s) - 1 for s in self.maximal_simplices), default=-1)
@@ -165,8 +173,7 @@ def validate(X, require_flag=True):
     Raises InconsistentOrder with the offending face, or NotFlag with a
     minimal empty clique.  Returns the complex itself for chaining.
     """
-    sims = X.maximal_simplices
-    sets = [frozenset(s) for s in sims]
+    sims, sets = X.maximal_simplices, X._max_sets
     for i, j in combinations(range(len(sims)), 2):
         shared = sets[i] & sets[j]
         needed = 2 if X.order_type == "C" else 3
@@ -209,26 +216,20 @@ def star_relation(X, x):
     (x, y, z).  Type C: y < z iff {x, y, z} spans a simplex and the edge
     {y, z} is oriented from y to z; pairs involving x itself use the edge
     {x, y} so that St+(x) and St-(x) are visible in the same relation.
+
+    The relation is read off the chambers through x.  Callers validate X
+    first: then any two chambers agree on every edge (type C) and triangle
+    (type A) they share, so each chamber gives the same orientation.
     """
-    nbrs = sorted(X.neighbors(x), key=_key)
+    if x not in X._incident:
+        raise UnknownLabel(f"unknown vertex {x!r}")
     rel = {}
-    if X.order_type == "A":
-        for y, z in combinations(nbrs, 2):
-            if not X.has_simplex({x, y, z}):
-                continue
-            cyc = X.induced_tuple({x, y, z})
-            i = cyc.index(x)
-            ordered = cyc[i:] + cyc[:i]
-            lo, hi = ordered[1], ordered[2]
-            rel.setdefault(lo, set()).add(hi)
-    else:
-        for y in nbrs:
-            a, b = X.induced_tuple({x, y})
-            rel.setdefault(a, set()).add(b)
-        for y, z in combinations(nbrs, 2):
-            if not X.has_simplex({x, y, z}):
-                continue
-            a, b = X.induced_tuple({y, z})
+    for i in X._incident[x]:
+        s = X.maximal_simplices[i]
+        if X.order_type == "A":
+            k = s.index(x)
+            s = s[k + 1:] + s[:k]  # the cyclic order read from x, x left out
+        for a, b in combinations(s, 2):
             rel.setdefault(a, set()).add(b)
     return rel
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, product
 
-from .complexes import OrderedComplex, maximal_cliques
+from .complexes import maximal_cliques, order_complex
 from .errors import MalformedCubeComplex
 from .poset import Poset, _key
 
@@ -107,10 +107,8 @@ def barycentric_cube_subdivision(cubes):
     so one square yields 9 vertices and 8 maximal triangles.
     """
     K = cubes if isinstance(cubes, CubeComplex) else CubeComplex(cubes)
-    if not K.cubes:
-        return OrderedComplex("C", [], [])
     P, _ = K.face_poset()
-    return OrderedComplex("C", P.elements, P.maximal_chains())
+    return order_complex(P)
 
 
 # -- the direct vertex-link test ----------------------------------------------------

@@ -191,10 +191,10 @@ def chamber_distance_in_complex(X, p, q):
     """Exact norm distance between two points sharing a chamber."""
     p, q = as_point(X, p), as_point(X, q)
     support = set(p) | set(q)
-    for s, ms in zip(X.maximal_simplices, X._max_sets):
-        if support <= ms:
-            return _chamber_metric(X, s)(p, q)
-    raise NoCommonChamber(f"{sorted(map(str, support))} lies in no single chamber")
+    i = X.carrier(support)
+    if i is None:
+        raise NoCommonChamber(f"{sorted(map(str, support))} lies in no single chamber")
+    return _chamber_metric(X, X.maximal_simplices[i])(p, q)
 
 
 # -- mesh graph and the length-metric upper bound --------------------------------

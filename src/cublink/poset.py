@@ -259,19 +259,20 @@ class Poset:
     def maximal_chains(self):
         """All maximal chains, bottom-up, in deterministic order."""
         chains = []
-
-        def extend(chain):
-            tops = self._up_covers[chain[-1]]
-            if not tops:
-                chains.append(tuple(chain))
-                return
-            for t in tops:
-                chain.append(t)
-                extend(chain)
-                chain.pop()
-
         for m in sorted(self.minimal_elements(), key=_key):
-            extend([m])
+            # depth-first with an explicit stack of cover iterators, so long
+            # chains do not hit the recursion limit
+            chain, pending = [m], [iter(self._up_covers[m])]
+            while pending:
+                for t in pending[-1]:
+                    chain.append(t)
+                    pending.append(iter(self._up_covers[t]))
+                    break
+                else:
+                    if not self._up_covers[chain[-1]]:
+                        chains.append(tuple(chain))
+                    chain.pop()
+                    pending.pop()
         return chains
 
     def restrict(self, subset):

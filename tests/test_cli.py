@@ -125,6 +125,22 @@ def test_usage_error_is_machine_readable(tmp_path):
     assert json.loads(out)["error"] == "usage"
 
 
+def test_float_distance_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "float_metric.json"
+    path.write_text(json.dumps({"points": ["x", "y"], "dist": [[0, 5.5], [5.5, 0]]}))
+    assert main(["tightspan", str(path)]) == 2
+    assert json.loads(capsys.readouterr().out)["error"] == "input"
+
+
+def test_list_vertex_label_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "list_label.json"
+    path.write_text(json.dumps(
+        {"type": "C", "vertices": [["a"], "b"], "maximal_simplices": [[["a"], "b"]]}
+    ))
+    assert main(["check", "--type", "C", str(path)]) == 2
+    assert json.loads(capsys.readouterr().out)["error"] == "input"
+
+
 def test_output_is_byte_deterministic():
     runs = {run_cli(["generate", "affine-patch", "--n", "2", "--radius", "1"])[1] for _ in range(3)}
     assert len(runs) == 1

@@ -1,5 +1,7 @@
 """Ordered complexes: validation, star relations, star posets, realizations."""
 
+from itertools import combinations
+
 import pytest
 
 from cublink.complexes import (
@@ -8,11 +10,13 @@ from cublink.complexes import (
     is_local_poset,
     order_complex,
     star_poset,
+    star_relation,
     validate,
 )
+from cublink.cubes import barycentric_cube_subdivision, cube_corpus
 from cublink.errors import InconsistentOrder, NotFlag, NotLocalPoset
-from cublink.generators import affine_A_patch, boolean_poset
-from cublink.poset import find_bowtie
+from cublink.generators import affine_A_patch, boolean_poset, column_complex, noncrossing_partitions
+from cublink.poset import _key, find_bowtie, poset_from_covers
 
 
 def single_triangle(order_type="C"):
@@ -57,6 +61,51 @@ def test_cyclic_inconsistency_detected():
     )
     with pytest.raises(InconsistentOrder):
         validate(X, require_flag=False)
+
+
+def test_reduction_drops_duplicates_and_faces():
+    # the face (a, c) lies in the second simplex through each of its vertices
+    X = OrderedComplex(
+        "C",
+        ["a", "b", "c", "d", "e", "x", "y", "z"],
+        [("a", "b", "x"), ("c", "d", "y"), ("a", "c", "z"), ("a", "b", "x"), ("a", "c"), ("z",), ()],
+    )
+    assert X.maximal_simplices == (("a", "b", "x"), ("a", "c", "z"), ("c", "d", "y"), ("e",))
+
+
+def test_reduction_keeps_one_of_rotated_type_a_duplicates():
+    X = OrderedComplex("A", ["a", "b", "c", "d"], [("c", "a", "b"), ("a", "b", "c"), ("b", "d")])
+    assert X.maximal_simplices == (("a", "b", "c"), ("b", "d"))
+
+
+def test_isolated_vertex_is_a_zero_simplex():
+    X = OrderedComplex("C", ["a", "b", "z"], [("a", "b")])
+    assert X.maximal_simplices == (("a", "b"), ("z",))
+    assert X.neighbors("z") == frozenset()
+    assert X.has_simplex({"z"}) and not X.has_simplex({"a", "z"})
+
+
+def test_carrier_is_the_first_in_maximal_simplices_order():
+    X = OrderedComplex("C", ["a", "b", "c", "d"], [("b", "c", "d"), ("a", "b", "c")])
+    assert X.maximal_simplices == (("a", "b", "c"), ("b", "c", "d"))
+    assert X.carrier({"b", "c"}) == 0
+    assert X.carrier({"d"}) == 1
+    assert X.carrier({"a", "d"}) is None
+    assert X.carrier(set()) == 0
+
+
+def test_has_simplex_on_unknown_vertex_and_empty_face():
+    X = single_triangle()
+    assert not X.has_simplex({"u", "nowhere"})
+    assert not X.has_simplex({"nowhere"})
+    assert X.has_simplex(set())
+    assert OrderedComplex("C", [], []).has_simplex(())
+
+
+def test_order_complex_of_long_chain_is_one_chamber():
+    labels = [f"c{i}" for i in range(1500)]
+    X = order_complex(poset_from_covers(labels, list(zip(labels, labels[1:]))))
+    assert X.maximal_simplices == (tuple(labels),)
 
 
 def test_rotating_a_stored_tuple_gives_equal_complex():
@@ -173,3 +222,47 @@ def test_generators_produce_consistent_complexes():
     for X in (affine_A_patch(2, 2), affine_A_patch(3, 1)):
         validate(X)
         assert is_local_poset(X) is None
+
+
+# -- star relations against the pair tests ---------------------------------------
+
+
+def pairwise_star_relation(X, x):
+    """Reference: the star relation from membership tests on pairs of neighbours."""
+    nbrs = sorted(X.neighbors(x), key=_key)
+    rel = {}
+    if X.order_type == "A":
+        for y, z in combinations(nbrs, 2):
+            if not X.has_simplex({x, y, z}):
+                continue
+            cyc = X.induced_tuple({x, y, z})
+            i = cyc.index(x)
+            ordered = cyc[i:] + cyc[:i]
+            rel.setdefault(ordered[1], set()).add(ordered[2])
+    else:
+        for y in nbrs:
+            a, b = X.induced_tuple({x, y})
+            rel.setdefault(a, set()).add(b)
+        for y, z in combinations(nbrs, 2):
+            if not X.has_simplex({x, y, z}):
+                continue
+            a, b = X.induced_tuple({y, z})
+            rel.setdefault(a, set()).add(b)
+    return rel
+
+
+def oracle_complexes():
+    for name, cubes in cube_corpus().items():
+        yield name, barycentric_cube_subdivision(cubes)
+    yield "B(4)", order_complex(boolean_poset(4))
+    yield "NC(5)", order_complex(noncrossing_partitions(5))
+    yield "patch(2, 2)", affine_A_patch(2, 2)
+    yield "patch(3, 1)", affine_A_patch(3, 1)
+    yield "column(2, 2)", column_complex(2, 2)
+
+
+def test_star_relation_matches_pair_tests():
+    for name, X in oracle_complexes():
+        validate(X, require_flag=False)
+        for x in X.vertices:
+            assert star_relation(X, x) == pairwise_star_relation(X, x), (name, x)

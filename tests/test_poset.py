@@ -135,6 +135,12 @@ def test_chain_graded_with_top_rank():
     assert P.rank("c5") == 5
 
 
+def test_long_chain_yields_its_one_chain():
+    # deeper than the default recursion limit
+    P = chain_poset(1499)
+    assert P.maximal_chains() == [tuple(f"c{i}" for i in range(1500))]
+
+
 def test_rank_requires_minimum():
     with pytest.raises(NoMinimum):
         bowtie_poset().rank("c")
