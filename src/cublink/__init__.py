@@ -14,7 +14,6 @@ from .poset import (
     find_bowtie,
     flag_condition,
     grade_completion,
-    poset_from_covers,
     poset_from_json,
     with_bounds,
 )
@@ -41,7 +40,6 @@ __all__ = [
     "grade_completion",
     "is_local_poset",
     "order_complex",
-    "poset_from_covers",
     "poset_from_json",
     "star_poset",
     "validate",

@@ -24,22 +24,24 @@ def canonical_rotation(t):
 
 
 def maximal_cliques(vertices, adjacency):
-    """Maximal cliques of a graph, in deterministic order (Bron-Kerbosch)."""
-    order = sorted(vertices, key=_key)
-    cliques = []
+    """Maximal cliques of a graph, in deterministic order (Bron-Kerbosch).
 
-    def expand(clique, candidates, excluded):
+    The branches live on an explicit stack, so deep graphs do not reach the
+    recursion limit.
+    """
+    cliques = []
+    stack = [((), set(vertices), set())]
+    while stack:
+        clique, candidates, excluded = stack.pop()
         if not candidates and not excluded:
-            cliques.append(tuple(clique))
-            return
+            cliques.append(clique)
+            continue
         pivot_pool = candidates | excluded
         pivot = max(pivot_pool, key=lambda v: (len(adjacency[v] & candidates), _key(v)))
         for v in sorted(candidates - adjacency[pivot], key=_key):
-            expand(clique + [v], candidates & adjacency[v], excluded & adjacency[v])
+            stack.append((clique + (v,), candidates & adjacency[v], excluded & adjacency[v]))
             candidates = candidates - {v}
             excluded = excluded | {v}
-
-    expand([], set(order), set())
     return sorted(cliques, key=lambda c: tuple(map(_key, sorted(c, key=_key))))
 
 
@@ -170,21 +172,26 @@ class OrderedComplex:
 def validate(X, require_flag=True):
     """Check face-order consistency and (optionally) flagness.
 
-    Raises InconsistentOrder with the offending face, or NotFlag with a
-    minimal empty clique.  Returns the complex itself for chaining.
+    Two chambers disagree on their shared face exactly when they disagree on
+    a shared edge (type C) or triangle (type A), so one pass records the
+    first orientation of each edge or triangle and every chamber that breaks
+    it: linear in the chambers' edges or triangles.  The InconsistentOrder
+    witness is the shared face of the first pair of chambers, in
+    maximal_simplices order, that disagree.  NotFlag carries a minimal empty
+    clique.  Returns the complex itself for chaining.
     """
-    sims, sets = X.maximal_simplices, X._max_sets
-    for i, j in combinations(range(len(sims)), 2):
-        shared = sets[i] & sets[j]
-        needed = 2 if X.order_type == "C" else 3
-        if len(shared) < needed:
-            continue
-        a = tuple(v for v in sims[i] if v in shared)
-        b = tuple(v for v in sims[j] if v in shared)
-        if X.order_type == "A":
-            a, b = canonical_rotation(a), canonical_rotation(b)
-        if a != b:
-            raise InconsistentOrder(shared)
+    k = 2 if X.order_type == "C" else 3
+    first, clashes = {}, []
+    for i, s in enumerate(X.maximal_simplices):
+        for f in combinations(s, k):
+            if k == 3:
+                f = canonical_rotation(f)
+            orientation, j = first.setdefault(frozenset(f), (f, i))
+            if orientation != f:
+                clashes.append((j, i))
+    if clashes:
+        i, j = min(clashes)
+        raise InconsistentOrder(X._max_sets[i] & X._max_sets[j])
 
     if require_flag:
         for clique in maximal_cliques(X.vertices, X._adjacency):
@@ -244,28 +251,25 @@ def _relation_cycle(rel):
     oriented rim cycle) and those are the genuine local-poset failures.
     """
     state = {}
-    stack = []
-
-    def visit(v):
-        state[v] = "open"
-        stack.append(v)
-        for w in sorted(rel.get(v, ()), key=_key):
-            s = state.get(w)
-            if s == "open":
-                return stack[stack.index(w):]
-            if s is None:
-                cycle = visit(w)
-                if cycle is not None:
-                    return cycle
-        stack.pop()
-        state[v] = "done"
-        return None
-
-    for v in sorted(rel, key=_key):
-        if v not in state:
-            cycle = visit(v)
-            if cycle is not None:
-                return tuple(cycle)
+    for root in sorted(rel, key=_key):
+        if root in state:
+            continue
+        state[root] = "open"
+        path = [root]  # the open vertices, each with its unvisited successors
+        todo = [iter(sorted(rel[root], key=_key))]
+        while path:
+            for w in todo[-1]:
+                s = state.get(w)
+                if s == "open":
+                    return tuple(path[path.index(w):])
+                if s is None:
+                    state[w] = "open"
+                    path.append(w)
+                    todo.append(iter(sorted(rel.get(w, ()), key=_key)))
+                    break
+            else:
+                state[path.pop()] = "done"
+                todo.pop()
     return None
 
 

@@ -110,11 +110,11 @@ def check_type_C(X):
 
 
 def _global_order(X):
-    """The vertex poset generated by edge orientations; cycles are precondition failures."""
-    pairs = []
-    for e in X.edges():
-        a, b = X.induced_tuple(e)
-        pairs.append((a, b))
+    """The vertex poset generated by edge orientations; cycles are precondition failures.
+
+    Runs after validate, so every chamber orients each of its edges as the complex does.
+    """
+    pairs = {(a, b) for s in X.maximal_simplices for a, b in combinations(s, 2)}
     try:
         return Poset.from_covers(X.vertices, pairs)
     except CublinkError as err:

@@ -244,7 +244,7 @@ class MeshApproximator:
         return tuple(sorted(point.items()))
 
     def _build(self, extra_nodes):
-        nodes = set(self._nodes) | set(extra_nodes)
+        nodes = self._nodes | extra_nodes
         adj = {node: [] for node in nodes}
         for s, ms in zip(self.X.maximal_simplices, self.X._max_sets):
             members = [node for node in nodes if all(v in ms for v, _ in node)]
@@ -258,10 +258,13 @@ class MeshApproximator:
     def distance(self, p, q):
         p, q = as_point(self.X, p), as_point(self.X, q)
         source, target = self._node(p), self._node(q)
-        if self._adj is None or not {source, target} <= self._adj.keys():
-            extra = {self._node(w) for w in (p, q)}
-            self._adj = self._build(extra - self._nodes)
-            self._nodes |= extra
+        extra = {source, target} - self._nodes
+        if extra:  # a graph of this query only, so no later query routes through them
+            adj = self._build(extra)
+        else:
+            if self._adj is None:
+                self._adj = self._build(set())
+            adj = self._adj
         best = {source: Fraction(0)}
         heap = [(Fraction(0), 0, source)]
         counter = 1
@@ -271,7 +274,7 @@ class MeshApproximator:
                 return d
             if d > best[node]:
                 continue
-            for other, w in self._adj[node]:
+            for other, w in adj[node]:
                 nd = d + w
                 if other not in best or nd < best[other]:
                     best[other] = nd

@@ -141,10 +141,6 @@ class Poset:
         self._check(x)
         return self._below[x]
 
-    def strictly_above(self, x):
-        self._check(x)
-        return self._above[x]
-
     def down_set(self, x):
         return self._below[x] | {x}
 
@@ -287,11 +283,6 @@ class Poset:
             "elements": [str(x) for x in self.elements],
             "covers": sorted([[str(a), str(b)] for a, b in self.covers]),
         }
-
-
-def poset_from_covers(elements, cover_pairs):
-    """Validated poset from cover pairs; see Poset.from_covers."""
-    return Poset.from_covers(elements, cover_pairs)
 
 
 def poset_from_json(data):

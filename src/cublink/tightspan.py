@@ -87,11 +87,6 @@ class TightSpan:
     faces: tuple             # HullFace records
     dimension: int
 
-    def vertex_functions(self):
-        return [
-            {p: v[i] for i, p in enumerate(self.metric.points)} for v in self.vertices
-        ]
-
     def to_json(self):
         return {
             "points": [str(p) for p in self.metric.points],

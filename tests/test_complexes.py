@@ -1,13 +1,16 @@
 """Ordered complexes: validation, star relations, star posets, realizations."""
 
-from itertools import combinations
+import random
+from itertools import combinations, permutations
 
 import pytest
 
 from cublink.complexes import (
     OrderedComplex,
+    _relation_cycle,
     canonical_rotation,
     is_local_poset,
+    maximal_cliques,
     order_complex,
     star_poset,
     star_relation,
@@ -16,7 +19,7 @@ from cublink.complexes import (
 from cublink.cubes import barycentric_cube_subdivision, cube_corpus
 from cublink.errors import InconsistentOrder, NotFlag, NotLocalPoset
 from cublink.generators import affine_A_patch, boolean_poset, column_complex, noncrossing_partitions
-from cublink.poset import _key, find_bowtie, poset_from_covers
+from cublink.poset import Poset, _key, find_bowtie
 
 
 def single_triangle(order_type="C"):
@@ -63,6 +66,63 @@ def test_cyclic_inconsistency_detected():
         validate(X, require_flag=False)
 
 
+def test_first_clashing_pair_wins_over_first_clash_found():
+    # reading the chambers in order meets the clash on {c, d} (chambers 1, 2)
+    # before the one on {b, e}, but the pair (0, 3) comes first
+    X = OrderedComplex(
+        "C",
+        ["a", "b", "c", "d", "e", "f", "g", "h"],
+        [("a", "b", "e"), ("c", "d", "f"), ("d", "c", "g"), ("e", "b", "h")],
+    )
+    with pytest.raises(InconsistentOrder) as err:
+        validate(X, require_flag=False)
+    assert err.value.face == frozenset({"b", "e"})
+
+
+def pairwise_inconsistent_face(X):
+    """Reference: the shared face of the first pair of chambers whose orders disagree."""
+    sims, sets = X.maximal_simplices, X._max_sets
+    needed = 2 if X.order_type == "C" else 3
+    for i, j in combinations(range(len(sims)), 2):
+        shared = sets[i] & sets[j]
+        if len(shared) < needed:
+            continue
+        a = tuple(v for v in sims[i] if v in shared)
+        b = tuple(v for v in sims[j] if v in shared)
+        if X.order_type == "A":
+            a, b = canonical_rotation(a), canonical_rotation(b)
+        if a != b:
+            return shared
+    return None
+
+
+def test_validate_matches_pair_scan_on_random_complexes():
+    rng = random.Random(0)
+    outcomes = {True: 0, False: 0}
+    for _ in range(400):
+        vertices = [f"v{i}" for i in range(rng.randint(3, 8))]
+        simplices = [tuple(rng.sample(vertices, rng.randint(1, min(5, len(vertices)))))
+                     for _ in range(rng.randint(1, 8))]
+        X = OrderedComplex(rng.choice("AC"), vertices, simplices)
+        want = pairwise_inconsistent_face(X)
+        outcomes[want is None] += 1
+        if want is None:
+            validate(X, require_flag=False)
+        else:
+            with pytest.raises(InconsistentOrder) as err:
+                validate(X, require_flag=False)
+            assert err.value.face == want, X.maximal_simplices
+    assert min(outcomes.values()) >= 50  # both verdicts are exercised
+
+
+def test_maximal_cliques_of_a_large_complete_graph():
+    vertices = range(1100)
+    everyone = frozenset(vertices)
+    adjacency = {v: everyone - {v} for v in vertices}
+    [clique] = maximal_cliques(vertices, adjacency)
+    assert sorted(clique) == list(vertices)
+
+
 def test_reduction_drops_duplicates_and_faces():
     # the face (a, c) lies in the second simplex through each of its vertices
     X = OrderedComplex(
@@ -104,7 +164,7 @@ def test_has_simplex_on_unknown_vertex_and_empty_face():
 
 def test_order_complex_of_long_chain_is_one_chamber():
     labels = [f"c{i}" for i in range(1500)]
-    X = order_complex(poset_from_covers(labels, list(zip(labels, labels[1:]))))
+    X = order_complex(Poset.from_covers(labels, list(zip(labels, labels[1:]))))
     assert X.maximal_simplices == (tuple(labels),)
 
 
@@ -156,6 +216,58 @@ def test_oriented_rim_cycle_violates_local_poset():
     assert vertex == "x" and set(cycle) == {"a", "b", "c", "d"}
     with pytest.raises(NotLocalPoset):
         star_poset(X, "x")
+
+
+def recursive_relation_cycle(rel):
+    """Reference: the depth-first search for a cycle, one call per vertex."""
+    state = {}
+    stack = []
+
+    def visit(v):
+        state[v] = "open"
+        stack.append(v)
+        for w in sorted(rel.get(v, ()), key=_key):
+            s = state.get(w)
+            if s == "open":
+                return stack[stack.index(w):]
+            if s is None:
+                cycle = visit(w)
+                if cycle is not None:
+                    return cycle
+        stack.pop()
+        state[v] = "done"
+        return None
+
+    for v in sorted(rel, key=_key):
+        if v not in state:
+            cycle = visit(v)
+            if cycle is not None:
+                return tuple(cycle)
+    return None
+
+
+def test_relation_cycle_matches_recursive_search():
+    rng = random.Random(0)
+    outcomes = {True: 0, False: 0}
+    for _ in range(300):
+        labels = [f"v{i}" for i in range(rng.randint(2, 9))]
+        p = rng.choice((0.05, 0.15, 0.3))
+        rel = {}
+        for a, b in permutations(labels, 2):
+            if rng.random() < p:
+                rel.setdefault(a, set()).add(b)
+        want = recursive_relation_cycle(rel)
+        outcomes[want is None] += 1
+        assert _relation_cycle(rel) == want, rel
+    assert min(outcomes.values()) >= 50  # both verdicts are exercised
+
+
+def test_relation_cycle_on_long_path_and_long_cycle():
+    labels = [f"v{i:04d}" for i in range(1200)]
+    path = {a: {b} for a, b in zip(labels, labels[1:])}
+    assert _relation_cycle(path) is None
+    cycle = dict(path, **{labels[-1]: {labels[0]}})
+    assert _relation_cycle(cycle) == tuple(labels)
 
 
 def test_type_a_rim_cycle_detected():

@@ -214,6 +214,18 @@ def test_patch_distance_matches_polyhedral_norm():
         assert got == exact
 
 
+def test_off_mesh_query_point_does_not_shortcut_later_queries():
+    # the midpoints of the two bottom edges are 1 apart through the mesh; an
+    # earlier off-mesh query point joins both chambers, and a route through it
+    # is 1/2 long
+    X = order_complex(boolean_poset(2))
+    p, q = {"{}": F(1, 2), "{1}": F(1, 2)}, {"{}": F(1, 2), "{2}": F(1, 2)}
+    assert MeshApproximator(X, F(1, 2)).distance(p, q) == 1
+    approx = MeshApproximator(X, F(1, 2))
+    approx.distance({"{}": F(3, 4), "{1,2}": F(1, 4)}, p)
+    assert approx.distance(p, q) == 1
+
+
 # -- the product decomposition -----------------------------------------------------
 
 

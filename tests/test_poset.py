@@ -10,57 +10,57 @@ from hypothesis import strategies as st
 from cublink.errors import CycleDetected, DuplicateLabel, NoMinimum, NotGraded, UnknownLabel
 from cublink.generators import boolean_poset, noncrossing_partitions, random_ranked_poset
 from cublink.poset import (
+    Poset,
     bowtie_lattice_consistency,
     find_balanced_bowtie,
     find_bowtie,
     flag_condition,
     grade_completion,
-    poset_from_covers,
     with_bounds,
 )
 
 
 def chain_poset(k):
     labels = [f"c{i}" for i in range(k + 1)]
-    return poset_from_covers(labels, list(zip(labels, labels[1:])))
+    return Poset.from_covers(labels, list(zip(labels, labels[1:])))
 
 
 def bowtie_poset():
-    return poset_from_covers("abcd", [("a", "c"), ("a", "d"), ("b", "c"), ("b", "d")])
+    return Poset.from_covers("abcd", [("a", "c"), ("a", "d"), ("b", "c"), ("b", "d")])
 
 
 # -- construction ----------------------------------------------------------
 
 
 def test_singleton():
-    P = poset_from_covers(["a"], [])
+    P = Poset.from_covers(["a"], [])
     assert len(P) == 1 and P.leq("a", "a")
 
 
 def test_hasse_reduction_drops_transitive_pair():
-    P = poset_from_covers(["0", "a", "1"], [("0", "a"), ("a", "1"), ("0", "1")])
+    P = Poset.from_covers(["0", "a", "1"], [("0", "a"), ("a", "1"), ("0", "1")])
     assert P.covers == frozenset({("0", "a"), ("a", "1")})
     assert P.lt("0", "1")
 
 
 def test_two_cycle_rejected():
     with pytest.raises(CycleDetected):
-        poset_from_covers(["a", "b"], [("a", "b"), ("b", "a")])
+        Poset.from_covers(["a", "b"], [("a", "b"), ("b", "a")])
 
 
 def test_self_loop_rejected():
     with pytest.raises(CycleDetected):
-        poset_from_covers(["a"], [("a", "a")])
+        Poset.from_covers(["a"], [("a", "a")])
 
 
 def test_duplicate_label_rejected():
     with pytest.raises(DuplicateLabel):
-        poset_from_covers(["a", "a"], [])
+        Poset.from_covers(["a", "a"], [])
 
 
 def test_unknown_label_rejected():
     with pytest.raises(UnknownLabel):
-        poset_from_covers(["a"], [("a", "zz")])
+        Poset.from_covers(["a"], [("a", "zz")])
 
 
 # -- meets and joins ---------------------------------------------------------
@@ -120,7 +120,7 @@ def test_boolean_graded_with_full_rank():
 
 
 def test_unequal_chains_not_graded():
-    P = poset_from_covers(
+    P = Poset.from_covers(
         ["0", "a", "b", "c", "1"],
         [("0", "a"), ("a", "1"), ("0", "b"), ("b", "c"), ("c", "1")],
     )
@@ -163,7 +163,7 @@ def test_chain_has_no_bowtie():
 
 
 def test_balanced_bowtie_requires_graded():
-    P = poset_from_covers(
+    P = Poset.from_covers(
         ["0", "a", "b", "c", "1"],
         [("0", "a"), ("a", "1"), ("0", "b"), ("b", "c"), ("c", "1")],
     )
@@ -174,7 +174,7 @@ def test_balanced_bowtie_requires_graded():
 def test_balanced_witness_has_equal_heights():
     # both balanced and unbalanced bowties exist; the balanced search must
     # return one with matching heights on both pairs
-    P = poset_from_covers(
+    P = Poset.from_covers(
         ["a", "b0", "b", "c", "d"],
         [("b0", "b"), ("a", "c"), ("a", "d"), ("b", "c"), ("b", "d")],
     )
@@ -188,7 +188,7 @@ def test_balanced_witness_has_equal_heights():
 def test_balanced_bowtie_with_nonmaximal_lower_pair():
     # the maximal common lower bounds of (c, d) are {a, z} at unequal heights,
     # so the balanced witness must pair a with the non-maximal b under z
-    P = poset_from_covers(
+    P = Poset.from_covers(
         ["r", "a", "b", "z", "w", "v", "c", "d"],
         [("r", "a"), ("r", "b"), ("b", "z"), ("a", "w"), ("a", "v"),
          ("z", "c"), ("z", "d"), ("w", "c"), ("v", "d")],
@@ -235,7 +235,7 @@ def test_lattice_iff_no_bowtie_after_bounding():
 
 
 def test_flag_violation_three_atoms_with_pair_joins():
-    P = poset_from_covers(
+    P = Poset.from_covers(
         ["a", "b", "c", "ab", "ac", "bc"],
         [("a", "ab"), ("b", "ab"), ("a", "ac"), ("c", "ac"), ("b", "bc"), ("c", "bc")],
     )
@@ -267,7 +267,7 @@ def test_completion_of_graded_poset_is_identity_like():
 
 
 def test_completion_inserts_one_element():
-    P = poset_from_covers(
+    P = Poset.from_covers(
         ["0", "a", "b", "c", "1"],
         [("0", "a"), ("a", "1"), ("0", "b"), ("b", "c"), ("c", "1")],
     )
@@ -315,7 +315,7 @@ def small_posets(draw):
             max_size=12,
         )
     )
-    return poset_from_covers(labels, [(labels[i], labels[j]) for i, j in pairs])
+    return Poset.from_covers(labels, [(labels[i], labels[j]) for i, j in pairs])
 
 
 @given(small_posets())
