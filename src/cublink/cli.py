@@ -249,6 +249,9 @@ def main(argv=None):
     except (ValueError, KeyError, TypeError) as err:
         print(json.dumps({"error": "input", "detail": str(err)}))
         return 2
+    except Exception as err:  # a fault in the program, not a mathematical failure
+        print(json.dumps({"error": "internal", "detail": f"{type(err).__name__}: {err}"}))
+        return 2
 
 
 if __name__ == "__main__":

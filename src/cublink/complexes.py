@@ -116,8 +116,8 @@ class OrderedComplex:
 
     # -- membership -----------------------------------------------------
 
-    def carrier(self, face):
-        """Index of the first maximal simplex that contains the face, or None.
+    def carriers(self, face):
+        """Indices of the maximal simplices that contain the face, ascending.
 
         Only the simplices through one vertex of the face can contain it, so
         this scans the shortest incidence list among the face's vertices.
@@ -125,7 +125,11 @@ class OrderedComplex:
         face = frozenset(face)
         ids = min((self._incident.get(v, ()) for v in face), key=len,
                   default=range(len(self.maximal_simplices)))
-        return next((i for i in ids if face <= self._max_sets[i]), None)
+        return (i for i in ids if face <= self._max_sets[i])
+
+    def carrier(self, face):
+        """Index of the first maximal simplex that contains the face, or None."""
+        return next(self.carriers(face), None)
 
     def has_simplex(self, vertex_set):
         vs = frozenset(vertex_set)
@@ -150,9 +154,6 @@ class OrderedComplex:
             raise UnknownLabel(f"{sorted(map(str, vs))} is not a face")
         t = tuple(v for v in self.maximal_simplices[i] if v in vs)
         return canonical_rotation(t) if self.order_type == "A" else t
-
-    def dimension(self):
-        return max((len(s) - 1 for s in self.maximal_simplices), default=-1)
 
     def to_json(self):
         return {

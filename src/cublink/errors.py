@@ -47,12 +47,12 @@ class NotFlag(CublinkError):
 
 
 class NotLocalPoset(CublinkError):
-    """A star relation fails transitivity at some vertex."""
+    """The star relation at some vertex orders a cycle, so it generates no partial order."""
 
-    def __init__(self, vertex, triple, message=None):
+    def __init__(self, vertex, cycle, message=None):
         self.vertex = vertex
-        self.triple = triple
-        super().__init__(message or f"star relation at {vertex} not transitive on {triple}")
+        self.cycle = cycle
+        super().__init__(message or f"star relation at {vertex} not transitive on {cycle}")
 
 
 class MalformedCubeComplex(CublinkError):

@@ -16,6 +16,7 @@ from .errors import (
     CublinkError,
     GarsideCheckFailed,
     NotAutomorphism,
+    NotLocalPoset,
     PreconditionFailed,
 )
 from .poset import Poset, _key, find_bowtie, flag_condition
@@ -59,10 +60,7 @@ def _checked(X, order_type):
         raise PreconditionFailed(err) from err
     violation = is_local_poset(X)
     if violation is not None:
-        vertex, triple = violation
-        raise PreconditionFailed(
-            CublinkError(f"star relation at {vertex} not transitive on {triple}")
-        )
+        raise PreconditionFailed(NotLocalPoset(*violation))
 
 
 def check_type_A(X):

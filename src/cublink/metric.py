@@ -9,9 +9,11 @@ for the length metric.  No floating point enters any verdict.
 from __future__ import annotations
 
 import heapq
+from collections import ChainMap
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from functools import cached_property
+from itertools import combinations, count
 
 from .complexes import order_complex
 from .errors import (
@@ -29,9 +31,7 @@ def frac(x):
     """Parse ints, Fractions, and strings like '2/3' into exact rationals."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
+    if isinstance(x, (int, str)):
         return Fraction(x)
     raise TypeError(f"not an exact rational: {x!r}")
 
@@ -140,7 +140,8 @@ def affine_simplex_coords(d):
 
 
 def _chamber_metric(X, simplex):
-    """Exact metric on one chamber: positions indexed by the stored tuple."""
+    """Exact metric on one chamber as (place, dist): place maps (vertex, weight)
+    pairs to model coordinates, and dist is the norm of two places' difference."""
     d = len(simplex) - 1
     if X.order_type == "C":
         coords = orthoscheme_coords(d)
@@ -150,22 +151,17 @@ def _chamber_metric(X, simplex):
         norm = polyhedral_norm
     index = {v: coords[i] for i, v in enumerate(simplex)}
 
-    def dist(wa, wb):
-        dim = len(coords[0])
-        if dim == 0:
-            return Fraction(0)
-        diff = [Fraction(0)] * dim
-        for v, w in wa.items():
-            c = index[v]
-            for i in range(dim):
-                diff[i] += w * c[i]
-        for v, w in wb.items():
-            c = index[v]
-            for i in range(dim):
-                diff[i] -= w * c[i]
-        return norm(diff)
+    def place(pairs):
+        out = [Fraction(0)] * len(coords[0])
+        for v, w in pairs:
+            for i, c in enumerate(index[v]):
+                out[i] += w * c
+        return out
 
-    return dist
+    def dist(a, b):
+        return norm([x - y for x, y in zip(a, b)])
+
+    return place, dist
 
 
 def as_point(X, point):
@@ -194,19 +190,11 @@ def chamber_distance_in_complex(X, p, q):
     i = X.carrier(support)
     if i is None:
         raise NoCommonChamber(f"{sorted(map(str, support))} lies in no single chamber")
-    return _chamber_metric(X, X.maximal_simplices[i])(p, q)
+    place, dist = _chamber_metric(X, X.maximal_simplices[i])
+    return dist(place(p.items()), place(q.items()))
 
 
 # -- mesh graph and the length-metric upper bound --------------------------------
-
-
-def _compositions(total, parts):
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(1, total - parts + 2):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
 
 
 class MeshApproximator:
@@ -217,6 +205,12 @@ class MeshApproximator:
     sharing a chamber are joined by an edge of exact chamber length.  The
     graph distance is an upper bound for the length metric that does not
     increase when the mesh is refined by an integer factor.
+
+    The graph is built once, at the first query; no query changes it.  A
+    node's support is a proper face of a chamber, never a whole one, so a
+    chamber holds only the nodes on its own proper faces.  An off-mesh
+    endpoint is joined, for its query only, to the nodes of the chambers
+    containing its support, and to the other endpoint if it is off-mesh there.
     """
 
     def __init__(self, X, mesh):
@@ -225,49 +219,52 @@ class MeshApproximator:
             raise ValueError("mesh must be 1/m for a positive integer m")
         self.X = X
         self.mesh = mesh
-        m = mesh.denominator
-        nodes = set()
-        for s in X.maximal_simplices:
-            if len(s) == 1:
-                nodes.add(((s[0], Fraction(1)),))
-                continue
-            for size in range(1, len(s)):
-                for face in combinations(s, size):
-                    for comp in _compositions(m, size):
-                        nodes.add(tuple(sorted(
-                            (v, Fraction(c, m)) for v, c in zip(face, comp)
-                        )))
-        self._nodes = nodes
-        self._adj = None
 
-    def _node(self, point):
-        return tuple(sorted(point.items()))
+    def _chamber(self, i):
+        """The nodes of chamber i with their places, and the chamber's place and dist."""
+        s = self.X.maximal_simplices[i]
+        place, dist = _chamber_metric(self.X, s)
+        m = self.mesh.denominator
+        nodes = [  # weights c/m with c > 0, from the cuts 0 < c_1 < ... < m
+            frozenset((v, Fraction(b - a, m)) for v, a, b in zip(face, (0,) + cuts, cuts + (m,)))
+            for size in range(1, max(len(s), 2))  # a lone vertex is its own node
+            for face in combinations(s, size)
+            for cuts in combinations(range(1, m), size - 1)
+        ]
+        return [(node, place(node)) for node in nodes], place, dist
 
-    def _build(self, extra_nodes):
-        nodes = self._nodes | extra_nodes
-        adj = {node: [] for node in nodes}
-        for s, ms in zip(self.X.maximal_simplices, self.X._max_sets):
-            members = [node for node in nodes if all(v in ms for v, _ in node)]
-            dist = _chamber_metric(self.X, s)
-            for a, b in combinations(members, 2):
-                d = dist(dict(a), dict(b))
-                adj[a].append((b, d))
-                adj[b].append((a, d))
-        return adj
+    @cached_property
+    def _graph(self):
+        graph = {}
+        for i in range(len(self.X.maximal_simplices)):
+            members, _, dist = self._chamber(i)
+            for node, _ in members:
+                graph.setdefault(node, [])
+            for (a, pa), (b, pb) in combinations(members, 2):
+                d = dist(pa, pb)
+                graph[a].append((b, d))
+                graph[b].append((a, d))
+        return graph
 
     def distance(self, p, q):
         p, q = as_point(self.X, p), as_point(self.X, q)
-        source, target = self._node(p), self._node(q)
-        extra = {source, target} - self._nodes
-        if extra:  # a graph of this query only, so no later query routes through them
-            adj = self._build(extra)
-        else:
-            if self._adj is None:
-                self._adj = self._build(set())
-            adj = self._adj
+        source, target = frozenset(p.items()), frozenset(q.items())
+        graph = self._graph
+        joins, joined = {}, {}  # edges of this query; chamber -> off-mesh endpoints in it
+        for node in {source, target} - graph.keys():
+            for i in self.X.carriers(v for v, _ in node):
+                members, place, dist = self._chamber(i)
+                members += [(other, place(other)) for other in joined.get(i, ())]
+                here = place(node)
+                for other, there in members:
+                    d = dist(here, there)
+                    joins.setdefault(node, []).append((other, d))
+                    joins.setdefault(other, []).append((node, d))
+                joined.setdefault(i, []).append(node)
+        adj = ChainMap({node: graph.get(node, []) + e for node, e in joins.items()}, graph)
         best = {source: Fraction(0)}
-        heap = [(Fraction(0), 0, source)]
-        counter = 1
+        tie = count()
+        heap = [(Fraction(0), next(tie), source)]
         while heap:
             d, _, node = heapq.heappop(heap)
             if node == target:
@@ -278,8 +275,7 @@ class MeshApproximator:
                 nd = d + w
                 if other not in best or nd < best[other]:
                     best[other] = nd
-                    heapq.heappush(heap, (nd, counter, other))
-                    counter += 1
+                    heapq.heappush(heap, (nd, next(tie), other))
         raise Disconnected("no path between the query points")
 
 

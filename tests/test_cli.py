@@ -141,6 +141,16 @@ def test_list_vertex_label_is_an_input_error(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["error"] == "input"
 
 
+def test_program_fault_is_an_internal_error(tmp_path, capsys):
+    # lists where from_json expects objects raise AttributeError inside the program
+    path = tmp_path / "list_subgroups.json"
+    path.write_text(json.dumps({"n": 2, "vertex_groups": [], "face_subgroups": []}))
+    assert main(["groupdev", str(path)]) == 2
+    error = json.loads(capsys.readouterr().out)
+    assert error["error"] == "internal"
+    assert error["detail"].startswith("AttributeError: ")
+
+
 def test_output_is_byte_deterministic():
     runs = {run_cli(["generate", "affine-patch", "--n", "2", "--radius", "1"])[1] for _ in range(3)}
     assert len(runs) == 1

@@ -152,6 +152,8 @@ def test_carrier_is_the_first_in_maximal_simplices_order():
     assert X.carrier({"d"}) == 1
     assert X.carrier({"a", "d"}) is None
     assert X.carrier(set()) == 0
+    assert list(X.carriers({"b", "c"})) == [0, 1]
+    assert list(X.carriers({"a", "d"})) == []
 
 
 def test_has_simplex_on_unknown_vertex_and_empty_face():

@@ -1,10 +1,13 @@
 """Link-condition verdicts for type A, type C, and order-automorphism pairs."""
 
+import json
+
 import pytest
 
-from cublink.complexes import OrderedComplex, star_poset, validate
+from cublink.cli import main
+from cublink.complexes import OrderedComplex, is_local_poset, star_poset, validate
 from cublink.cubes import barycentric_cube_subdivision, single_cube, squares_sharing_two_edges, three_squares_corner
-from cublink.errors import GarsideCheckFailed, NotAutomorphism, PreconditionFailed
+from cublink.errors import GarsideCheckFailed, NotAutomorphism, NotLocalPoset, PreconditionFailed
 from cublink.generators import (
     affine_A_patch,
     column_complex,
@@ -53,6 +56,36 @@ def test_single_triangle_passes():
 def test_type_a_rejects_type_c_input():
     with pytest.raises(PreconditionFailed):
         check_type_A(integer_line(3))
+
+
+def test_local_poset_precondition_carries_its_cycle(tmp_path, capsys):
+    # the cone over an oriented 4-cycle: the relation at x orders a < b < c < d < a
+    cone = {
+        "type": "C",
+        "vertices": ["x", "a", "b", "c", "d"],
+        "maximal_simplices": [["a", "b", "x"], ["b", "c", "x"], ["c", "d", "x"], ["d", "a", "x"]],
+    }
+    X = OrderedComplex.from_json(cone)
+    with pytest.raises(PreconditionFailed) as info:
+        check_type_C(X)
+    cause = info.value.cause
+    assert isinstance(cause, NotLocalPoset)
+    assert (cause.vertex, cause.cycle) == is_local_poset(X)
+    path = tmp_path / "cone.json"
+    path.write_text(json.dumps(cone))
+    assert main(["check", "--type", "C", str(path)]) == 1
+    assert capsys.readouterr().out == (
+        "{\n"
+        '  "certificate": null,\n'
+        '  "failures": [\n'
+        "    {\n"
+        '      "condition": "precondition",\n'
+        '      "witness": "star relation at x not transitive on (\'a\', \'b\', \'c\', \'d\')"\n'
+        "    }\n"
+        "  ],\n"
+        '  "pass": false\n'
+        "}\n"
+    )
 
 
 def test_verdicts_are_deterministic():
