@@ -161,7 +161,7 @@ def cmd_groupdev(args):
 
 
 def cmd_selftest(args):
-    suites = run_selftest(quick=args.quick)
+    suites = run_selftest()
     payload = {
         "suites": [s.to_json() for s in suites],
         "pass": all(s.passed for s in suites),
@@ -211,7 +211,6 @@ def build_parser():
     p.set_defaults(func=cmd_groupdev)
 
     p = sub.add_parser("selftest", help="run the oracle-equivalence suites")
-    p.add_argument("--quick", action="store_true")
     p.set_defaults(func=cmd_selftest)
     return parser
 

@@ -28,10 +28,10 @@ from .poset import _key
 
 
 def frac(x):
-    """Parse ints, Fractions, and strings like '2/3' into exact rationals."""
+    """Parse ints (not bools), Fractions, and strings like '2/3' into exact rationals."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, (int, str)):
+    if isinstance(x, (int, str)) and not isinstance(x, bool):
         return Fraction(x)
     raise TypeError(f"not an exact rational: {x!r}")
 

@@ -162,14 +162,11 @@ def suite_flat_positives():
     return SuiteResult("flat_positives", checked, True)
 
 
-def run_selftest(quick=False):
-    suites = [
-        suite_bowtie_lattice(random_count=100 if quick else 500),
-        suite_lattice_iff_bounded_bowtie_free(random_count=50 if quick else 200),
+def run_selftest():
+    return [
+        suite_bowtie_lattice(),
+        suite_lattice_iff_bounded_bowtie_free(),
         suite_gromov_agreement(),
-        suite_hull_dimension_vs_matching(
-            metric_corpus(trees=10, rectangles=5, randoms=15, six_point=3) if quick else None
-        ),
+        suite_hull_dimension_vs_matching(),
         suite_flat_positives(),
     ]
-    return suites

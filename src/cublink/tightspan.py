@@ -4,9 +4,11 @@ The hull of a metric d is the polyhedral complex of pointwise-minimal
 functions f with f(x) + f(y) >= d(x, y); it equals the union of the bounded
 faces of that polyhedron.  Vertices are enumerated exactly: a minimal f is a
 0-dimensional face precisely when its tightness graph pins every component
-through a loop or an odd cycle, so candidate vertices are the solutions of
-the systems indexed by self-maps of the point set whose functional graphs
-have only odd cycles.  All arithmetic is integer after clearing denominators.
+through a loop or an odd cycle, so every vertex solves F(x) + F(k(x)) = d(x, k(x))
+for some self-map k whose functional graph has only odd cycles.  One search
+builds k a point at a time and drops a branch as soon as a value it pins is
+infeasible; the faces are the intersections of vertex tightness graphs that
+still touch every point.  All arithmetic is integer after clearing denominators.
 """
 
 from __future__ import annotations
@@ -96,73 +98,55 @@ class TightSpan:
         }
 
 
-def _cycles_of(kappa):
-    """Cycle decomposition of a functional graph; None if some cycle is even."""
-    n = len(kappa)
-    color = [0] * n
-    cycles = []
-    for start in range(n):
-        if color[start]:
+def _hull_vertices(D2):
+    """Doubled values F of the hull's vertices, found by a pruned search over self-maps.
+
+    The self-map k is built one point at a time.  Each touched point carries a
+    form (root, sign, const), meaning F = sign * t[root] + const with t[root]
+    the free value of its tree, or (None, 0, value) once pinned.  Setting
+    k(x) = y adds the constraint F[x] + F[y] = D2[x][y]: closing an even cycle
+    is rejected, an odd cycle or an edge into a pinned tree pins x's tree, and
+    otherwise x's tree is re-expressed in the free value of y's.  A branch stops
+    as soon as a pinned value breaks F[i] + F[j] >= D2[i][j] (with i == j this
+    is F[i] >= 0), so every completed map gives a feasible vertex.
+    """
+    n = len(D2)
+    found = set()
+    stack = [(0, (None,) * n)]
+    while stack:
+        x, forms = stack.pop()
+        if x == n:
+            found.add(tuple(c for _, _, c in forms))
             continue
-        path, seen = [], {}
-        v = start
-        while color[v] == 0 and v not in seen:
-            seen[v] = len(path)
-            path.append(v)
-            v = kappa[v]
-        if color[v] == 0:
-            cycle = path[seen[v]:]
-            if len(cycle) % 2 == 0:
-                return None
-            cycles.append(cycle)
-        for u in path:
-            color[u] = 1
-    return cycles
-
-
-def _solve_kappa(kappa, D2):
-    """Doubled values F solving F[x] + F[kappa(x)] = D2[x][kappa(x)], or None."""
-    n = len(kappa)
-    cycles = _cycles_of(kappa)
-    if cycles is None:
-        return None
-    F = [None] * n
-    for cycle in cycles:
-        total = 0
-        sign = 1
-        for t, v in enumerate(cycle):
-            w = cycle[(t + 1) % len(cycle)]
-            total += sign * D2[v][w]
-            sign = -sign
-        # the odd cycle length pins the first value; D2 entries are even,
-        # so the alternating sum halves exactly
-        F[cycle[0]] = total // 2
-        for t in range(len(cycle) - 1):
-            v, w = cycle[t], cycle[t + 1]
-            F[w] = D2[v][w] - F[v]
-    remaining = [v for v in range(n) if F[v] is None]
-    while remaining:
-        progressed = []
-        for v in remaining:
-            if F[kappa[v]] is not None:
-                F[v] = D2[v][kappa[v]] - F[kappa[v]]
+        # x has no image yet, so its tree is free
+        rx, sx, cx = forms[x] or (x, 1, 0)
+        for y in range(n):
+            form = list(forms)
+            form[x] = (rx, sx, cx)
+            ry, sy, cy = form[y] or (y, 1, 0)
+            d = D2[x][y]
+            if ry == rx:
+                if sx != sy:
+                    continue  # an even cycle
+                # free constants only sum even D2 entries, so this halves exactly
+                t = sx * (d - cx - cy) // 2
+            elif ry is None:
+                t = sx * (d - cx - cy)
             else:
-                progressed.append(v)
-        if len(progressed) == len(remaining):
-            return None
-        remaining = progressed
-    return F
-
-
-def _is_feasible(F, D2):
-    n = len(F)
-    if any(x < 0 for x in F):
-        return False
-    for i in range(n):
-        for j in range(i + 1, n):
-            if F[i] + F[j] < D2[i][j]:
-                return False
-    return True
+                sign, shift = -sx * sy, sx * (d - cx - cy)
+                form[y] = (ry, sy, cy)
+                for p, f in enumerate(form):
+                    if f is not None and f[0] == rx:
+                        form[p] = (ry, sign * f[1], f[2] + f[1] * shift)
+                stack.append((x + 1, tuple(form)))
+                continue
+            tree = [p for p, f in enumerate(form) if f is not None and f[0] == rx]
+            for p in tree:
+                form[p] = (None, 0, form[p][1] * t + form[p][2])
+            pinned = [p for p, f in enumerate(form) if f is not None and f[0] is None]
+            if all(form[i][2] + form[j][2] >= D2[i][j] for i in tree for j in pinned):
+                stack.append((x + 1, tuple(form)))
+    return sorted(found)
 
 
 def _tight_graph(F, D2):
@@ -187,38 +171,31 @@ def _covers_all(graph, n):
 
 def _face_dimension(graph, n):
     """Number of components of the tightness graph that are loop-free and bipartite."""
-    parent = list(range(n))
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
+    adj = [[] for _ in range(n)]
     for i, j in graph:
+        adj[i].append(j)
         if i != j:
-            parent[find(i)] = find(j)
-    pinned = {find(i) for i, j in graph if i == j}
-    adj = {v: [] for v in range(n)}
-    for i, j in graph:
-        if i != j:
-            adj[i].append(j)
             adj[j].append(i)
-    color = {}
+    color = [None] * n
+    free = 0
     for start in range(n):
-        if start in color:
+        if color[start] is not None:
             continue
+        # each new start is a new component; a loop makes a vertex its own
+        # neighbour, so its component fails the colouring
         color[start] = 0
+        bipartite = True
         stack = [start]
         while stack:
             v = stack.pop()
             for w in adj[v]:
-                if w not in color:
+                if color[w] is None:
                     color[w] = color[v] ^ 1
                     stack.append(w)
                 elif color[w] == color[v]:
-                    pinned.add(find(v))
-    return sum(1 for r in set(map(find, range(n))) if r not in pinned)
+                    bipartite = False
+        free += bipartite
+    return free
 
 
 def tight_span(metric):
@@ -228,54 +205,40 @@ def tight_span(metric):
     graphs) together with the topological dimension, the maximum affine
     dimension of a face.
     """
-    M = metric if isinstance(metric, FiniteMetric) else FiniteMetric(*metric)
-    n = len(M)
+    n = len(metric)
     if n > 7:
         raise TooManyPoints("the hull enumeration is limited to 7 points")
     if n == 0:
-        return TightSpan(M, (), (), -1)
-    scale = lcm(*(x.denominator for row in M.dist for x in row)) if n > 1 else 1
-    D2 = [[int(2 * scale * x) for x in row] for row in M.dist]
+        return TightSpan(metric, (), (), -1)
+    scale = lcm(*(x.denominator for row in metric.dist for x in row)) if n > 1 else 1
+    D2 = [[int(2 * scale * x) for x in row] for row in metric.dist]
 
-    seen = set()
-    vertices = []
-    for kappa in product(range(n), repeat=n):
-        F = _solve_kappa(kappa, D2)
-        if F is None:
-            continue
-        key = tuple(F)
-        if key in seen:
-            continue
-        seen.add(key)
-        if _is_feasible(F, D2):
-            vertices.append(key)
-    vertices.sort()
-
+    vertices = _hull_vertices(D2)
     # close the vertex tightness graphs under intersection: each bounded face
     # is the smallest face containing finitely many vertices, and its graph is
-    # the intersection of theirs
-    graphs = {_tight_graph(F, D2) for F in vertices}
-    changed = True
-    while changed:
-        changed = False
-        for a, b in combinations(list(graphs), 2):
-            meet = a & b
+    # the intersection of theirs; covering every point is monotone, so meeting
+    # each new graph with the vertex graphs alone reaches every such intersection
+    vertex_graphs = [_tight_graph(F, D2) for F in vertices]
+    graphs = set(vertex_graphs)
+    work = list(graphs)
+    while work:
+        graph = work.pop()
+        for other in vertex_graphs:
+            meet = graph & other
             if meet not in graphs and _covers_all(meet, n):
                 graphs.add(meet)
-                changed = True
+                work.append(meet)
 
     faces = []
     for graph in graphs:
-        members = tuple(
-            idx for idx, F in enumerate(vertices) if graph <= _tight_graph(F, D2)
-        )
+        members = tuple(idx for idx, g in enumerate(vertex_graphs) if graph <= g)
         faces.append(HullFace(graph, _face_dimension(graph, n), members))
     faces.sort(key=lambda f: (f.dimension, sorted(f.tight_pairs)))
     dimension = max((f.dimension for f in faces), default=0)
     out_vertices = tuple(
         tuple(Fraction(x, 2 * scale) for x in F) for F in vertices
     )
-    return TightSpan(M, out_vertices, tuple(faces), dimension)
+    return TightSpan(metric, out_vertices, tuple(faces), dimension)
 
 
 # -- the matching-sum dimension criterion ----------------------------------------
@@ -310,14 +273,13 @@ def dress_dimension_test(metric, n):
     points the quantification is empty and the test is vacuously true, which
     matches the hull dimension bound |X| / 2.
     """
-    M = metric if isinstance(metric, FiniteMetric) else FiniteMetric(*metric)
     size = 2 * (n + 1)
     if n < 1:
         raise ValueError("the dimension parameter must be at least 1")
-    for subset in combinations(range(len(M)), size):
+    for subset in combinations(range(len(metric)), size):
         sums = {}
         for j in _fixed_point_free_bijections(subset):
-            total = sum(M.dist[z][j[z]] for z in subset)
+            total = sum(metric.dist[z][j[z]] for z in subset)
             key = tuple(j[z] for z in subset)
             sums[key] = total
         for i in _fixed_point_free_involutions(list(subset)):

@@ -132,6 +132,15 @@ def test_float_distance_is_an_input_error(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["error"] == "input"
 
 
+def test_boolean_distance_is_an_input_error(tmp_path, capsys):
+    # JSON true and false are not the integers 1 and 0, off or on the diagonal
+    for dist in ([[0, True], [True, 0]], [[False, 1], [1, 0]]):
+        path = tmp_path / "bool_metric.json"
+        path.write_text(json.dumps({"points": ["a", "b"], "dist": dist}))
+        assert main(["tightspan", str(path)]) == 2
+        assert json.loads(capsys.readouterr().out)["error"] == "input"
+
+
 def test_list_vertex_label_is_an_input_error(tmp_path, capsys):
     path = tmp_path / "list_label.json"
     path.write_text(json.dumps(
@@ -156,12 +165,17 @@ def test_output_is_byte_deterministic():
     assert len(runs) == 1
 
 
-def test_selftest_quick():
-    code, out = run_cli(["selftest", "--quick"])
+def test_selftest_runs_the_full_suites():
+    code, out = run_cli(["selftest"])
     assert code == 0
     payload = json.loads(out)
     assert payload["pass"] is True
-    assert len(payload["suites"]) == 5
+    assert [s["checked"] for s in payload["suites"]] == [514, 200, 22, 480, 4]
+
+
+def test_selftest_has_no_quick_flag(capsys):
+    assert main(["selftest", "--quick"]) == 2
+    assert json.loads(capsys.readouterr().out)["error"] == "usage"
 
 
 def test_main_callable_directly(capsys):
