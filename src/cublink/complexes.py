@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .errors import InconsistentOrder, NotFlag, NotLocalPoset, UnknownLabel
+from .errors import CycleDetected, DuplicateLabel, InconsistentOrder, NotFlag, NotLocalPoset, UnknownLabel
 from .poset import Poset, _key
 
 
@@ -60,8 +60,12 @@ class OrderedComplex:
         if order_type not in ("A", "C"):
             raise ValueError("order_type must be 'A' or 'C'")
         self.order_type = order_type
-        self.vertices = tuple(sorted(set(vertices), key=_key))
-        self._vertex_set = set(self.vertices)
+        self._vertex_set = set()
+        for v in vertices:
+            if v in self._vertex_set:
+                raise DuplicateLabel(f"duplicate vertex label {v!r}")
+            self._vertex_set.add(v)
+        self.vertices = tuple(sorted(self._vertex_set, key=_key))
 
         cleaned = []
         seen = set()
@@ -217,6 +221,16 @@ def _shrink_to_minimal_nonface(X, clique):
 # -- star relations ---------------------------------------------------------------
 
 
+def _chains_at(X, x):
+    """Each chamber through x, read from x: type A rotates it to start at x."""
+    if x not in X._incident:
+        raise UnknownLabel(f"unknown vertex {x!r}")
+    for i in X._incident[x]:
+        s = X.maximal_simplices[i]
+        k = s.index(x) if X.order_type == "A" else 0
+        yield s[k:] + s[:k]
+
+
 def star_relation(X, x):
     """The oriented relation on St(x), as a dict y -> set of z with y < z at x.
 
@@ -229,15 +243,10 @@ def star_relation(X, x):
     first: then any two chambers agree on every edge (type C) and triangle
     (type A) they share, so each chamber gives the same orientation.
     """
-    if x not in X._incident:
-        raise UnknownLabel(f"unknown vertex {x!r}")
     rel = {}
-    for i in X._incident[x]:
-        s = X.maximal_simplices[i]
-        if X.order_type == "A":
-            k = s.index(x)
-            s = s[k + 1:] + s[:k]  # the cyclic order read from x, x left out
-        for a, b in combinations(s, 2):
+    skip = 1 if X.order_type == "A" else 0  # type A leaves x out
+    for s in _chains_at(X, x):
+        for a, b in combinations(s[skip:], 2):
             rel.setdefault(a, set()).add(b)
     return rel
 
@@ -292,37 +301,26 @@ class StarPoset:
     """The star of a vertex as a poset.
 
     For type A the center is the minimum.  For type C the center sits in the
-    middle; ``plus`` and ``minus`` restrict to the elements above (with
-    minimum center) and below (with maximum center).
+    middle: every element lies above it (St+) or below it (St-).
     """
 
     center: object
     order_type: str
     poset: Poset
 
-    @property
-    def plus(self):
-        return self.poset.restrict(self.poset.up_set(self.center))
-
-    @property
-    def minus(self):
-        return self.poset.restrict(self.poset.down_set(self.center))
-
 
 def star_poset(X, x):
     """The poset (St(x), <=_x), the transitive closure of the star relation.
 
-    Raises NotLocalPoset if the relation at x contains a cycle.
+    Each chamber through x, read from x, is a chain of the relation, so its
+    consecutive pairs suffice.  Raises NotLocalPoset on a relation cycle.
     """
-    rel = star_relation(X, x)
-    cycle = _relation_cycle(rel)
-    if cycle is not None:
-        raise NotLocalPoset(x, cycle)
-    elements = {x} | set(X.neighbors(x))
-    pairs = [(y, z) for y in rel for z in rel[y]]
-    if X.order_type == "A":
-        pairs += [(x, y) for y in X.neighbors(x)]
-    return StarPoset(x, X.order_type, Poset.from_covers(sorted(elements, key=_key), pairs))
+    pairs = [(a, b) for s in _chains_at(X, x) for a, b in zip(s, s[1:])]
+    try:
+        poset = Poset.from_covers(sorted({x} | X.neighbors(x), key=_key), pairs)
+    except CycleDetected:
+        raise NotLocalPoset(x, _relation_cycle(star_relation(X, x))) from None
+    return StarPoset(x, X.order_type, poset)
 
 
 # -- realizations of posets ---------------------------------------------------------

@@ -82,23 +82,26 @@ def check_type_A(X):
 def check_type_C(X):
     """Pass iff every star poset has no bowtie and satisfies both flag conditions.
 
-    The flag condition is checked upward on St+(x) and downward on St-(x);
-    a failure reports the vertex, the violated condition, and the triple or
-    bowtie witness.
+    Both flag conditions are checked on St(x), not on St+(x) (up) and St-(x)
+    (down).  Every element is comparable to x, so a triple with some a <= x
+    has a common upper bound: x if none is > x, the one > x if one is, else
+    any bound of the two > x, as U(a) contains U(x).  So the upward
+    violations are those of St+(x), with the same up-sets and label order;
+    dually down.  A failure reports the vertex, condition and witness.
     """
     _checked(X, "C")
     failures = []
     for x in X.vertices:
-        sp = star_poset(X, x)
-        bowtie = find_bowtie(sp.poset)
+        P = star_poset(X, x).poset
+        bowtie = find_bowtie(P)
         if bowtie is not None:
             failures.append(Failure(x, "lattice", bowtie))
             continue
-        up = flag_condition(sp.plus, "up")
+        up = flag_condition(P, "up")
         if up is not None:
             failures.append(Failure(x, "flag_up", up))
             continue
-        down = flag_condition(sp.minus, "down")
+        down = flag_condition(P, "down")
         if down is not None:
             failures.append(Failure(x, "flag_down", down))
     return Verdict(not failures, "locally_CUB_and_locally_injective_certified", tuple(failures))

@@ -439,11 +439,14 @@ def bowtie_lattice_consistency(P):
 def flag_condition(P, direction="up"):
     """First triple pairwise bounded in the given direction with no common bound.
 
-    Returns the violating triple (label-sorted) or None.  ``direction`` is
-    "up" for upper bounds, "down" for lower bounds.
+    Returns the violating triple (label-sorted) or None, at once if a maximum
+    ("up") or minimum ("down") bounds every triple.  ``direction`` is "up"
+    for upper bounds, "down" for lower bounds.
     """
     if direction not in ("up", "down"):
         raise ValueError("direction must be 'up' or 'down'")
+    if (P.maximum() if direction == "up" else P.minimum()) is not None:
+        return None
     bound_set = P.up_set if direction == "up" else P.down_set
     sets = {x: bound_set(x) for x in P.elements}
     elems = sorted(P.elements, key=_key)

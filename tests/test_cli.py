@@ -150,6 +150,15 @@ def test_list_vertex_label_is_an_input_error(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["error"] == "input"
 
 
+def test_duplicate_vertex_label_is_an_input_error(tmp_path, capsys):
+    # JSON true equals 1 as a Python label, so both lists declare one label twice
+    for vertices, simplices in (([True, 1, "b"], [[True, "b"], [1, "b"]]), (["a", "a", "b"], [["a", "b"]])):
+        path = tmp_path / "duplicate_label.json"
+        path.write_text(json.dumps({"type": "C", "vertices": vertices, "maximal_simplices": simplices}))
+        assert main(["check", "--type", "C", str(path)]) == 2
+        assert json.loads(capsys.readouterr().out)["error"] == "DuplicateLabel"
+
+
 def test_program_fault_is_an_internal_error(tmp_path, capsys):
     # lists where from_json expects objects raise AttributeError inside the program
     path = tmp_path / "list_subgroups.json"

@@ -216,8 +216,9 @@ def test_oriented_rim_cycle_violates_local_poset():
     assert violation is not None
     vertex, cycle = violation
     assert vertex == "x" and set(cycle) == {"a", "b", "c", "d"}
-    with pytest.raises(NotLocalPoset):
+    with pytest.raises(NotLocalPoset) as err:
         star_poset(X, "x")
+    assert (err.value.vertex, err.value.cycle) == violation
 
 
 def recursive_relation_cycle(rel):
@@ -281,6 +282,9 @@ def test_type_a_rim_cycle_detected():
     validate(X)
     violation = is_local_poset(X)
     assert violation is not None and violation[0] == "x"
+    with pytest.raises(NotLocalPoset) as err:
+        star_poset(X, "x")
+    assert (err.value.vertex, err.value.cycle) == violation
 
 
 def test_interior_vertex_of_hexagon_star():
@@ -300,10 +304,10 @@ def test_interior_vertex_of_hexagon_star():
 
 def test_star_of_triangle_vertex_type_c():
     X = single_triangle()
-    sp = star_poset(X, "u")
-    assert sp.plus.elements == ("u", "v", "w")
-    assert sp.plus.lt("u", "v") and sp.plus.lt("v", "w")
-    assert sp.minus.elements == ("u",)
+    P = star_poset(X, "u").poset
+    assert P.up_set("u") == {"u", "v", "w"}
+    assert P.lt("u", "v") and P.lt("v", "w")
+    assert P.down_set("u") == {"u"}
 
 
 def test_isolated_vertex_star():
@@ -365,6 +369,16 @@ def pairwise_star_relation(X, x):
     return rel
 
 
+def all_pairs_star_poset(X, x):
+    """Reference: the star poset from every pair of the star relation."""
+    rel = pairwise_star_relation(X, x)
+    elements = {x} | set(X.neighbors(x))
+    pairs = [(y, z) for y in rel for z in rel[y]]
+    if X.order_type == "A":
+        pairs += [(x, y) for y in X.neighbors(x)]
+    return Poset.from_covers(sorted(elements, key=_key), pairs)
+
+
 def oracle_complexes():
     for name, cubes in cube_corpus().items():
         yield name, barycentric_cube_subdivision(cubes)
@@ -380,3 +394,5 @@ def test_star_relation_matches_pair_tests():
         validate(X, require_flag=False)
         for x in X.vertices:
             assert star_relation(X, x) == pairwise_star_relation(X, x), (name, x)
+            P, want = star_poset(X, x).poset, all_pairs_star_poset(X, x)
+            assert (P.elements, P.covers) == (want.elements, want.covers), (name, x)

@@ -1,11 +1,12 @@
 """Link-condition verdicts for type A, type C, and order-automorphism pairs."""
 
 import json
+import random
 
 import pytest
 
 from cublink.cli import main
-from cublink.complexes import OrderedComplex, is_local_poset, star_poset, validate
+from cublink.complexes import OrderedComplex, is_local_poset, order_complex, star_poset, validate
 from cublink.cubes import barycentric_cube_subdivision, single_cube, squares_sharing_two_edges, three_squares_corner
 from cublink.errors import GarsideCheckFailed, NotAutomorphism, NotLocalPoset, PreconditionFailed
 from cublink.generators import (
@@ -21,6 +22,8 @@ from cublink.linkcheck import (
     check_type_C,
     garside_quotient,
 )
+from cublink.poset import Poset, flag_condition
+from test_complexes import oracle_complexes
 
 
 def bowtie_star_complex():
@@ -147,6 +150,35 @@ def test_column_passes():
         assert check_type_C(column_complex(n, 2)).passed
 
 
+def two_level_order_complexes(count, seed=0):
+    """Order complexes of random two-level posets, most with a bottom, half reversed."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        lower = [f"l{i}" for i in range(rng.randint(2, 5))]
+        upper = [f"u{i}" for i in range(rng.randint(2, 6))]
+        pairs = [(a, u) for u in upper for a in rng.sample(lower, rng.randint(1, min(3, len(lower))))]
+        if rng.random() < 0.8:
+            pairs += [("0", a) for a in lower]
+        if rng.random() < 0.5:
+            pairs = [(b, a) for a, b in pairs]
+        elements = sorted({v for pair in pairs for v in pair})
+        yield f"two-level {len(lower)}+{len(upper)}", order_complex(Poset.from_covers(elements, pairs))
+
+
+def test_flag_conditions_on_the_star_match_the_restricted_parts():
+    complexes = [*oracle_complexes(), *two_level_order_complexes(1500)]
+    violations = {"up": 0, "down": 0}
+    for name, X in complexes:
+        validate(X, require_flag=False)
+        for x in X.vertices:
+            P = star_poset(X, x).poset
+            for direction, part in (("up", P.up_set(x)), ("down", P.down_set(x))):
+                want = flag_condition(P.restrict(part), direction)
+                assert flag_condition(P, direction) == want, (name, x, direction)
+                violations[direction] += want is not None
+    assert min(violations.values()) >= 20, violations  # both directions are exercised
+
+
 # -- order automorphisms ----------------------------------------------------------
 
 
@@ -155,8 +187,8 @@ def test_integer_line_with_shift_passes():
     verdict = check_garside(X, line_shift(6))
     assert verdict.passed
     # each interval is a 2-chain
-    sp = star_poset(X, "3")
-    assert sp.plus.elements == ("3", "4")
+    P = star_poset(X, "3").poset
+    assert P.up_set("3") == {"3", "4"}
 
 
 def test_column_with_diagonal_shift_passes():
