@@ -51,14 +51,25 @@ def _read_input(path):
         raise UsageError(f"cannot read input: {err}") from err
 
 
+def _checked_labels(labels):
+    """Labels are JSON strings or integers: not true or false (equal to 1 and 0), not floats."""
+    for x in labels:
+        if isinstance(x, bool) or not isinstance(x, (str, int)):
+            raise ValueError(f"labels are strings or integers, not {x!r}")
+    return labels
+
+
 def _as_complex(data):
     if "maximal_simplices" in data:
-        return OrderedComplex.from_json(data)
-    if "covers" in data:
-        return order_complex(poset_from_json(data))
-    if "cubes" in data:
-        return barycentric_cube_subdivision([tuple(c) for c in data["cubes"]])
-    raise UsageError("input is neither a complex, a poset, nor a cube complex")
+        X = OrderedComplex.from_json(data)
+    elif "covers" in data:
+        X = order_complex(poset_from_json(data))
+    elif "cubes" in data:
+        X = barycentric_cube_subdivision([tuple(_checked_labels(c)) for c in data["cubes"]])
+    else:
+        raise UsageError("input is neither a complex, a poset, nor a cube complex")
+    _checked_labels(X.vertices)  # once built, so a repeated label is reported as such
+    return X
 
 
 def cmd_check(args):
@@ -133,6 +144,7 @@ def cmd_dist(args):
 def cmd_tightspan(args):
     data = _read_input(args.input)
     M = FiniteMetric.from_json(data)
+    _checked_labels(M.points)
     span = tight_span(M)
     payload = span.to_json()
     if args.dress is not None:

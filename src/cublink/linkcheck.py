@@ -58,9 +58,18 @@ def _checked(X, order_type):
         validate(X)
     except CublinkError as err:
         raise PreconditionFailed(err) from err
-    violation = is_local_poset(X)
-    if violation is not None:
-        raise PreconditionFailed(NotLocalPoset(*violation))
+
+
+def _star_posets(X):
+    """Each vertex with its star poset; a relation cycle is a precondition failure.
+
+    The vertices go in label order, so the first cycle is is_local_poset's.
+    """
+    for x in X.vertices:
+        try:
+            yield x, star_poset(X, x).poset
+        except NotLocalPoset as err:
+            raise PreconditionFailed(err) from err
 
 
 def check_type_A(X):
@@ -71,8 +80,7 @@ def check_type_A(X):
     """
     _checked(X, "A")
     failures = []
-    for x in X.vertices:
-        P = star_poset(X, x).poset
+    for x, P in _star_posets(X):
         bowtie = find_bowtie(P)
         if bowtie is not None:
             failures.append(Failure(x, "lattice", bowtie))
@@ -91,8 +99,7 @@ def check_type_C(X):
     """
     _checked(X, "C")
     failures = []
-    for x in X.vertices:
-        P = star_poset(X, x).poset
+    for x, P in _star_posets(X):
         bowtie = find_bowtie(P)
         if bowtie is not None:
             failures.append(Failure(x, "lattice", bowtie))
@@ -142,6 +149,9 @@ def check_garside(X, phi, assume_simply_connected=False):
     lattice.
     """
     _checked(X, "C")
+    violation = is_local_poset(X)
+    if violation is not None:
+        raise PreconditionFailed(NotLocalPoset(*violation))
     P = _global_order(X)
 
     dom = sorted(phi, key=_key)

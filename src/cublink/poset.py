@@ -3,7 +3,9 @@
 A poset is built once from cover pairs, validated, and then treated as
 immutable; every query is pure.  Elements are opaque hashable labels.
 All deterministic orderings use the string form of labels, so results are
-reproducible regardless of label types.
+reproducible regardless of label types.  The order is kept as int bitmasks
+over the elements in that order, so meets, bowties and the flag condition
+are mask ANDs, not walks over an eager frozenset closure.
 """
 
 from __future__ import annotations
@@ -47,24 +49,26 @@ class Bowtie:
 class Poset:
     """Immutable finite poset given by its Hasse diagram.
 
-    The transitive closure is computed eagerly at construction; ``covers``
+    Index i stands for ``elements[i]``, in label order.  ``_down[i]`` and
+    ``_up[i]`` are the masks of the elements strictly below and above i;
+    set-valued queries build frozensets from them on demand.  ``covers``
     holds the irredundant cover pairs (lower, upper).
     """
 
-    __slots__ = ("elements", "covers", "_below", "_above", "_up_covers", "_down_covers", "_heights")
+    __slots__ = ("elements", "covers", "_index", "_down", "_up", "_up_covers", "_down_covers", "_heights")
 
-    def __init__(self, elements, covers, _below):
+    def __init__(self, elements, covers, down, up, heights):
+        """Elements in label order; covers as index pairs; the rest as lists by index."""
         self.elements = tuple(elements)
-        self.covers = frozenset(covers)
-        self._below = _below
-        self._above = {x: frozenset(y for y in self.elements if x in _below[y]) for x in self.elements}
-        up, down = {x: [] for x in self.elements}, {x: [] for x in self.elements}
-        for lo, hi in self.covers:
-            up[lo].append(hi)
-            down[hi].append(lo)
-        self._up_covers = {x: tuple(sorted(v, key=_key)) for x, v in up.items()}
-        self._down_covers = {x: tuple(sorted(v, key=_key)) for x, v in down.items()}
-        self._heights = None
+        self._index = {x: i for i, x in enumerate(self.elements)}
+        self._down, self._up, self._heights = down, up, heights
+        self.covers = frozenset((self.elements[lo], self.elements[hi]) for lo, hi in covers)
+        up_covers, down_covers = [[] for _ in down], [[] for _ in down]
+        for lo, hi in covers:
+            up_covers[lo].append(hi)
+            down_covers[hi].append(lo)
+        self._up_covers = [tuple(sorted(c)) for c in up_covers]
+        self._down_covers = [tuple(sorted(c)) for c in down_covers]
 
     # -- construction -------------------------------------------------
 
@@ -92,26 +96,26 @@ class Poset:
                 raise CycleDetected(f"self-loop on {lo!r}")
             pairs.add((lo, hi))
 
-        succ = {x: set() for x in elements}
-        pred = {x: set() for x in elements}
+        elements.sort(key=_key)
+        index = {x: i for i, x in enumerate(elements)}
+        pairs = [(index[lo], index[hi]) for lo, hi in pairs]
+        succ, pred = [[] for _ in elements], [[] for _ in elements]
         for lo, hi in pairs:
-            succ[lo].add(hi)
-            pred[hi].add(lo)
+            succ[lo].append(hi)
+            pred[hi].append(lo)
 
         order = _topological_order(elements, succ, pred)
-
-        below = {x: set() for x in elements}
-        for x in order:
-            for lo in pred[x]:
-                below[x].add(lo)
-                below[x] |= below[lo]
-        below = {x: frozenset(s) for x, s in below.items()}
-
-        hasse = set()
-        for lo, hi in pairs:
-            if not any(lo in below[z] for z in below[hi]):
-                hasse.add((lo, hi))
-        return cls(sorted(elements, key=_key), hasse, below)
+        down, up, heights = [0] * len(elements), [0] * len(elements), [0] * len(elements)
+        for i in order:
+            for lo in pred[i]:
+                down[i] |= down[lo] | 1 << lo
+                heights[i] = max(heights[i], heights[lo] + 1)
+        for i in reversed(order):
+            for hi in succ[i]:
+                up[i] |= up[hi] | 1 << hi
+        # lo < hi is a cover iff nothing lies both above lo and below hi
+        covers = [(lo, hi) for lo, hi in pairs if not up[lo] & down[hi]]
+        return cls(elements, covers, down, up, heights)
 
     # -- basic queries -------------------------------------------------
 
@@ -119,47 +123,50 @@ class Poset:
         return len(self.elements)
 
     def __contains__(self, x):
-        return x in self._below
+        return x in self._index
 
-    def _check(self, *labels):
-        for x in labels:
-            if x not in self._below:
-                raise UnknownLabel(f"unknown label {x!r}")
+    def _index_of(self, x):
+        try:
+            return self._index[x]
+        except KeyError:
+            raise UnknownLabel(f"unknown label {x!r}") from None
+
+    def _labels(self, mask):
+        return frozenset(self.elements[i] for i in _bits(mask))
 
     def lt(self, x, y):
-        self._check(x, y)
-        return x in self._below[y]
+        i, j = self._index_of(x), self._index_of(y)
+        return bool(self._down[j] >> i & 1)
 
     def leq(self, x, y):
-        self._check(x, y)
-        return x == y or x in self._below[y]
+        i, j = self._index_of(x), self._index_of(y)
+        return i == j or bool(self._down[j] >> i & 1)
 
     def comparable(self, x, y):
         return self.leq(x, y) or self.leq(y, x)
 
     def strictly_below(self, x):
-        self._check(x)
-        return self._below[x]
+        return self._labels(self._down[self._index_of(x)])
 
     def down_set(self, x):
-        return self._below[x] | {x}
+        i = self._index_of(x)
+        return self._labels(self._down[i] | 1 << i)
 
     def up_set(self, x):
-        return self._above[x] | {x}
+        i = self._index_of(x)
+        return self._labels(self._up[i] | 1 << i)
 
     def upper_covers(self, x):
-        self._check(x)
-        return self._up_covers[x]
+        return tuple(self.elements[j] for j in self._up_covers[self._index_of(x)])
 
     def lower_covers(self, x):
-        self._check(x)
-        return self._down_covers[x]
+        return tuple(self.elements[j] for j in self._down_covers[self._index_of(x)])
 
     def minimal_elements(self):
-        return tuple(x for x in self.elements if not self._below[x])
+        return tuple(x for x, below in zip(self.elements, self._down) if not below)
 
     def maximal_elements(self):
-        return tuple(x for x in self.elements if not self._above[x])
+        return tuple(x for x, above in zip(self.elements, self._up) if not above)
 
     def minimum(self):
         mins = self.minimal_elements()
@@ -173,17 +180,15 @@ class Poset:
 
     def meet(self, x, y):
         """The maximal lower bound of x and y, or None if it does not exist."""
-        self._check(x, y)
-        common = self.down_set(x) & self.down_set(y)
-        maximal = _maximal_in(self, common)
-        return maximal[0] if len(maximal) == 1 else None
+        i, j = self._index_of(x), self._index_of(y)
+        maximal = _maximal_in(self, (self._down[i] | 1 << i) & (self._down[j] | 1 << j))
+        return self.elements[maximal[0]] if len(maximal) == 1 else None
 
     def join(self, x, y):
         """The minimal upper bound of x and y, or None if it does not exist."""
-        self._check(x, y)
-        common = self.up_set(x) & self.up_set(y)
-        minimal = _minimal_in(self, common)
-        return minimal[0] if len(minimal) == 1 else None
+        i, j = self._index_of(x), self._index_of(y)
+        minimal = _minimal_in(self, (self._up[i] | 1 << i) & (self._up[j] | 1 << j))
+        return self.elements[minimal[0]] if len(minimal) == 1 else None
 
     def is_meet_semilattice(self):
         return all(self.meet(x, y) is not None for x, y in combinations(self.elements, 2))
@@ -204,13 +209,12 @@ class Poset:
         paths between them, so this checks that longest and shortest cover
         paths agree from every source.
         """
-        order = [x for x in self.elements]
-        order.sort(key=lambda v: len(self._below[v]))
-        for x in self.elements:
+        order = sorted(range(len(self)), key=lambda v: self._down[v].bit_count())
+        for x, above in enumerate(self._up):
             longest = {x: 0}
             shortest = {x: 0}
             for y in order:
-                if y == x or x not in self._below[y]:
+                if not above >> y & 1:
                     continue
                 lo = hi = None
                 for z in self._down_covers[y]:
@@ -225,17 +229,10 @@ class Poset:
 
     def height(self, x):
         """Length of a longest chain ending at x (counted in cover steps)."""
-        self._check(x)
-        return self.heights()[x]
+        return self._heights[self._index_of(x)]
 
     def heights(self):
-        if self._heights is None:
-            order = sorted(self.elements, key=lambda v: len(self._below[v]))
-            h = {}
-            for y in order:
-                h[y] = max((h[z] + 1 for z in self._down_covers[y]), default=0)
-            self._heights = h
-        return self._heights
+        return dict(zip(self.elements, self._heights))
 
     def rank(self, x):
         """Common length of maximal chains from the minimum to x.
@@ -243,19 +240,19 @@ class Poset:
         Defined for graded posets with a global minimum; the value equals
         the longest-chain height because all maximal chains agree.
         """
-        self._check(x)
+        i = self._index_of(x)
         if self.minimum() is None:
             raise NoMinimum("rank needs a poset with a minimum")
         if not self.is_graded():
             raise NotGraded("rank needs a graded poset")
-        return self.heights()[x]
+        return self._heights[i]
 
     # -- chains ----------------------------------------------------------
 
     def maximal_chains(self):
         """All maximal chains, bottom-up, in deterministic order."""
         chains = []
-        for m in sorted(self.minimal_elements(), key=_key):
+        for m in (i for i, below in enumerate(self._down) if not below):
             # depth-first with an explicit stack of cover iterators, so long
             # chains do not hit the recursion limit
             chain, pending = [m], [iter(self._up_covers[m])]
@@ -266,17 +263,19 @@ class Poset:
                     break
                 else:
                     if not self._up_covers[chain[-1]]:
-                        chains.append(tuple(chain))
+                        chains.append(tuple(self.elements[i] for i in chain))
                     chain.pop()
                     pending.pop()
         return chains
 
     def restrict(self, subset):
         """The induced sub-poset on the given elements."""
-        subset = set(subset)
-        self._check(*subset)
-        pairs = [(x, y) for x in subset for y in subset if x != y and x in self._below[y]]
-        return Poset.from_covers(sorted(subset, key=_key), pairs)
+        inside = 0
+        for x in subset:
+            inside |= 1 << self._index_of(x)
+        pairs = [(self.elements[lo], self.elements[hi])
+                 for hi in _bits(inside) for lo in _bits(self._down[hi] & inside)]
+        return Poset.from_covers([self.elements[i] for i in _bits(inside)], pairs)
 
     def to_json(self):
         return {
@@ -290,51 +289,65 @@ def poset_from_json(data):
 
 
 def _topological_order(elements, succ, pred):
-    indeg = {x: len(pred[x]) for x in elements}
-    queue = sorted((x for x in elements if indeg[x] == 0), key=_key)
-    order = []
-    while queue:
-        x = queue.pop(0)
-        order.append(x)
-        fresh = []
-        for y in succ[x]:
-            indeg[y] -= 1
-            if indeg[y] == 0:
-                fresh.append(y)
-        queue.extend(sorted(fresh, key=_key))
+    """Indices with each after all its predecessors; the list is its own work queue."""
+    indeg = [len(p) for p in pred]
+    order = [i for i, d in enumerate(indeg) if d == 0]
+    for i in order:
+        for j in succ[i]:
+            indeg[j] -= 1
+            if indeg[j] == 0:
+                order.append(j)
     if len(order) != len(elements):
-        stuck = sorted((x for x in elements if indeg[x] > 0), key=_key)
+        stuck = [x for x, d in zip(elements, indeg) if d > 0]
         raise CycleDetected(f"cover pairs contain a cycle through {stuck[:4]}")
     return order
 
 
-def _maximal_in(P, subset):
-    return sorted(
-        (x for x in subset if not any(x in P._below[y] for y in subset)),
-        key=_key,
-    )
+def _bits(mask):
+    """The indices of the set bits of a mask, ascending (so in label order)."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
-def _minimal_in(P, subset):
-    return sorted(
-        (x for x in subset if not any(y in P._below[x] for y in subset)),
-        key=_key,
-    )
+def _maximal_in(P, mask):
+    return [i for i in _bits(mask) if not P._up[i] & mask]
+
+
+def _minimal_in(P, mask):
+    return [i for i in _bits(mask) if not P._down[i] & mask]
 
 
 # -- bowties -------------------------------------------------------------
 
 
 def _bowtie_pairs(P):
-    """Incomparable pairs ordered by (height sum, labels) for deterministic witnesses."""
-    h = P.heights()
-    pairs = [
-        (x, y)
-        for x, y in combinations(sorted(P.elements, key=_key), 2)
-        if not P.comparable(x, y)
-    ]
-    pairs.sort(key=lambda p: (h[p[0]] + h[p[1]], _key(p[0]), _key(p[1])))
-    return pairs
+    """Incomparable index pairs ordered by (height sum, labels) for deterministic witnesses.
+
+    Pairs are bucketed by height sum; each bucket fills in label order.
+    """
+    h, full = P._heights, (1 << len(P)) - 1
+    buckets = {}
+    for i in range(len(P)):
+        later = full >> (i + 1) << (i + 1)
+        for j in _bits(later & ~(P._down[i] | P._up[i])):
+            buckets.setdefault(h[i] + h[j], []).append((i, j))
+    return [p for total in sorted(buckets) for p in buckets[total]]
+
+
+def _common_below(P, c, d):
+    """The common lower bounds of c and d as a mask, and whether two of them are maximal.
+
+    They form a down-set, which has one maximal element m iff it is m's down-set.
+    """
+    common = P._down[c] & P._down[d]
+    if not common:
+        return common, False
+    m = (common & -common).bit_length() - 1
+    while higher := P._up[m] & common:
+        m = (higher & -higher).bit_length() - 1
+    return common, common != P._down[m] | 1 << m
 
 
 def find_bowtie(P):
@@ -343,11 +356,12 @@ def find_bowtie(P):
     A pair (c, d) tops a bowtie exactly when it has at least two maximal
     common lower bounds; any two of those serve as (a, b).
     """
+    el = P.elements
     for c, d in _bowtie_pairs(P):
-        common = P.down_set(c) & P.down_set(d)
-        maximal = _maximal_in(P, common)
-        if len(maximal) >= 2:
-            return Bowtie(maximal[0], maximal[1], c, d)
+        common, split = _common_below(P, c, d)
+        if split:
+            a, b = _maximal_in(P, common)[:2]
+            return Bowtie(el[a], el[b], el[c], el[d])
     return None
 
 
@@ -360,19 +374,19 @@ def find_balanced_bowtie(P):
     """
     if not P.is_graded():
         raise NotGraded("balanced bowties need a graded poset")
-    h = P.heights()
+    h, el = P._heights, P.elements
     for c, d in _bowtie_pairs(P):
         if h[c] != h[d]:
             continue
-        common = P.down_set(c) & P.down_set(d)
-        if len(_maximal_in(P, common)) < 2:
+        common, split = _common_below(P, c, d)
+        if not split:
             continue  # (c, d) has a meet below, so it tops no bowtie
-        candidates = sorted(common, key=lambda x: (h[x], _key(x)))
+        candidates = sorted(_bits(common), key=lambda x: (h[x], x))
         for a, b in combinations(candidates, 2):
-            if h[a] != h[b] or P.comparable(a, b):
+            if h[a] != h[b] or (P._down[a] | P._up[a]) >> b & 1:
                 continue
-            if not any(x in P._above[a] and x in P._above[b] for x in common):
-                return Bowtie(a, b, c, d)
+            if not P._up[a] & P._up[b] & common:
+                return Bowtie(el[a], el[b], el[c], el[d])
     return None
 
 
@@ -391,7 +405,7 @@ def with_bounds(P, bottom="_bot", top="_top"):
 
 def _fresh_label(P, base):
     label = base
-    while label in P._below:
+    while label in P:
         label = "_" + label
     return label
 
@@ -442,22 +456,40 @@ def flag_condition(P, direction="up"):
     Returns the violating triple (label-sorted) or None, at once if a maximum
     ("up") or minimum ("down") bounds every triple.  ``direction`` is "up"
     for upper bounds, "down" for lower bounds.
+
+    By masks: bound[i] is i with its bounds, holders[u] the elements that u
+    bounds, and compat[i] the elements sharing a bound with i.  For each pair
+    a < b with a common bound, the candidates c > b are compatible with both,
+    and c is good when bound[c] meets bound[a] & bound[b]; the witness is the
+    first candidate that is not good.
     """
     if direction not in ("up", "down"):
         raise ValueError("direction must be 'up' or 'down'")
     if (P.maximum() if direction == "up" else P.minimum()) is not None:
         return None
-    bound_set = P.up_set if direction == "up" else P.down_set
-    sets = {x: bound_set(x) for x in P.elements}
-    elems = sorted(P.elements, key=_key)
-    for a, b, c in combinations(elems, 3):
-        ab = sets[a] & sets[b]
-        if not ab:
-            continue
-        if not (sets[a] & sets[c]) or not (sets[b] & sets[c]):
-            continue
-        if not (ab & sets[c]):
-            return (a, b, c)
+    above, below = (P._up, P._down) if direction == "up" else (P._down, P._up)
+    bound = [m | 1 << i for i, m in enumerate(above)]
+    holders = [m | 1 << i for i, m in enumerate(below)]
+    compat = []
+    for mask in bound:
+        c = 0
+        for u in _bits(mask):
+            c |= holders[u]
+        compat.append(c)
+    full = (1 << len(P)) - 1
+    for a in range(len(P)):
+        for b in _bits(compat[a] & full >> (a + 1) << (a + 1)):
+            cand = compat[a] & compat[b] & full >> (b + 1) << (b + 1)
+            if not cand:
+                continue
+            good = 0
+            for u in _bits(bound[a] & bound[b]):
+                good |= holders[u]
+                if not cand & ~good:
+                    break
+            else:
+                bad = cand & ~good
+                return tuple(P.elements[i] for i in (a, b, (bad & -bad).bit_length() - 1))
     return None
 
 

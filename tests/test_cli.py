@@ -4,6 +4,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from cublink.cli import main
 
 
@@ -147,6 +149,20 @@ def test_list_vertex_label_is_an_input_error(tmp_path, capsys):
         {"type": "C", "vertices": [["a"], "b"], "maximal_simplices": [[["a"], "b"]]}
     ))
     assert main(["check", "--type", "C", str(path)]) == 2
+    assert json.loads(capsys.readouterr().out)["error"] == "input"
+
+
+@pytest.mark.parametrize("argv, data", [
+    (["check", "--type", "C"], {"elements": [True, "b"], "covers": [[True, "b"]]}),
+    (["check", "--type", "C"], {"elements": [1.5, "b"], "covers": [[1.5, "b"]]}),
+    (["check", "--type", "C"], {"type": "C", "vertices": [True, "b"], "maximal_simplices": [[True, "b"]]}),
+    (["check", "--type", "C"], {"cubes": [[True, "x", "y", "xy"]]}),
+    (["tightspan"], {"points": [True, "b"], "dist": [[0, 1], [1, 0]]}),
+], ids=["bool-element", "float-element", "bool-vertex", "bool-cube-corner", "bool-point"])
+def test_label_that_is_no_string_or_int_is_an_input_error(tmp_path, capsys, argv, data):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data))
+    assert main([*argv, str(path)]) == 2
     assert json.loads(capsys.readouterr().out)["error"] == "input"
 
 

@@ -2,6 +2,7 @@
 
 import json
 import random
+import time
 
 import pytest
 
@@ -89,6 +90,45 @@ def test_local_poset_precondition_carries_its_cycle(tmp_path, capsys):
         '  "pass": false\n'
         "}\n"
     )
+
+
+def union(order_type, *parts):
+    return OrderedComplex(
+        order_type,
+        [v for X in parts for v in X.vertices],
+        [s for X in parts for s in X.maximal_simplices],
+    )
+
+
+def test_later_relation_cycle_outranks_earlier_failures():
+    # an earlier vertex fails (x's bowtie, v's upward flag), a later one (z,
+    # zz) centres a cone over an oriented 4-cycle
+    cone_a = OrderedComplex("A", ["z", "r0", "r1", "r2", "r3"],
+                            [("z", "r0", "r1"), ("z", "r1", "r2"), ("z", "r2", "r3"), ("z", "r3", "r0")])
+    cone_c = OrderedComplex("C", ["zz", "z0", "z1", "z2", "z3"],
+                            [("z0", "z1", "zz"), ("z1", "z2", "zz"), ("z2", "z3", "zz"), ("z3", "z0", "zz")])
+    corner = barycentric_cube_subdivision(three_squares_corner())
+    assert check_type_A(bowtie_star_complex()).failures[0].vertex == "x"
+    assert check_type_C(corner).failures[0].vertex == "v"
+    for check, X, center in (
+        (check_type_A, union("A", bowtie_star_complex(), cone_a), "z"),
+        (check_type_C, union("C", corner, cone_c), "zz"),
+    ):
+        with pytest.raises(PreconditionFailed) as info:
+            check(X)
+        cause = info.value.cause
+        assert isinstance(cause, NotLocalPoset)
+        assert (cause.vertex, cause.cycle) == is_local_poset(X)
+        assert cause.vertex == center
+
+
+def test_long_chain_passes_in_seconds():
+    # each of the 400 stars is the whole chain
+    labels = [f"c{i:03d}" for i in range(400)]
+    X = order_complex(Poset.from_covers(labels, list(zip(labels, labels[1:]))))
+    started = time.time()
+    assert check_type_C(X).passed
+    assert time.time() - started <= 8
 
 
 def test_verdicts_are_deterministic():

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cublink.complexes import order_complex, star_poset, validate
 from cublink.errors import CycleDetected, DuplicateLabel, NoMinimum, NotGraded, UnknownLabel
-from cublink.generators import boolean_poset, noncrossing_partitions, random_ranked_poset
+from cublink.generators import affine_A_patch, boolean_poset, noncrossing_partitions, random_ranked_poset
 from cublink.poset import (
     Poset,
     bowtie_lattice_consistency,
@@ -18,6 +19,7 @@ from cublink.poset import (
     grade_completion,
     with_bounds,
 )
+from test_complexes import oracle_complexes, pairwise_star_relation
 
 
 def chain_poset(k):
@@ -254,6 +256,125 @@ def test_flag_holds_on_chain():
     P = chain_poset(4)
     assert flag_condition(P, "up") is None
     assert flag_condition(P, "down") is None
+
+
+# -- the frozenset references for the bitmask order ---------------------------------
+
+
+def reference_closure(elements, pairs):
+    """The frozenset closure from_covers used to build: (below, Hasse pairs)."""
+    succ = {x: set() for x in elements}
+    pred = {x: set() for x in elements}
+    for lo, hi in pairs:
+        succ[lo].add(hi)
+        pred[hi].add(lo)
+    indeg = {x: len(pred[x]) for x in elements}
+    queue = sorted((x for x in elements if indeg[x] == 0), key=str)
+    order = []
+    while queue:
+        x = queue.pop(0)
+        order.append(x)
+        fresh = []
+        for y in succ[x]:
+            indeg[y] -= 1
+            if indeg[y] == 0:
+                fresh.append(y)
+        queue.extend(sorted(fresh, key=str))
+    assert len(order) == len(elements)
+    below = {x: set() for x in elements}
+    for x in order:
+        for lo in pred[x]:
+            below[x].add(lo)
+            below[x] |= below[lo]
+    below = {x: frozenset(s) for x, s in below.items()}
+    hasse = {(lo, hi) for lo, hi in pairs if not any(lo in below[z] for z in below[hi])}
+    return below, frozenset(hasse)
+
+
+def reference_find_bowtie(below):
+    """find_bowtie over frozensets: (a, b, c, d) or None."""
+    heights = {}
+    for y in sorted(below, key=lambda v: len(below[v])):
+        heights[y] = max((heights[z] + 1 for z in below[y]), default=0)
+    pairs = [
+        (x, y)
+        for x, y in combinations(sorted(below, key=str), 2)
+        if x not in below[y] and y not in below[x]
+    ]
+    pairs.sort(key=lambda p: (heights[p[0]] + heights[p[1]], str(p[0]), str(p[1])))
+    for c, d in pairs:
+        common = (below[c] | {c}) & (below[d] | {d})
+        maximal = sorted((x for x in common if not any(x in below[y] for y in common)), key=str)
+        if len(maximal) >= 2:
+            return (maximal[0], maximal[1], c, d)
+    return None
+
+
+def reference_flag_condition(below, direction):
+    """flag_condition as the triple loop over frozenset bound sets."""
+    if direction == "up":
+        sets = {x: frozenset(y for y in below if x in below[y]) | {x} for x in below}
+    else:
+        sets = {x: below[x] | {x} for x in below}
+    for a, b, c in combinations(sorted(below, key=str), 3):
+        ab = sets[a] & sets[b]
+        if not ab:
+            continue
+        if not (sets[a] & sets[c]) or not (sets[b] & sets[c]):
+            continue
+        if not (ab & sets[c]):
+            return (a, b, c)
+    return None
+
+
+def assert_matches_references(P, pairs, where):
+    below, hasse = reference_closure(P.elements, pairs)
+    assert P.covers == hasse, where
+    for x in P.elements:
+        assert P.strictly_below(x) == below[x], (where, x)
+        assert P.up_set(x) == {y for y in P.elements if x in below[y]} | {x}, (where, x)
+    bowtie = find_bowtie(P)
+    assert (bowtie and bowtie.as_tuple()) == reference_find_bowtie(below), where
+    found = {}
+    for direction in ("up", "down"):
+        found[direction] = flag_condition(P, direction)
+        assert found[direction] == reference_flag_condition(below, direction), (where, direction)
+    return bowtie, found
+
+
+def test_masks_match_the_frozenset_references_on_random_posets():
+    # relabelled at random, so label order is no topological order, and fed
+    # some implied pairs as well as the covers
+    rng = random.Random(405)
+    seen = {"bowtie": 0, "up": 0, "down": 0}
+    for n in range(3000):
+        Q = random_ranked_poset(rng, max_elements=24)
+        names = dict(zip(Q.elements, rng.sample([f"x{i}" for i in range(len(Q))], len(Q))))
+        implied = [(a, b) for a, b in combinations(Q.elements, 2) if Q.lt(a, b) and rng.random() < 0.3]
+        pairs = [(names[a], names[b]) for a, b in [*Q.covers, *implied]]
+        P = Poset.from_covers(list(names.values()), pairs)
+        bowtie, flags = assert_matches_references(P, pairs, n)
+        seen["bowtie"] += bowtie is not None
+        for direction, triple in flags.items():
+            seen[direction] += triple is not None
+    assert min(seen.values()) >= 50, seen  # every search finds witnesses
+
+
+def test_masks_match_the_frozenset_references_at_every_star():
+    complexes = [
+        *oracle_complexes(),
+        ("B(5)", order_complex(boolean_poset(5))),
+        ("NC(5)", order_complex(noncrossing_partitions(5))),
+        ("patch(3, 1)", affine_A_patch(3, 1)),
+    ]
+    for name, X in complexes:
+        validate(X, require_flag=False)
+        for x in X.vertices:
+            rel = pairwise_star_relation(X, x)
+            pairs = [(y, z) for y in rel for z in rel[y]]
+            if X.order_type == "A":
+                pairs += [(x, y) for y in X.neighbors(x)]
+            assert_matches_references(star_poset(X, x).poset, pairs, (name, x))
 
 
 # -- grading completion ----------------------------------------------------------
