@@ -9,7 +9,9 @@ machine-readable error object.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import os
 import sys
 
 from .complexes import OrderedComplex, order_complex
@@ -52,10 +54,17 @@ def _read_input(path):
 
 
 def _checked_labels(labels):
-    """Labels are JSON strings or integers: not true or false (equal to 1 and 0), not floats."""
+    """Labels are JSON strings or integers: not true or false (equal to 1 and 0), not floats.
+
+    Outputs name labels by their string form, so two labels must not print
+    the same (1 and "1"); a label may repeat.
+    """
+    printed = {}
     for x in labels:
         if isinstance(x, bool) or not isinstance(x, (str, int)):
             raise ValueError(f"labels are strings or integers, not {x!r}")
+        if printed.setdefault(str(x), x) != x:
+            raise ValueError(f"labels {printed[str(x)]!r} and {x!r} print the same")
     return labels
 
 
@@ -65,7 +74,9 @@ def _as_complex(data):
     elif "covers" in data:
         X = order_complex(poset_from_json(data))
     elif "cubes" in data:
-        X = barycentric_cube_subdivision([tuple(_checked_labels(c)) for c in data["cubes"]])
+        cubes = [tuple(c) for c in data["cubes"]]
+        _checked_labels([x for c in cubes for x in c])
+        X = barycentric_cube_subdivision(cubes)
     else:
         raise UsageError("input is neither a complex, a poset, nor a cube complex")
     _checked_labels(X.vertices)  # once built, so a repeated label is reported as such
@@ -116,7 +127,7 @@ def cmd_generate(args):
 
 
 def _parse_point(raw, X):
-    if raw in X._vertex_set:  # labels win over JSON (a label may look like "{}")
+    if raw in X._index:  # labels win over JSON (a label may look like "{}")
         return raw
     try:
         spec = json.loads(raw)
@@ -181,6 +192,7 @@ def cmd_selftest(args):
     return _emit(payload, 0 if payload["pass"] else 1)
 
 
+@functools.cache
 def build_parser():
     parser = argparse.ArgumentParser(prog="cublink")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -228,9 +240,18 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        code = _run(argv)
+        sys.stdout.flush()  # so a closed stdout fails here, not at exit
+        return code
+    except BrokenPipeError:  # the reader closed stdout early: nothing more can be said there
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 2
+
+
+def _run(argv):
+    try:
+        args = build_parser().parse_args(argv)
     except SystemExit as err:
         if err.code not in (0, None):
             print(json.dumps({"error": "usage", "detail": "invalid arguments"}))
@@ -260,6 +281,8 @@ def main(argv=None):
     except (ValueError, KeyError, TypeError) as err:
         print(json.dumps({"error": "input", "detail": str(err)}))
         return 2
+    except BrokenPipeError:
+        raise
     except Exception as err:  # a fault in the program, not a mathematical failure
         print(json.dumps({"error": "internal", "detail": f"{type(err).__name__}: {err}"}))
         return 2

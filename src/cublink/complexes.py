@@ -12,37 +12,55 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import CycleDetected, DuplicateLabel, InconsistentOrder, NotFlag, NotLocalPoset, UnknownLabel
-from .poset import Poset, _key
+from .poset import Poset, _bits, _key
 
 
 def canonical_rotation(t):
-    """Lexicographically least rotation, the canonical form of a cyclic tuple."""
+    """Lexicographically least rotation, the canonical form of a cyclic tuple.
+
+    A least rotation starts at a position holding the least key, so only
+    those rotations are compared; on a tie the first such position wins.
+    """
     if not t:
         return t
-    rotations = [t[i:] + t[:i] for i in range(len(t))]
-    return min(rotations, key=lambda r: tuple(map(_key, r)))
+    keys = tuple(map(_key, t))
+    least = min(keys)
+    i = min((i for i, k in enumerate(keys) if k == least), key=lambda i: keys[i:] + keys[:i])
+    return t[i:] + t[:i]
+
+
+def _clique_masks(adjacency):
+    """Maximal cliques, as masks, of the graph whose vertex i has neighbour mask adjacency[i].
+
+    Bron-Kerbosch with a pivot of most candidate neighbours; the branches live
+    on an explicit stack, so deep graphs do not reach the recursion limit.
+    """
+    cliques = []
+    stack = [(0, (1 << len(adjacency)) - 1, 0)]
+    while stack:
+        clique, candidates, excluded = stack.pop()
+        if not candidates:
+            if not excluded:
+                cliques.append(clique)
+            continue
+        pivot = max(_bits(candidates | excluded), key=lambda v: (adjacency[v] & candidates).bit_count())
+        for v in _bits(candidates & ~adjacency[pivot]):
+            bit = 1 << v
+            stack.append((clique | bit, candidates & adjacency[v], excluded & adjacency[v]))
+            candidates ^= bit
+            excluded |= bit
+    return cliques
 
 
 def maximal_cliques(vertices, adjacency):
-    """Maximal cliques of a graph, in deterministic order (Bron-Kerbosch).
+    """Maximal cliques of a graph given by label adjacency, in deterministic order.
 
-    The branches live on an explicit stack, so deep graphs do not reach the
-    recursion limit.
+    Each clique is a tuple in label order, and the cliques are sorted.
     """
-    cliques = []
-    stack = [((), set(vertices), set())]
-    while stack:
-        clique, candidates, excluded = stack.pop()
-        if not candidates and not excluded:
-            cliques.append(clique)
-            continue
-        pivot_pool = candidates | excluded
-        pivot = max(pivot_pool, key=lambda v: (len(adjacency[v] & candidates), _key(v)))
-        for v in sorted(candidates - adjacency[pivot], key=_key):
-            stack.append((clique + (v,), candidates & adjacency[v], excluded & adjacency[v]))
-            candidates = candidates - {v}
-            excluded = excluded | {v}
-    return sorted(cliques, key=lambda c: tuple(map(_key, sorted(c, key=_key))))
+    labels = sorted(set(vertices), key=_key)
+    index = {v: i for i, v in enumerate(labels)}
+    masks = [sum(1 << index[w] for w in adjacency[v] if w in index) for v in labels]
+    return [tuple(labels[i] for i in c) for c in sorted(tuple(_bits(m)) for m in _clique_masks(masks))]
 
 
 class OrderedComplex:
@@ -51,61 +69,69 @@ class OrderedComplex:
     order_type "C" means each stored tuple is a total order; "A" means it is
     one linear representative of a cyclic order (rotating a stored tuple
     yields an equivalent complex).
+
+    Index i stands for ``vertices[i]``, in label order.  ``_chambers[c]`` is
+    ``maximal_simplices[c]`` as a tuple of indices and ``_chamber_masks[c]``
+    its vertex mask; ``_incident[i]`` lists the chambers through i and
+    ``_adjacency[i]`` is the mask of i's neighbours.
     """
 
-    __slots__ = ("order_type", "vertices", "maximal_simplices", "_vertex_set",
-                 "_max_sets", "_incident", "_adjacency")
+    __slots__ = ("order_type", "vertices", "maximal_simplices", "_index", "_chambers",
+                 "_chamber_masks", "_incident", "_adjacency")
 
     def __init__(self, order_type, vertices, maximal_simplices):
         if order_type not in ("A", "C"):
             raise ValueError("order_type must be 'A' or 'C'")
         self.order_type = order_type
-        self._vertex_set = set()
-        for v in vertices:
-            if v in self._vertex_set:
-                raise DuplicateLabel(f"duplicate vertex label {v!r}")
-            self._vertex_set.add(v)
-        self.vertices = tuple(sorted(self._vertex_set, key=_key))
-
-        cleaned = []
         seen = set()
+        for v in vertices:
+            if v in seen:
+                raise DuplicateLabel(f"duplicate vertex label {v!r}")
+            seen.add(v)
+        self.vertices = tuple(sorted(seen, key=_key))
+        for a, b in zip(self.vertices, self.vertices[1:]):
+            if _key(a) == _key(b):
+                raise DuplicateLabel(f"vertex labels {a!r} and {b!r} print the same")
+        self._index = index = {v: i for i, v in enumerate(self.vertices)}
+
+        cleaned = {}  # vertex set -> index tuple, the first simplex on it
         for s in maximal_simplices:
             s = tuple(s)
             if len(set(s)) != len(s):
                 raise ValueError(f"repeated vertex in simplex {s}")
-            for v in s:
-                if v not in self._vertex_set:
-                    raise UnknownLabel(f"simplex uses undeclared vertex {v!r}")
-            key = frozenset(s)
-            if not s or key in seen:
-                continue
-            seen.add(key)
-            cleaned.append(s)
+            try:
+                t = tuple(map(index.__getitem__, s))
+            except KeyError as err:
+                raise UnknownLabel(f"simplex uses undeclared vertex {err.args[0]!r}") from None
+            if t:
+                cleaned.setdefault(frozenset(t), t)
         # keep only inclusion-maximal simplices; larger ones are kept first, and
         # a simplex containing s goes through every vertex of s, so the
         # shortest list of kept simplices through a vertex of s suffices
         kept = []
-        through = {v: [] for v in self.vertices}
-        for s in sorted(cleaned, key=len, reverse=True):
-            key = frozenset(s)
-            if any(key <= m for m in min((through[v] for v in s), key=len)):
+        through = [[] for _ in self.vertices]
+        for t in sorted(cleaned.values(), key=len, reverse=True):
+            mask = sum(1 << v for v in t)
+            if any(m & mask == mask for m in min((through[v] for v in t), key=len)):
                 continue
-            kept.append(s)
-            for v in s:
-                through[v].append(key)
-        kept += [(v,) for v in self.vertices if not through[v]]  # bare vertices
-        if self.order_type == "A":
-            kept = [canonical_rotation(s) for s in kept]
-        self.maximal_simplices = tuple(sorted(kept, key=lambda s: tuple(map(_key, s))))
-        self._max_sets = tuple(frozenset(s) for s in self.maximal_simplices)
-        incident = {v: [] for v in self.vertices}
-        adj = {v: set() for v in self.vertices}
-        for i, s in enumerate(self.maximal_simplices):
-            for v in s:
-                incident[v].append(i)
-                adj[v].update(s)
-        self._incident = {v: tuple(ids) for v, ids in incident.items()}
-        self._adjacency = {v: frozenset(nb - {v}) for v, nb in adj.items()}
+            kept.append((t, mask))
+            for v in t:
+                through[v].append(mask)
+        kept += [((v,), 1 << v) for v in range(len(self.vertices)) if not through[v]]  # bare vertices
+        if self.order_type == "A":  # index order is label order, so rotate to the least index
+            kept = [(t[t.index(min(t)):] + t[:t.index(min(t))], mask) for t, mask in kept]
+        kept.sort()
+        self._chambers = tuple(t for t, _ in kept)
+        self._chamber_masks = tuple(mask for _, mask in kept)
+        self.maximal_simplices = tuple(tuple(self.vertices[v] for v in t) for t in self._chambers)
+        incident = [[] for _ in self.vertices]
+        adjacency = [0] * len(self.vertices)
+        for c, (t, mask) in enumerate(kept):
+            for v in t:
+                incident[v].append(c)
+                adjacency[v] |= mask
+        self._incident = tuple(map(tuple, incident))
+        self._adjacency = tuple(m & ~(1 << v) for v, m in enumerate(adjacency))
 
     def __eq__(self, other):
         return (
@@ -120,16 +146,28 @@ class OrderedComplex:
 
     # -- membership -----------------------------------------------------
 
+    def _index_of(self, x):
+        try:
+            return self._index[x]
+        except KeyError:
+            raise UnknownLabel(f"unknown vertex {x!r}") from None
+
+    def _labels(self, mask):
+        return frozenset(self.vertices[i] for i in _bits(mask))
+
     def carriers(self, face):
         """Indices of the maximal simplices that contain the face, ascending.
 
-        Only the simplices through one vertex of the face can contain it, so
+        Only the chambers through one vertex of the face can contain it, so
         this scans the shortest incidence list among the face's vertices.
         """
-        face = frozenset(face)
-        ids = min((self._incident.get(v, ()) for v in face), key=len,
-                  default=range(len(self.maximal_simplices)))
-        return (i for i in ids if face <= self._max_sets[i])
+        mask = 0
+        for v in face:
+            if v not in self._index:
+                return iter(())
+            mask |= 1 << self._index[v]
+        ids = min((self._incident[i] for i in _bits(mask)), key=len, default=range(len(self._chambers)))
+        return (c for c in ids if self._chamber_masks[c] & mask == mask)
 
     def carrier(self, face):
         """Index of the first maximal simplex that contains the face, or None."""
@@ -140,15 +178,12 @@ class OrderedComplex:
         return not vs or self.carrier(vs) is not None
 
     def neighbors(self, x):
-        if x not in self._adjacency:
-            raise UnknownLabel(f"unknown vertex {x!r}")
-        return self._adjacency[x]
+        return self._labels(self._adjacency[self._index_of(x)])
 
     def edges(self):
-        return sorted(
-            {frozenset((a, b)) for s in self.maximal_simplices for a, b in combinations(s, 2)},
-            key=lambda e: tuple(sorted(map(_key, e))),
-        )
+        """The edges as label pairs, in label order."""
+        return [frozenset((self.vertices[i], self.vertices[j]))
+                for i, m in enumerate(self._adjacency) for j in _bits(m >> i + 1 << i + 1)]
 
     def induced_tuple(self, vertex_set):
         """The order the complex induces on a face, from its first carrier simplex."""
@@ -179,30 +214,51 @@ def validate(X, require_flag=True):
 
     Two chambers disagree on their shared face exactly when they disagree on
     a shared edge (type C) or triangle (type A), so one pass records the
-    first orientation of each edge or triangle and every chamber that breaks
-    it: linear in the chambers' edges or triangles.  The InconsistentOrder
-    witness is the shared face of the first pair of chambers, in
-    maximal_simplices order, that disagree.  NotFlag carries a minimal empty
-    clique.  Returns the complex itself for chaining.
+    first orientation of each edge or triangle (keyed by its sorted indices
+    spelt in base n, not by its mask: an int hashes modulo 2**61 - 1, so the
+    masks of faces whose indices agree modulo 61 collide) and every chamber
+    that breaks it: linear in the chambers' edges or triangles.  The
+    InconsistentOrder witness is the shared face of the first pair of
+    chambers, in maximal_simplices order, that disagree.
+
+    A face inside a maximal clique lies in a chamber, which is itself a
+    clique, so a maximal clique is a face exactly when it is a chamber.
+    NotFlag carries a minimal empty clique, shrunk from the first maximal
+    clique in label order that is not a chamber.  Returns the complex
+    itself for chaining.
     """
-    k = 2 if X.order_type == "C" else 3
+    n = len(X.vertices)
     first, clashes = {}, []
-    for i, s in enumerate(X.maximal_simplices):
-        for f in combinations(s, k):
-            if k == 3:
-                f = canonical_rotation(f)
-            orientation, j = first.setdefault(frozenset(f), (f, i))
-            if orientation != f:
+    for i, s in enumerate(X._chambers):
+        if X.order_type == "C":
+            faces = ((a * n + b, True) if a < b else (b * n + a, False) for a, b in combinations(s, 2))
+        else:
+            faces = (_triangle(a, b, c, n) for a, b, c in combinations(s, 3))
+        for key, orientation in faces:
+            seen, j = first.setdefault(key, (orientation, i))
+            if seen != orientation:
                 clashes.append((j, i))
     if clashes:
         i, j = min(clashes)
-        raise InconsistentOrder(X._max_sets[i] & X._max_sets[j])
+        raise InconsistentOrder(X._labels(X._chamber_masks[i] & X._chamber_masks[j]))
 
     if require_flag:
-        for clique in maximal_cliques(X.vertices, X._adjacency):
-            if not X.has_simplex(clique):
-                raise NotFlag(_shrink_to_minimal_nonface(X, set(clique)))
+        chambers = {0, *X._chamber_masks}  # 0: the one clique of the empty complex
+        nonfaces = [c for c in _clique_masks(X._adjacency) if c not in chambers]
+        if nonfaces:
+            clique = min(nonfaces, key=lambda c: tuple(_bits(c)))
+            raise NotFlag(_shrink_to_minimal_nonface(X, set(X._labels(clique))))
     return X
+
+
+def _triangle(a, b, c, n):
+    """The key and orientation of a cyclic triple of indices.
+
+    Rotated to start at its least index, the triple reads (a, b, c); the key
+    spells a, min(b, c), max(b, c) in base n, and the orientation is b < c.
+    """
+    a, b, c = (a, b, c) if a < b and a < c else (b, c, a) if b < c else (c, a, b)
+    return ((a * n + b) * n + c, True) if b < c else ((a * n + c) * n + b, False)
 
 
 def _shrink_to_minimal_nonface(X, clique):
@@ -221,13 +277,11 @@ def _shrink_to_minimal_nonface(X, clique):
 # -- star relations ---------------------------------------------------------------
 
 
-def _chains_at(X, x):
-    """Each chamber through x, read from x: type A rotates it to start at x."""
-    if x not in X._incident:
-        raise UnknownLabel(f"unknown vertex {x!r}")
-    for i in X._incident[x]:
-        s = X.maximal_simplices[i]
-        k = s.index(x) if X.order_type == "A" else 0
+def _chains_at(X, i):
+    """Each chamber through vertex i as indices, read from i: type A rotates it to start at i."""
+    for c in X._incident[i]:
+        s = X._chambers[c]
+        k = s.index(i) if X.order_type == "A" else 0
         yield s[k:] + s[:k]
 
 
@@ -245,9 +299,10 @@ def star_relation(X, x):
     """
     rel = {}
     skip = 1 if X.order_type == "A" else 0  # type A leaves x out
-    for s in _chains_at(X, x):
+    V = X.vertices
+    for s in _chains_at(X, X._index_of(x)):
         for a, b in combinations(s[skip:], 2):
-            rel.setdefault(a, set()).add(b)
+            rel.setdefault(V[a], set()).add(V[b])
     return rel
 
 
@@ -312,12 +367,16 @@ class StarPoset:
 def star_poset(X, x):
     """The poset (St(x), <=_x), the transitive closure of the star relation.
 
-    Each chamber through x, read from x, is a chain of the relation, so its
+    The star is x with its neighbours, indexed locally in label order.  Each
+    chamber through x, read from x, is a chain of the relation, so its
     consecutive pairs suffice.  Raises NotLocalPoset on a relation cycle.
     """
-    pairs = [(a, b) for s in _chains_at(X, x) for a, b in zip(s, s[1:])]
+    i = X._index_of(x)
+    star = list(_bits(X._adjacency[i] | 1 << i))
+    local = {v: k for k, v in enumerate(star)}
+    pairs = {(local[a], local[b]) for s in _chains_at(X, i) for a, b in zip(s, s[1:])}
     try:
-        poset = Poset.from_covers(sorted({x} | X.neighbors(x), key=_key), pairs)
+        poset = Poset._from_index_pairs([X.vertices[v] for v in star], pairs)
     except CycleDetected:
         raise NotLocalPoset(x, _relation_cycle(star_relation(X, x))) from None
     return StarPoset(x, X.order_type, poset)

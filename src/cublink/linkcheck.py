@@ -156,7 +156,7 @@ def check_garside(X, phi, assume_simply_connected=False):
 
     dom = sorted(phi, key=_key)
     for x in dom:
-        if x not in X._vertex_set or phi[x] not in X._vertex_set:
+        if x not in X._index or phi[x] not in X._index:
             raise NotAutomorphism(f"phi maps through unknown vertex at {x!r}")
     images = list(phi.values())
     if len(set(images)) != len(images):

@@ -173,12 +173,12 @@ def as_point(X, point):
         if any(w < 0 for w in weights.values()):
             raise ValueError("barycentric weights must be nonnegative")
         for v in weights:
-            if v not in X._vertex_set:
+            if v not in X._index:
                 raise UnknownLabel(f"unknown vertex {v!r}")
         if not X.has_simplex(weights.keys()):
             raise UnknownLabel(f"support {sorted(map(str, weights))} spans no simplex")
         return weights
-    if point in X._vertex_set:
+    if point in X._index:
         return {point: Fraction(1)}
     raise UnknownLabel(f"unknown vertex {point!r}")
 

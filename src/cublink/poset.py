@@ -86,19 +86,22 @@ class Poset:
             if x in seen:
                 raise DuplicateLabel(f"duplicate element label {x!r}")
             seen.add(x)
+        elements.sort(key=_key)
+        index = {x: i for i, x in enumerate(elements)}
         pairs = set()
         for lo, hi in cover_pairs:
-            if lo not in seen:
+            if lo not in index:
                 raise UnknownLabel(f"unknown label {lo!r} in cover pair")
-            if hi not in seen:
+            if hi not in index:
                 raise UnknownLabel(f"unknown label {hi!r} in cover pair")
             if lo == hi:
                 raise CycleDetected(f"self-loop on {lo!r}")
-            pairs.add((lo, hi))
+            pairs.add((index[lo], index[hi]))
+        return cls._from_index_pairs(elements, pairs)
 
-        elements.sort(key=_key)
-        index = {x: i for i, x in enumerate(elements)}
-        pairs = [(index[lo], index[hi]) for lo, hi in pairs]
+    @classmethod
+    def _from_index_pairs(cls, elements, pairs):
+        """Build a poset from distinct labels in label order and a set of (lower, upper) index pairs."""
         succ, pred = [[] for _ in elements], [[] for _ in elements]
         for lo, hi in pairs:
             succ[lo].append(hi)

@@ -207,3 +207,36 @@ def test_main_callable_directly(capsys):
     assert main(["generate", "boolean", "--n", "1"]) == 0
     out = capsys.readouterr().out
     assert json.loads(out)["elements"] == ["{1}", "{}"]
+
+
+def test_successive_in_process_calls_keep_their_exit_codes(capsys):
+    # the parser is built once per process, so a failed parse must not leak into the next call
+    assert main(["generate", "boolean"]) == 2
+    assert json.loads(capsys.readouterr().out) == {"error": "usage", "detail": "invalid arguments"}
+    assert main(["generate", "boolean", "--n", "1"]) == 0
+    assert json.loads(capsys.readouterr().out)["elements"] == ["{1}", "{}"]
+
+
+@pytest.mark.parametrize("argv, data, error", [
+    (["check", "--type", "C"], {"elements": [1, "1", "b"], "covers": [[1, "b"], ["1", "b"]]}, "DuplicateLabel"),
+    (["tightspan"], {"points": [1, "1"], "dist": [[0, 1], [1, 0]]}, "input"),
+    (["check", "--type", "C"], {"cubes": [[1, "x", "y", "xy"], ["1", "u", "v", "uv"]]}, "input"),
+], ids=["element", "point", "cube-corner"])
+def test_labels_that_print_the_same_are_an_input_error(tmp_path, capsys, argv, data, error):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data))
+    assert main([*argv, str(path)]) == 2
+    assert json.loads(capsys.readouterr().out)["error"] == error
+
+
+def test_closed_stdout_exits_two_without_a_traceback():
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "cublink.cli", "generate", "boolean", "--n", "3"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+    proc.stdout.close()  # the reader goes away before the program writes
+    err = proc.stderr.read()
+    assert proc.wait() == 2
+    assert err == ""

@@ -8,6 +8,7 @@ import pytest
 from cublink.complexes import (
     OrderedComplex,
     _relation_cycle,
+    _shrink_to_minimal_nonface,
     canonical_rotation,
     is_local_poset,
     maximal_cliques,
@@ -17,7 +18,7 @@ from cublink.complexes import (
     validate,
 )
 from cublink.cubes import barycentric_cube_subdivision, cube_corpus
-from cublink.errors import InconsistentOrder, NotFlag, NotLocalPoset
+from cublink.errors import DuplicateLabel, InconsistentOrder, NotFlag, NotLocalPoset
 from cublink.generators import affine_A_patch, boolean_poset, column_complex, noncrossing_partitions
 from cublink.poset import Poset, _key, find_bowtie
 
@@ -39,10 +40,13 @@ def test_opposite_edge_orders_rejected():
 
 
 def test_hollow_triangle_not_flag():
-    X = OrderedComplex("C", ["a", "b", "c"], [("a", "b"), ("b", "c"), ("a", "c")])
-    with pytest.raises(NotFlag) as err:
-        validate(X)
-    assert err.value.clique == frozenset({"a", "b", "c"})
+    # bare, and with each edge in its own triangle, so no chamber holds a common neighbour
+    for simplices in ([("a", "b"), ("b", "c"), ("a", "c")],
+                      [("a", "b", "x"), ("b", "c", "y"), ("a", "c", "z")]):
+        X = OrderedComplex("C", {v for s in simplices for v in s}, simplices)
+        with pytest.raises(NotFlag) as err:
+            validate(X)
+        assert err.value.clique == frozenset({"a", "b", "c"})
 
 
 def test_cyclic_consistency_up_to_rotation():
@@ -81,7 +85,8 @@ def test_first_clashing_pair_wins_over_first_clash_found():
 
 def pairwise_inconsistent_face(X):
     """Reference: the shared face of the first pair of chambers whose orders disagree."""
-    sims, sets = X.maximal_simplices, X._max_sets
+    sims = X.maximal_simplices
+    sets = [frozenset(s) for s in sims]
     needed = 2 if X.order_type == "C" else 3
     for i, j in combinations(range(len(sims)), 2):
         shared = sets[i] & sets[j]
@@ -113,6 +118,65 @@ def test_validate_matches_pair_scan_on_random_complexes():
                 validate(X, require_flag=False)
             assert err.value.face == want, X.maximal_simplices
     assert min(outcomes.values()) >= 50  # both verdicts are exercised
+
+
+def label_maximal_cliques(vertices, adjacency):
+    """Reference: Bron-Kerbosch on label sets, the cliques sorted by their label-sorted tuples."""
+    cliques = []
+    stack = [((), set(vertices), set())]
+    while stack:
+        clique, candidates, excluded = stack.pop()
+        if not candidates and not excluded:
+            cliques.append(clique)
+            continue
+        pivot_pool = candidates | excluded
+        pivot = max(pivot_pool, key=lambda v: (len(adjacency[v] & candidates), _key(v)))
+        for v in sorted(candidates - adjacency[pivot], key=_key):
+            stack.append((clique + (v,), candidates & adjacency[v], excluded & adjacency[v]))
+            candidates = candidates - {v}
+            excluded = excluded | {v}
+    return sorted(cliques, key=lambda c: tuple(map(_key, sorted(c, key=_key))))
+
+
+def reference_not_flag(X):
+    """Reference: the first label clique that spans no simplex, shrunk to a minimal one."""
+    adjacency = {v: X.neighbors(v) for v in X.vertices}
+    for clique in label_maximal_cliques(X.vertices, adjacency):
+        if not X.has_simplex(clique):
+            return _shrink_to_minimal_nonface(X, set(clique))
+    return None
+
+
+def random_consistent_complex(rng, order_type):
+    """Simplices ordered by one random ranking of the vertices, so their orders agree."""
+    vertices = [f"v{i}" for i in range(rng.randint(3, 9))]
+    rank = {v: rng.random() for v in vertices}
+    simplices = [sorted(rng.sample(vertices, rng.randint(1, min(4, len(vertices)))), key=rank.get)
+                 for _ in range(rng.randint(1, 10))]
+    if rng.random() < 0.3:  # a hollow triangle whose edges each lie in their own triangle
+        a, b, c, x, y, z = rng.sample(vertices + ["w0", "w1", "w2", "w3", "w4", "w5"], 6)
+        for v in (a, b, c, x, y, z):
+            rank.setdefault(v, rng.random())
+            if v not in vertices:
+                vertices.append(v)
+        simplices += [sorted(f, key=rank.get) for f in ((a, b, x), (b, c, y), (a, c, z))]
+    return OrderedComplex(order_type, vertices, simplices)
+
+
+def test_flag_check_matches_label_clique_reference():
+    rng = random.Random(0)
+    outcomes = {True: 0, False: 0}
+    for _ in range(1200):
+        X = random_consistent_complex(rng, rng.choice("AC"))
+        want = reference_not_flag(X)
+        outcomes[want is None] += 1
+        if want is None:
+            validate(X)
+        else:
+            with pytest.raises(NotFlag) as err:
+                validate(X)
+            assert err.value.clique == want, X.maximal_simplices
+    assert min(outcomes.values()) >= 200  # both verdicts are exercised
 
 
 def test_maximal_cliques_of_a_large_complete_graph():
@@ -168,6 +232,26 @@ def test_order_complex_of_long_chain_is_one_chamber():
     labels = [f"c{i}" for i in range(1500)]
     X = order_complex(Poset.from_covers(labels, list(zip(labels, labels[1:]))))
     assert X.maximal_simplices == (tuple(labels),)
+
+
+def rotations_by_key(t):
+    """Reference: the least of all rotations, each keyed by its labels' strings."""
+    if not t:
+        return t
+    return min((t[i:] + t[:i] for i in range(len(t))), key=lambda r: tuple(map(_key, r)))
+
+
+def test_canonical_rotation_matches_all_rotations_with_repeats():
+    rng = random.Random(0)
+    for _ in range(2000):
+        t = tuple(rng.choice(["a", "b", "c", 1, "1"]) for _ in range(rng.randint(0, 8)))
+        assert canonical_rotation(t) == rotations_by_key(t), t
+    assert canonical_rotation(("b", "a", "b", "a")) == ("a", "b", "a", "b")
+
+
+def test_labels_that_print_the_same_are_duplicates():
+    with pytest.raises(DuplicateLabel):
+        OrderedComplex("C", [1, "1", "b"], [(1, "b"), ("1", "b")])
 
 
 def test_rotating_a_stored_tuple_gives_equal_complex():
