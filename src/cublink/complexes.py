@@ -274,7 +274,7 @@ def _shrink_to_minimal_nonface(X, clique):
     return frozenset(clique)
 
 
-# -- star relations ---------------------------------------------------------------
+# -- star posets ---------------------------------------------------------------
 
 
 def _chains_at(X, i):
@@ -285,55 +285,30 @@ def _chains_at(X, i):
         yield s[k:] + s[:k]
 
 
-def star_relation(X, x):
-    """The oriented relation on St(x), as a dict y -> set of z with y < z at x.
+def _relation_cycle(succ):
+    """A directed cycle, as a list of indices, of the relation with successor masks succ, or None.
 
-    Type A: y < z iff {x, y, z} is a triangle whose cyclic order reads
-    (x, y, z).  Type C: y < z iff {x, y, z} spans a simplex and the edge
-    {y, z} is oriented from y to z; pairs involving x itself use the edge
-    {x, y} so that St+(x) and St-(x) are visible in the same relation.
-
-    The relation is read off the chambers through x.  Callers validate X
-    first: then any two chambers agree on every edge (type C) and triangle
-    (type A) they share, so each chamber gives the same orientation.
+    Depth-first from each index in ascending order, taking successors in
+    ascending order, on an explicit stack so long paths do not reach the
+    recursion limit; the cycle is the first back edge's, from its target on.
     """
-    rel = {}
-    skip = 1 if X.order_type == "A" else 0  # type A leaves x out
-    V = X.vertices
-    for s in _chains_at(X, X._index_of(x)):
-        for a, b in combinations(s[skip:], 2):
-            rel.setdefault(V[a], set()).add(V[b])
-    return rel
-
-
-def _relation_cycle(rel):
-    """A directed cycle of the star relation, or None.
-
-    The star poset is the transitive closure of the relation, so the closure
-    is a partial order exactly when the relation is acyclic.  Within any
-    single simplex the induced order is total, hence acyclic; cycles can only
-    be stitched together from several simplices (for example a cone over an
-    oriented rim cycle) and those are the genuine local-poset failures.
-    """
-    state = {}
-    for root in sorted(rel, key=_key):
-        if root in state:
+    state = [0] * len(succ)  # 0 unseen, 1 on the path, 2 done
+    for root in range(len(succ)):
+        if state[root]:
             continue
-        state[root] = "open"
-        path = [root]  # the open vertices, each with its unvisited successors
-        todo = [iter(sorted(rel[root], key=_key))]
+        state[root] = 1
+        path, todo = [root], [_bits(succ[root])]  # the path, each with its unvisited successors
         while path:
             for w in todo[-1]:
-                s = state.get(w)
-                if s == "open":
-                    return tuple(path[path.index(w):])
-                if s is None:
-                    state[w] = "open"
+                if state[w] == 1:
+                    return path[path.index(w):]
+                if not state[w]:
+                    state[w] = 1
                     path.append(w)
-                    todo.append(iter(sorted(rel.get(w, ()), key=_key)))
+                    todo.append(_bits(succ[w]))
                     break
             else:
-                state[path.pop()] = "done"
+                state[path.pop()] = 2
                 todo.pop()
     return None
 
@@ -341,13 +316,14 @@ def _relation_cycle(rel):
 def is_local_poset(X):
     """First vertex whose star relation fails to generate a partial order, or None.
 
-    Returns (vertex, cycle) where cycle is a tuple of star elements that the
-    relation orders cyclically.
+    Returns (vertex, cycle), the NotLocalPoset of star_poset at the first
+    vertex in label order where it raises one.
     """
     for x in X.vertices:
-        cycle = _relation_cycle(star_relation(X, x))
-        if cycle is not None:
-            return (x, cycle)
+        try:
+            star_poset(X, x)
+        except NotLocalPoset as err:
+            return (x, err.cycle)
     return None
 
 
@@ -367,18 +343,35 @@ class StarPoset:
 def star_poset(X, x):
     """The poset (St(x), <=_x), the transitive closure of the star relation.
 
+    Type A: y < z iff {x, y, z} is a triangle whose cyclic order reads
+    (x, y, z), and x lies below its whole star.  Type C: y < z iff
+    {x, y, z} spans a simplex and the edge {y, z} is oriented from y to z;
+    pairs involving x itself use the edge {x, y}, so St+(x) and St-(x) lie in
+    the same relation.
+
     The star is x with its neighbours, indexed locally in label order.  Each
     chamber through x, read from x, is a chain of the relation, so its
-    consecutive pairs suffice.  Raises NotLocalPoset on a relation cycle.
+    consecutive pairs suffice.  The closure is a partial order exactly when
+    the relation is acyclic; each chamber orders its vertices totally, so a
+    cycle is stitched from several chambers (say a cone over an oriented rim
+    cycle).  On one, raises NotLocalPoset with the first cycle _relation_cycle
+    finds among all pairs of each chain.  In type A, x precedes its whole
+    star, so the search from x visits the rest as the loop over roots would
+    and x changes no witness.
     """
     i = X._index_of(x)
     star = list(_bits(X._adjacency[i] | 1 << i))
     local = {v: k for k, v in enumerate(star)}
+    labels = [X.vertices[v] for v in star]
     pairs = {(local[a], local[b]) for s in _chains_at(X, i) for a, b in zip(s, s[1:])}
     try:
-        poset = Poset._from_index_pairs([X.vertices[v] for v in star], pairs)
+        poset = Poset._from_index_pairs(labels, pairs)
     except CycleDetected:
-        raise NotLocalPoset(x, _relation_cycle(star_relation(X, x))) from None
+        succ = [0] * len(star)
+        for s in _chains_at(X, i):
+            for a, b in combinations(s, 2):
+                succ[local[a]] |= 1 << local[b]
+        raise NotLocalPoset(x, tuple(labels[k] for k in _relation_cycle(succ))) from None
     return StarPoset(x, X.order_type, poset)
 
 

@@ -32,7 +32,10 @@ def frac(x):
     if isinstance(x, Fraction):
         return x
     if isinstance(x, (int, str)) and not isinstance(x, bool):
-        return Fraction(x)
+        try:
+            return Fraction(x)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {x!r}") from None
     raise TypeError(f"not an exact rational: {x!r}")
 
 
@@ -337,7 +340,7 @@ def _check_maximal_chain(P, chain):
         if c not in P:
             raise UnknownLabel(f"unknown element {c!r} in chain")
     for a, b in zip(chain, chain[1:]):
-        if (a, b) not in P.covers:
+        if b not in P.upper_covers(a):
             raise ValueError(f"{a!r} is not covered by {b!r}; not a chain of covers")
     if chain and (P.lower_covers(chain[0]) or P.upper_covers(chain[-1])):
         raise ValueError("chain is not maximal")

@@ -51,24 +51,17 @@ class Poset:
 
     Index i stands for ``elements[i]``, in label order.  ``_down[i]`` and
     ``_up[i]`` are the masks of the elements strictly below and above i;
-    set-valued queries build frozensets from them on demand.  ``covers``
-    holds the irredundant cover pairs (lower, upper).
+    the order is kept only there, and set-valued queries and the covers are
+    read from them on demand.
     """
 
-    __slots__ = ("elements", "covers", "_index", "_down", "_up", "_up_covers", "_down_covers", "_heights")
+    __slots__ = ("elements", "_index", "_down", "_up", "_heights")
 
-    def __init__(self, elements, covers, down, up, heights):
-        """Elements in label order; covers as index pairs; the rest as lists by index."""
+    def __init__(self, elements, down, up, heights):
+        """Elements in label order; the strict down- and up-masks and the heights as lists by index."""
         self.elements = tuple(elements)
         self._index = {x: i for i, x in enumerate(self.elements)}
         self._down, self._up, self._heights = down, up, heights
-        self.covers = frozenset((self.elements[lo], self.elements[hi]) for lo, hi in covers)
-        up_covers, down_covers = [[] for _ in down], [[] for _ in down]
-        for lo, hi in covers:
-            up_covers[lo].append(hi)
-            down_covers[hi].append(lo)
-        self._up_covers = [tuple(sorted(c)) for c in up_covers]
-        self._down_covers = [tuple(sorted(c)) for c in down_covers]
 
     # -- construction -------------------------------------------------
 
@@ -76,9 +69,10 @@ class Poset:
     def from_covers(cls, elements, cover_pairs):
         """Build a poset from arbitrary (lower, upper) pairs.
 
-        Pairs implied by transitivity are dropped, so the stored covers form
-        the Hasse diagram.  Raises CycleDetected if the pairs contain a
-        directed cycle and UnknownLabel if a pair references a missing label.
+        The order is the transitive closure of the pairs, so pairs implied by
+        transitivity change nothing and ``covers`` is the Hasse diagram.
+        Raises CycleDetected if the pairs contain a directed cycle and
+        UnknownLabel if a pair references a missing label.
         """
         elements = list(elements)
         seen = set()
@@ -116,9 +110,7 @@ class Poset:
         for i in reversed(order):
             for hi in succ[i]:
                 up[i] |= up[hi] | 1 << hi
-        # lo < hi is a cover iff nothing lies both above lo and below hi
-        covers = [(lo, hi) for lo, hi in pairs if not up[lo] & down[hi]]
-        return cls(elements, covers, down, up, heights)
+        return cls(elements, down, up, heights)
 
     # -- basic queries -------------------------------------------------
 
@@ -136,6 +128,13 @@ class Poset:
 
     def _labels(self, mask):
         return frozenset(self.elements[i] for i in _bits(mask))
+
+    @property
+    def covers(self):
+        """The cover pairs (lower, upper): each element over the maximal elements below it."""
+        el = self.elements
+        return frozenset((el[lo], el[hi])
+                         for hi, below in enumerate(self._down) for lo in _maximal_in(self, below))
 
     def lt(self, x, y):
         i, j = self._index_of(x), self._index_of(y)
@@ -160,10 +159,10 @@ class Poset:
         return self._labels(self._up[i] | 1 << i)
 
     def upper_covers(self, x):
-        return tuple(self.elements[j] for j in self._up_covers[self._index_of(x)])
+        return tuple(self.elements[j] for j in _minimal_in(self, self._up[self._index_of(x)]))
 
     def lower_covers(self, x):
-        return tuple(self.elements[j] for j in self._down_covers[self._index_of(x)])
+        return tuple(self.elements[j] for j in _maximal_in(self, self._down[self._index_of(x)]))
 
     def minimal_elements(self):
         return tuple(x for x, below in zip(self.elements, self._down) if not below)
@@ -213,6 +212,7 @@ class Poset:
         paths agree from every source.
         """
         order = sorted(range(len(self)), key=lambda v: self._down[v].bit_count())
+        down_covers = [_maximal_in(self, below) for below in self._down]
         for x, above in enumerate(self._up):
             longest = {x: 0}
             shortest = {x: 0}
@@ -220,7 +220,7 @@ class Poset:
                 if not above >> y & 1:
                     continue
                 lo = hi = None
-                for z in self._down_covers[y]:
+                for z in down_covers[y]:
                     if z in longest:
                         hi = longest[z] + 1 if hi is None else max(hi, longest[z] + 1)
                         lo = shortest[z] + 1 if lo is None else min(lo, shortest[z] + 1)
@@ -255,17 +255,18 @@ class Poset:
     def maximal_chains(self):
         """All maximal chains, bottom-up, in deterministic order."""
         chains = []
+        up_covers = [_minimal_in(self, above) for above in self._up]
         for m in (i for i, below in enumerate(self._down) if not below):
             # depth-first with an explicit stack of cover iterators, so long
             # chains do not hit the recursion limit
-            chain, pending = [m], [iter(self._up_covers[m])]
+            chain, pending = [m], [iter(up_covers[m])]
             while pending:
                 for t in pending[-1]:
                     chain.append(t)
-                    pending.append(iter(self._up_covers[t]))
+                    pending.append(iter(up_covers[t]))
                     break
                 else:
-                    if not self._up_covers[chain[-1]]:
+                    if not up_covers[chain[-1]]:
                         chains.append(tuple(self.elements[i] for i in chain))
                     chain.pop()
                     pending.pop()
@@ -315,11 +316,25 @@ def _bits(mask):
 
 
 def _maximal_in(P, mask):
-    return [i for i in _bits(mask) if not P._up[i] & mask]
+    """The maximal elements of a mask, ascending; nothing below one taken (highest first) is maximal."""
+    out, rest = [], mask
+    while rest:
+        i = rest.bit_length() - 1
+        rest &= ~(P._down[i] | 1 << i)
+        if not P._up[i] & mask:
+            out.append(i)
+    return out[::-1]
 
 
 def _minimal_in(P, mask):
-    return [i for i in _bits(mask) if not P._down[i] & mask]
+    """The minimal elements of a mask, ascending; nothing above one taken (lowest first) is minimal."""
+    out, rest = [], mask
+    while rest:
+        i = (rest & -rest).bit_length() - 1
+        rest &= ~(P._up[i] | 1 << i)
+        if not P._down[i] & mask:
+            out.append(i)
+    return out
 
 
 # -- bowties -------------------------------------------------------------

@@ -244,49 +244,28 @@ def tight_span(metric):
 # -- the matching-sum dimension criterion ----------------------------------------
 
 
-def _fixed_point_free_involutions(items):
-    if not items:
-        yield {}
-        return
-    first, rest = items[0], items[1:]
-    for k, partner in enumerate(rest):
-        remaining = rest[:k] + rest[k + 1:]
-        for sub in _fixed_point_free_involutions(remaining):
-            pairing = dict(sub)
-            pairing[first] = partner
-            pairing[partner] = first
-            yield pairing
-
-
-def _fixed_point_free_bijections(items):
-    for perm in permutations(items):
-        if all(a != b for a, b in zip(items, perm)):
-            yield dict(zip(items, perm))
-
-
 def dress_dimension_test(metric, n):
     """Whether every matching sum is dominated by some other derangement sum.
 
     True iff for every subset Z of 2(n+1) points and every fixed-point-free
     involution i on Z there is a fixed-point-free bijection j != i with
-    sum d(z, i(z)) <= sum d(z, j(z)).  When the space has fewer than 2(n+1)
-    points the quantification is empty and the test is vacuously true, which
-    matches the hull dimension bound |X| / 2.
+    sum d(z, i(z)) <= sum d(z, j(z)).  An involution has no such j exactly
+    when it is the only derangement of largest sum.  A derangement and its
+    inverse have equal sums, as d is symmetric, so a derangement that alone
+    reaches the largest sum is its own inverse: the test fails exactly when
+    some subset has a unique largest derangement sum.  When the space has
+    fewer than 2(n+1) points the quantification is empty and the test is
+    vacuously true, which matches the hull dimension bound |X| / 2.
     """
     size = 2 * (n + 1)
     if n < 1:
         raise ValueError("the dimension parameter must be at least 1")
+    d = metric.dist
     for subset in combinations(range(len(metric)), size):
-        sums = {}
-        for j in _fixed_point_free_bijections(subset):
-            total = sum(metric.dist[z][j[z]] for z in subset)
-            key = tuple(j[z] for z in subset)
-            sums[key] = total
-        for i in _fixed_point_free_involutions(list(subset)):
-            key = tuple(i[z] for z in subset)
-            mine = sums[key]
-            if not any(total >= mine for k, total in sums.items() if k != key):
-                return False
+        sums = [sum(d[z][w] for z, w in zip(subset, image))
+                for image in permutations(subset) if all(z != w for z, w in zip(subset, image))]
+        if sums.count(max(sums)) == 1:
+            return False
     return True
 
 

@@ -166,6 +166,21 @@ def test_label_that_is_no_string_or_int_is_an_input_error(tmp_path, capsys, argv
     assert json.loads(capsys.readouterr().out)["error"] == "input"
 
 
+SQUARE = {"elements": ["0", "a", "b", "1"], "covers": [["0", "a"], ["0", "b"], ["a", "1"], ["b", "1"]]}
+
+
+@pytest.mark.parametrize("argv, data", [
+    (["tightspan"], {"points": ["x", "y"], "dist": [[0, "1/0"], ["1/0", 0]]}),
+    (["dist", "--from", "a", "--to", "b", "--mesh", "1/0"], SQUARE),
+    (["dist", "--from", json.dumps({"weights": {"a": "1/0"}}), "--to", "b"], SQUARE),
+], ids=["distance", "mesh", "weight"])
+def test_zero_denominator_is_an_input_error(tmp_path, capsys, argv, data):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data))
+    assert main([*argv, str(path)]) == 2
+    assert json.loads(capsys.readouterr().out)["error"] == "input"
+
+
 def test_duplicate_vertex_label_is_an_input_error(tmp_path, capsys):
     # JSON true equals 1 as a Python label, so both lists declare one label twice
     for vertices, simplices in (([True, 1, "b"], [[True, "b"], [1, "b"]]), (["a", "a", "b"], [["a", "b"]])):

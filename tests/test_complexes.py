@@ -14,7 +14,6 @@ from cublink.complexes import (
     maximal_cliques,
     order_complex,
     star_poset,
-    star_relation,
     validate,
 )
 from cublink.cubes import barycentric_cube_subdivision, cube_corpus
@@ -333,6 +332,14 @@ def recursive_relation_cycle(rel):
     return None
 
 
+def mask_relation_cycle(rel):
+    """_relation_cycle on a label relation: labels indexed in label order, the cycle read back as labels."""
+    labels = sorted({*rel, *(z for zs in rel.values() for z in zs)}, key=_key)
+    index = {v: i for i, v in enumerate(labels)}
+    cycle = _relation_cycle([sum(1 << index[z] for z in rel.get(v, ())) for v in labels])
+    return None if cycle is None else tuple(labels[i] for i in cycle)
+
+
 def test_relation_cycle_matches_recursive_search():
     rng = random.Random(0)
     outcomes = {True: 0, False: 0}
@@ -345,16 +352,16 @@ def test_relation_cycle_matches_recursive_search():
                 rel.setdefault(a, set()).add(b)
         want = recursive_relation_cycle(rel)
         outcomes[want is None] += 1
-        assert _relation_cycle(rel) == want, rel
+        assert mask_relation_cycle(rel) == want, rel
     assert min(outcomes.values()) >= 50  # both verdicts are exercised
 
 
 def test_relation_cycle_on_long_path_and_long_cycle():
     labels = [f"v{i:04d}" for i in range(1200)]
     path = {a: {b} for a, b in zip(labels, labels[1:])}
-    assert _relation_cycle(path) is None
+    assert mask_relation_cycle(path) is None
     cycle = dict(path, **{labels[-1]: {labels[0]}})
-    assert _relation_cycle(cycle) == tuple(labels)
+    assert mask_relation_cycle(cycle) == tuple(labels)
 
 
 def test_type_a_rim_cycle_detected():
@@ -477,6 +484,43 @@ def test_star_relation_matches_pair_tests():
     for name, X in oracle_complexes():
         validate(X, require_flag=False)
         for x in X.vertices:
-            assert star_relation(X, x) == pairwise_star_relation(X, x), (name, x)
             P, want = star_poset(X, x).poset, all_pairs_star_poset(X, x)
             assert (P.elements, P.covers) == (want.elements, want.covers), (name, x)
+
+
+def random_rim_cycle_complex(rng, order_type):
+    """Cones over oriented rim cycles plus random simplices, kept when their orders agree."""
+    while True:
+        vertices = [f"v{i}" for i in range(rng.randint(5, 10))]
+        simplices = []
+        for _ in range(rng.randint(1, 2)):
+            x, *rim = rng.sample(vertices, rng.randint(4, min(6, len(vertices))))
+            for a, b in zip(rim, rim[1:] + rim[:1]):
+                simplices.append((a, b, x) if order_type == "C" else (x, a, b))
+        simplices += [rng.sample(vertices, rng.randint(1, 4)) for _ in range(rng.randint(0, 6))]
+        X = OrderedComplex(order_type, vertices, simplices)
+        try:
+            return validate(X, require_flag=False)
+        except InconsistentOrder:
+            continue
+
+
+def test_star_poset_cycle_matches_recursive_search_on_pair_relation():
+    rng = random.Random(9)
+    cycles = {"A": 0, "C": 0}
+    for _ in range(150):
+        order_type = rng.choice("AC")
+        X = random_rim_cycle_complex(rng, order_type)
+        first = None
+        for x in X.vertices:
+            want = recursive_relation_cycle(pairwise_star_relation(X, x))
+            if want is None:
+                star_poset(X, x)
+                continue
+            with pytest.raises(NotLocalPoset) as err:
+                star_poset(X, x)
+            assert (err.value.vertex, err.value.cycle) == (x, want), X.maximal_simplices
+            first = first or (x, want)
+            cycles[order_type] += 1
+        assert is_local_poset(X) == first
+    assert min(cycles.values()) >= 50, cycles  # both types give many witnesses

@@ -331,6 +331,8 @@ def assert_matches_references(P, pairs, where):
     below, hasse = reference_closure(P.elements, pairs)
     assert P.covers == hasse, where
     for x in P.elements:
+        assert P.upper_covers(x) == tuple(sorted((b for a, b in hasse if a == x), key=str)), (where, x)
+        assert P.lower_covers(x) == tuple(sorted((a for a, b in hasse if b == x), key=str)), (where, x)
         assert P.strictly_below(x) == below[x], (where, x)
         assert P.up_set(x) == {y for y in P.elements if x in below[y]} | {x}, (where, x)
     bowtie = find_bowtie(P)

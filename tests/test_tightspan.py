@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 from math import lcm
 
 import pytest
@@ -316,3 +316,54 @@ def test_cross_validation_on_mixed_corpus():
         dim = tight_span(M).dimension
         for n in (1, 2):
             assert dress_dimension_test(M, n) == (dim <= n), M.to_json()
+
+
+# -- reference: every involution against every other derangement -----------------
+
+
+def _fixed_point_free_involutions(items):
+    if not items:
+        yield {}
+        return
+    first, rest = items[0], items[1:]
+    for k, partner in enumerate(rest):
+        remaining = rest[:k] + rest[k + 1:]
+        for sub in _fixed_point_free_involutions(remaining):
+            pairing = dict(sub)
+            pairing[first] = partner
+            pairing[partner] = first
+            yield pairing
+
+
+def _fixed_point_free_bijections(items):
+    for perm in permutations(items):
+        if all(a != b for a, b in zip(items, perm)):
+            yield dict(zip(items, perm))
+
+
+def reference_dress_dimension_test(metric, n):
+    """The criterion read literally: each involution's sum against every other derangement sum."""
+    for subset in combinations(range(len(metric)), 2 * (n + 1)):
+        sums = {}
+        for j in _fixed_point_free_bijections(subset):
+            sums[tuple(j[z] for z in subset)] = sum(metric.dist[z][j[z]] for z in subset)
+        for i in _fixed_point_free_involutions(list(subset)):
+            key = tuple(i[z] for z in subset)
+            mine = sums[key]
+            if not any(total >= mine for k, total in sums.items() if k != key):
+                return False
+    return True
+
+
+def test_dress_by_unique_maximum_matches_the_literal_criterion():
+    rng = random.Random(8128)
+    corpus = metric_corpus()
+    corpus += [random_metric(rng, 7, max_entry=rng.choice((3, 9))) for _ in range(40)]
+    corpus += [random_metric(rng, 8, max_entry=rng.choice((3, 9))) for _ in range(10)]
+    outcomes = {True: 0, False: 0}
+    for M in corpus:
+        for n in (1, 2, 3):
+            want = reference_dress_dimension_test(M, n)
+            outcomes[want] += 1
+            assert dress_dimension_test(M, n) == want, (M.to_json(), n)
+    assert min(outcomes.values()) >= 100, outcomes  # both verdicts are exercised
