@@ -16,7 +16,7 @@ import sys
 
 from .complexes import OrderedComplex, order_complex
 from .cubes import barycentric_cube_subdivision
-from .errors import CublinkError, PreconditionFailed
+from .errors import CublinkError, InconsistentOrder, NotFlag, NotLocalPoset, PreconditionFailed
 from .generators import (
     affine_A_patch,
     boolean_poset,
@@ -249,6 +249,17 @@ def main(argv=None):
         return 2
 
 
+def _precondition_detail(cause):
+    """The structured witness a precondition failure carries: faces as sorted labels, a cycle in order."""
+    if isinstance(cause, InconsistentOrder):
+        return {"face": sorted(map(str, cause.face))}
+    if isinstance(cause, NotFlag):
+        return {"clique": sorted(map(str, cause.clique))}
+    if isinstance(cause, NotLocalPoset):
+        return {"vertex": str(cause.vertex), "cycle": [str(v) for v in cause.cycle]}
+    return None
+
+
 def _run(argv):
     try:
         args = build_parser().parse_args(argv)
@@ -263,18 +274,11 @@ def _run(argv):
         print(json.dumps({"error": "usage", "detail": str(err)}))
         return 2
     except PreconditionFailed as err:
-        print(
-            json.dumps(
-                {
-                    "pass": False,
-                    "certificate": None,
-                    "failures": [{"condition": "precondition", "witness": str(err.cause)}],
-                },
-                indent=2,
-                sort_keys=True,
-            )
-        )
-        return 1
+        failure = {"condition": "precondition", "witness": str(err.cause)}
+        detail = _precondition_detail(err.cause)
+        if detail:
+            failure["detail"] = detail
+        return _emit({"pass": False, "certificate": None, "failures": [failure]}, 1)
     except CublinkError as err:
         print(json.dumps({"error": type(err).__name__, "detail": str(err)}))
         return 2

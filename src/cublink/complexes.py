@@ -9,10 +9,10 @@ per-vertex operations are pure.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, groupby
 
 from .errors import CycleDetected, DuplicateLabel, InconsistentOrder, NotFlag, NotLocalPoset, UnknownLabel
-from .poset import Poset, _bits, _key
+from .poset import Poset, _bits, _key, _maximal_in
 
 
 def canonical_rotation(t):
@@ -73,11 +73,12 @@ class OrderedComplex:
     Index i stands for ``vertices[i]``, in label order.  ``_chambers[c]`` is
     ``maximal_simplices[c]`` as a tuple of indices and ``_chamber_masks[c]``
     its vertex mask; ``_incident[i]`` lists the chambers through i and
-    ``_adjacency[i]`` is the mask of i's neighbours.
+    ``_adjacency[i]`` is the mask of i's neighbours.  ``_poset`` is the
+    poset of an order complex, which validate checks the chambers against.
     """
 
     __slots__ = ("order_type", "vertices", "maximal_simplices", "_index", "_chambers",
-                 "_chamber_masks", "_incident", "_adjacency")
+                 "_chamber_masks", "_incident", "_adjacency", "_poset")
 
     def __init__(self, order_type, vertices, maximal_simplices):
         if order_type not in ("A", "C"):
@@ -105,18 +106,20 @@ class OrderedComplex:
                 raise UnknownLabel(f"simplex uses undeclared vertex {err.args[0]!r}") from None
             if t:
                 cleaned.setdefault(frozenset(t), t)
-        # keep only inclusion-maximal simplices; larger ones are kept first, and
-        # a simplex containing s goes through every vertex of s, so the
-        # shortest list of kept simplices through a vertex of s suffices
+        # keep only inclusion-maximal simplices, longest first; only a longer
+        # simplex can contain s, and it goes through every vertex of s, so the
+        # shortest list of kept longer simplices through a vertex of s suffices
         kept = []
         through = [[] for _ in self.vertices]
-        for t in sorted(cleaned.values(), key=len, reverse=True):
-            mask = sum(1 << v for v in t)
-            if any(m & mask == mask for m in min((through[v] for v in t), key=len)):
-                continue
-            kept.append((t, mask))
-            for v in t:
-                through[v].append(mask)
+        for _, group in groupby(sorted(cleaned.values(), key=len, reverse=True), key=len):
+            fresh = [(t, sum(1 << v for v in t)) for t in group]
+            if kept:
+                fresh = [(t, mask) for t, mask in fresh
+                         if not any(m & mask == mask for m in min((through[v] for v in t), key=len))]
+            kept += fresh
+            for t, mask in fresh:
+                for v in t:
+                    through[v].append(mask)
         kept += [((v,), 1 << v) for v in range(len(self.vertices)) if not through[v]]  # bare vertices
         if self.order_type == "A":  # index order is label order, so rotate to the least index
             kept = [(t[t.index(min(t)):] + t[:t.index(min(t))], mask) for t, mask in kept]
@@ -132,6 +135,7 @@ class OrderedComplex:
                 adjacency[v] |= mask
         self._incident = tuple(map(tuple, incident))
         self._adjacency = tuple(m & ~(1 << v) for v, m in enumerate(adjacency))
+        self._poset = None
 
     def __eq__(self, other):
         return (
@@ -226,7 +230,13 @@ def validate(X, require_flag=True):
     NotFlag carries a minimal empty clique, shrunk from the first maximal
     clique in label order that is not a chamber.  Returns the complex
     itself for chaining.
+
+    An order complex is first checked against its poset (_is_chain_complex),
+    in one pass over the chambers; if that fails, the passes above find the
+    witness.
     """
+    if X._poset is not None and _is_chain_complex(X, X._poset):
+        return X
     n = len(X.vertices)
     first, clashes = {}, []
     for i, s in enumerate(X._chambers):
@@ -249,6 +259,29 @@ def validate(X, require_flag=True):
             clique = min(nonfaces, key=lambda c: tuple(_bits(c)))
             raise NotFlag(_shrink_to_minimal_nonface(X, set(X._labels(clique))))
     return X
+
+
+def _is_chain_complex(X, P):
+    """Whether the chambers of X are exactly the maximal chains of P, each read bottom-up.
+
+    Each chamber must be a cover path from a minimal to a maximal element,
+    and there must be as many chambers as such paths (counted over lower
+    covers, in height order); distinct chambers have distinct vertex sets.
+    Then X is consistent and flag: each chamber orders its vertices as P
+    does, and a clique of X is a chain of P, so it lies in a maximal chain.
+    P's elements are X's vertices, so index i names the same label in both.
+    """
+    down, up = P._down, P._up
+    for t in X._chambers:
+        if down[t[0]] or up[t[-1]]:
+            return False
+        for a, b in zip(t, t[1:]):
+            if not up[a] >> b & 1 or up[a] & down[b]:
+                return False
+    paths = [0] * len(down)
+    for i in sorted(range(len(down)), key=P._heights.__getitem__):
+        paths[i] = sum(paths[j] for j in _maximal_in(P, down[i])) if down[i] else 1
+    return len(X._chambers) == sum(k for k, above in zip(paths, up) if not above)
 
 
 def _triangle(a, b, c, n):
@@ -379,5 +412,7 @@ def star_poset(X, x):
 
 
 def order_complex(P):
-    """The type-C complex of chains of a poset, ordered bottom-up."""
-    return OrderedComplex("C", P.elements, P.maximal_chains())
+    """The type-C complex of chains of a poset, ordered bottom-up; validate checks it against P."""
+    X = OrderedComplex("C", P.elements, P.maximal_chains())
+    X._poset = P
+    return X

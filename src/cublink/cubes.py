@@ -9,6 +9,7 @@ presentation covers the desk-scale corpora used here.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations, product
 
 from .complexes import maximal_cliques, order_complex
@@ -23,25 +24,27 @@ def _cube_dim(size):
     return d
 
 
-def _structural_faces(cube):
-    """All faces of one cube as tuples in their own bitmask order, keyed by dimension."""
-    d = _cube_dim(len(cube))
+@lru_cache(maxsize=None)
+def _face_patterns(size):
+    """The faces of a cube with size vertices, as tuples of its vertex positions.
+
+    Each face lists its vertices in its own bitmask order, by dimension.
+    """
+    dims = range(_cube_dim(size))
     faces = []
-    dims = list(range(d))
-    for kept_count in range(d + 1):
+    for kept_count in range(len(dims) + 1):
         for kept in combinations(dims, kept_count):
             fixed = [i for i in dims if i not in kept]
             for values in product((0, 1), repeat=len(fixed)):
-                verts = []
-                for bits in product((0, 1), repeat=kept_count):
-                    mask = 0
-                    for i, b in zip(kept, bits):
-                        mask |= b << i
-                    for i, v in zip(fixed, values):
-                        mask |= v << i
-                    verts.append(cube[mask])
-                faces.append(tuple(verts))
-    return faces
+                base = sum(v << i for i, v in zip(fixed, values))
+                faces.append(tuple(base + sum(b << i for i, b in zip(kept, bits))
+                                   for bits in product((0, 1), repeat=kept_count)))
+    return tuple(faces)
+
+
+def _structural_faces(cube):
+    """All faces of one cube as tuples in their own bitmask order, by dimension."""
+    return [tuple(cube[i] for i in face) for face in _face_patterns(len(cube))]
 
 
 class CubeComplex:

@@ -372,15 +372,37 @@ def find_bowtie(P):
     """First bowtie of the poset in canonical order, or None.
 
     A pair (c, d) tops a bowtie exactly when it has at least two maximal
-    common lower bounds; any two of those serve as (a, b).
+    common lower bounds; the first two serve as (a, b).  The pairs go in
+    _bowtie_pairs order, the least (height sum, c, d) with c < d first.
+    An m below c is a maximal common lower bound of c and exactly those d
+    above m, after c and incomparable to it, that lie above no upper cover
+    of m below c; so c's partners are the d that two such m reach.
     """
+    h, down, up = P._heights, P._down, P._up
+    full = (1 << len(P)) - 1
+    upper = [_minimal_in(P, above) for above in up]
+    tops = []  # (height sum, c, d) of each pair that tops a bowtie
+    for c, below in enumerate(down):
+        incomparable = full >> (c + 1) << (c + 1) & ~(below | up[c])
+        if not incomparable:
+            continue
+        once = twice = 0
+        for m in _bits(below):
+            reach = up[m] & incomparable
+            if reach:
+                for u in upper[m]:
+                    if below >> u & 1:
+                        reach &= ~up[u]
+                twice |= once & reach
+                once |= reach
+        if twice:
+            tops += ((h[c] + h[d], c, d) for d in _bits(twice))
+    if not tops:
+        return None
+    _, c, d = min(tops)
+    a, b = _maximal_in(P, down[c] & down[d])[:2]
     el = P.elements
-    for c, d in _bowtie_pairs(P):
-        common, split = _common_below(P, c, d)
-        if split:
-            a, b = _maximal_in(P, common)[:2]
-            return Bowtie(el[a], el[b], el[c], el[d])
-    return None
+    return Bowtie(el[a], el[b], el[c], el[d])
 
 
 def find_balanced_bowtie(P):

@@ -181,6 +181,26 @@ def test_zero_denominator_is_an_input_error(tmp_path, capsys, argv, data):
     assert json.loads(capsys.readouterr().out)["error"] == "input"
 
 
+@pytest.mark.parametrize("kind, data, detail", [
+    ("C", {"type": "C", "vertices": ["u", "v", "w", "t"], "maximal_simplices": [["u", "v", "w"], ["v", "u", "t"]]},
+     {"face": ["u", "v"]}),
+    ("A", {"type": "A", "vertices": ["c", "b", "a"], "maximal_simplices": [["a", "b"], ["b", "c"], ["c", "a"]]},
+     {"clique": ["a", "b", "c"]}),
+    ("garside", {"type": "C", "vertices": ["x", "a", "b", "c", "d"],
+                 "maximal_simplices": [["a", "c", "x"], ["c", "b", "x"], ["b", "d", "x"], ["d", "a", "x"]]},
+     {"vertex": "x", "cycle": ["a", "c", "b", "d"]}),
+], ids=["inconsistent-order", "not-flag", "not-local-poset"])
+def test_precondition_failure_carries_its_structured_witness(tmp_path, capsys, kind, data, detail):
+    path, phi = tmp_path / "input.json", tmp_path / "phi.json"
+    path.write_text(json.dumps(data))
+    phi.write_text("{}")
+    assert main(["check", "--type", kind, "--phi", str(phi), str(path)]) == 1
+    [failure] = json.loads(capsys.readouterr().out)["failures"]
+    assert failure["condition"] == "precondition"
+    assert failure["detail"] == detail
+    assert isinstance(failure["witness"], str)
+
+
 def test_duplicate_vertex_label_is_an_input_error(tmp_path, capsys):
     # JSON true equals 1 as a Python label, so both lists declare one label twice
     for vertices, simplices in (([True, 1, "b"], [[True, "b"], [1, "b"]]), (["a", "a", "b"], [["a", "b"]])):

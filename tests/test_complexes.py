@@ -196,6 +196,33 @@ def test_reduction_drops_duplicates_and_faces():
     assert X.maximal_simplices == (("a", "b", "x"), ("a", "c", "z"), ("c", "d", "y"), ("e",))
 
 
+def test_reduction_keeps_exactly_the_maximal_simplices_in_first_orientation():
+    # mixed sizes: a face of a chamber listed before it, a permuted duplicate,
+    # distinct simplices of equal size, and a face of an edge
+    X = OrderedComplex(
+        "C",
+        list("abcdefgh"),
+        [("c", "a"), ("b", "a", "c", "d"), ("d", "c", "b", "a"), ("e", "f"), ("e", "g"), ("f", "g"),
+         ("g", "h"), ("h",), ("d", "e")],
+    )
+    assert X.maximal_simplices == (
+        ("b", "a", "c", "d"), ("d", "e"), ("e", "f"), ("e", "g"), ("f", "g"), ("g", "h"))
+    # against a subset scan, on random mixed-size simplices of both types
+    rng = random.Random(31)
+    for _ in range(300):
+        vertices = list(range(rng.randint(1, 9)))
+        simplices = [tuple(rng.sample(vertices, rng.randint(1, len(vertices)))) for _ in range(rng.randint(0, 9))]
+        first = {}
+        for s in simplices:
+            first.setdefault(frozenset(s), s)
+        first.update({frozenset([v]): (v,) for v in vertices if frozenset([v]) not in first})
+        want = [s for key, s in first.items() if not any(key < other for other in first)]
+        for order_type in "AC":
+            X = OrderedComplex(order_type, vertices, simplices)
+            rotate = canonical_rotation if order_type == "A" else tuple
+            assert sorted(X.maximal_simplices) == sorted(map(rotate, want))
+
+
 def test_reduction_keeps_one_of_rotated_type_a_duplicates():
     X = OrderedComplex("A", ["a", "b", "c", "d"], [("c", "a", "b"), ("a", "b", "c"), ("b", "d")])
     assert X.maximal_simplices == (("a", "b", "c"), ("b", "d"))

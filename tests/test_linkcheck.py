@@ -84,6 +84,15 @@ def test_local_poset_precondition_carries_its_cycle(tmp_path, capsys):
         '  "failures": [\n'
         "    {\n"
         '      "condition": "precondition",\n'
+        '      "detail": {\n'
+        '        "cycle": [\n'
+        '          "a",\n'
+        '          "b",\n'
+        '          "c",\n'
+        '          "d"\n'
+        "        ],\n"
+        '        "vertex": "x"\n'
+        "      },\n"
         '      "witness": "star relation at x not transitive on (\'a\', \'b\', \'c\', \'d\')"\n'
         "    }\n"
         "  ],\n"

@@ -4,14 +4,19 @@ import random
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cublink.complexes import order_complex, star_poset, validate
-from cublink.errors import CycleDetected, DuplicateLabel, NoMinimum, NotGraded, UnknownLabel
+from cublink.complexes import OrderedComplex, _is_chain_complex, order_complex, star_poset, validate
+from cublink.cubes import CubeComplex, barycentric_cube_subdivision, cube_corpus
+from cublink.errors import CycleDetected, DuplicateLabel, NoMinimum, NotFlag, NotGraded, UnknownLabel
 from cublink.generators import affine_A_patch, boolean_poset, noncrossing_partitions, random_ranked_poset
 from cublink.poset import (
+    Bowtie,
     Poset,
+    _bowtie_pairs,
+    _common_below,
+    _maximal_in,
     bowtie_lattice_consistency,
     find_balanced_bowtie,
     find_bowtie,
@@ -20,6 +25,7 @@ from cublink.poset import (
     with_bounds,
 )
 from test_complexes import oracle_complexes, pairwise_star_relation
+from test_linkcheck import bowtie_star_complex
 
 
 def chain_poset(k):
@@ -453,3 +459,97 @@ def test_meet_is_greatest_lower_bound(P):
         else:
             assert P.leq(m, x) and P.leq(m, y)
             assert all(P.leq(z, m) for z in lower)
+
+
+# -- the bowtie sweep against the pair walk ------------------------------------
+
+
+def pairwalk_find_bowtie(P):
+    """find_bowtie as the walk over incomparable pairs, in _bowtie_pairs order, it replaced."""
+    el = P.elements
+    for c, d in _bowtie_pairs(P):
+        common, split = _common_below(P, c, d)
+        if split:
+            a, b = _maximal_in(P, common)[:2]
+            return Bowtie(el[a], el[b], el[c], el[d])
+    return None
+
+
+@given(small_posets())
+@example(bowtie_poset())
+@example(chain_poset(3))
+@settings(max_examples=300, deadline=None)
+def test_bowtie_sweep_matches_the_pair_walk(P):
+    assert find_bowtie(P) == pairwalk_find_bowtie(P)
+
+
+def test_bowtie_sweep_matches_the_pair_walk_at_every_star():
+    complexes = [
+        ("NC(5)", order_complex(noncrossing_partitions(5))),
+        ("B(4)", order_complex(boolean_poset(4))),
+        ("patch(2, 2)", affine_A_patch(2, 2)),
+        ("bowtie star", bowtie_star_complex()),
+        *((name, barycentric_cube_subdivision(cubes)) for name, cubes in cube_corpus().items()),
+    ]
+    found = 0
+    for name, X in complexes:
+        for x in X.vertices:
+            P = star_poset(X, x).poset
+            want = pairwalk_find_bowtie(P)
+            assert find_bowtie(P) == want, (name, x)
+            found += want is not None
+    assert found >= 1
+
+
+# -- order complexes checked against their poset ----------------------------------
+
+
+def assert_poset_route_passes(P):
+    X = order_complex(P)
+    assert _is_chain_complex(X, P)
+    assert validate(X) is X
+    general = OrderedComplex("C", X.vertices, X.maximal_simplices)
+    assert general._poset is None and validate(general) is general
+
+
+@given(small_posets())
+@settings(max_examples=150, deadline=None)
+def test_order_complex_passes_the_poset_route(P):
+    assert_poset_route_passes(P)
+
+
+def test_cube_subdivisions_pass_the_poset_route():
+    for cubes in cube_corpus().values():
+        assert_poset_route_passes(CubeComplex(cubes).face_poset()[0])
+
+
+def test_a_missing_chain_falls_through_to_the_flag_witness():
+    # every edge of B(4)'s order complex survives, but a 3-clique spans no chamber
+    P = boolean_poset(4)
+    chains = P.maximal_chains()
+    assert chains[0] == ("{}", "{1}", "{1,2}", "{1,2,3}", "{1,2,3,4}")
+    X = OrderedComplex("C", P.elements, chains[1:])
+    X._poset = P
+    assert X.edges() == order_complex(P).edges()
+    assert not _is_chain_complex(X, P)
+    want = frozenset({"{1}", "{1,2}", "{1,2,3}"})
+    for Y in (X, OrderedComplex("C", P.elements, chains[1:])):
+        with pytest.raises(NotFlag) as info:
+            validate(Y)
+        assert info.value.clique == want
+
+
+def test_chambers_that_are_no_maximal_chains_fall_through():
+    # as many chambers as maximal chains, pairwise not nested, yet {a, b, c}
+    # is a clique on no chamber: (b, c) starts above a minimal element, and
+    # (a, c) skips b
+    P = Poset.from_covers("abcdg", [("a", "b"), ("b", "c"), ("b", "g"), ("a", "d"), ("d", "c")])
+    Q = Poset.from_covers("abcef", [("a", "b"), ("e", "b"), ("b", "c"), ("b", "f")])
+    for poset, chambers in ((P, ["abg", "bc", "adc"]), (Q, ["ac", "abf", "ebc", "ebf"])):
+        assert len(chambers) == len(poset.maximal_chains())
+        X = OrderedComplex("C", poset.elements, [tuple(s) for s in chambers])
+        X._poset = poset
+        assert not _is_chain_complex(X, poset)
+        with pytest.raises(NotFlag) as info:
+            validate(X)
+        assert info.value.clique == frozenset("abc")
