@@ -15,7 +15,7 @@ import os
 import sys
 
 from .complexes import OrderedComplex, order_complex
-from .cubes import barycentric_cube_subdivision
+from .cubes import CubeComplex, barycentric_cube_subdivision  # noqa: F401  (perfbench/spans.py wraps it here)
 from .errors import CublinkError, InconsistentOrder, NotFlag, NotLocalPoset, PreconditionFailed
 from .generators import (
     affine_A_patch,
@@ -68,33 +68,44 @@ def _checked_labels(labels):
     return labels
 
 
-def _as_complex(data):
+def _read_structure(data):
+    """The complex of a complex input; the poset of a poset input, or the face poset of a cube complex."""
     if "maximal_simplices" in data:
         X = OrderedComplex.from_json(data)
-    elif "covers" in data:
-        X = order_complex(poset_from_json(data))
+        _checked_labels(X.vertices)  # once built, so a repeated label is reported as such
+        return X
+    if "covers" in data:
+        P = poset_from_json(data)
     elif "cubes" in data:
         cubes = [tuple(c) for c in data["cubes"]]
         _checked_labels([x for c in cubes for x in c])
-        X = barycentric_cube_subdivision(cubes)
+        P, _ = CubeComplex(cubes).face_poset()
     else:
         raise UsageError("input is neither a complex, a poset, nor a cube complex")
-    _checked_labels(X.vertices)  # once built, so a repeated label is reported as such
-    return X
+    _checked_labels(P.elements)
+    return P
+
+
+def _as_complex(data):
+    """The complex of the input: a poset as its order complex, a cube complex subdivided."""
+    X = _read_structure(data)
+    return X if isinstance(X, OrderedComplex) else order_complex(X)
 
 
 def cmd_check(args):
     data = _read_input(args.input)
-    X = _as_complex(data)
     if args.type == "A":
+        X = _as_complex(data)
         if X.order_type != "A":
             raise UsageError("check --type A needs a cyclically ordered complex")
         verdict = check_type_A(X)
     elif args.type == "C":
-        if X.order_type != "C":
+        X = _read_structure(data)  # a poset is checked on its own order
+        if isinstance(X, OrderedComplex) and X.order_type != "C":
             raise UsageError("check --type C needs a totally ordered complex")
         verdict = check_type_C(X)
     else:
+        X = _as_complex(data)
         if args.phi is None:
             raise UsageError("check --type garside needs --phi")
         phi = _read_input(args.phi)

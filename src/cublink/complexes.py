@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from itertools import combinations, groupby
 
 from .errors import CycleDetected, DuplicateLabel, InconsistentOrder, NotFlag, NotLocalPoset, UnknownLabel
-from .poset import Poset, _bits, _key, _maximal_in
+from .poset import Poset, _bits, _key
 
 
 def canonical_rotation(t):
@@ -73,12 +73,11 @@ class OrderedComplex:
     Index i stands for ``vertices[i]``, in label order.  ``_chambers[c]`` is
     ``maximal_simplices[c]`` as a tuple of indices and ``_chamber_masks[c]``
     its vertex mask; ``_incident[i]`` lists the chambers through i and
-    ``_adjacency[i]`` is the mask of i's neighbours.  ``_poset`` is the
-    poset of an order complex, which validate checks the chambers against.
+    ``_adjacency[i]`` is the mask of i's neighbours.
     """
 
     __slots__ = ("order_type", "vertices", "maximal_simplices", "_index", "_chambers",
-                 "_chamber_masks", "_incident", "_adjacency", "_poset")
+                 "_chamber_masks", "_incident", "_adjacency")
 
     def __init__(self, order_type, vertices, maximal_simplices):
         if order_type not in ("A", "C"):
@@ -135,7 +134,6 @@ class OrderedComplex:
                 adjacency[v] |= mask
         self._incident = tuple(map(tuple, incident))
         self._adjacency = tuple(m & ~(1 << v) for v, m in enumerate(adjacency))
-        self._poset = None
 
     def __eq__(self, other):
         return (
@@ -227,16 +225,11 @@ def validate(X, require_flag=True):
 
     A face inside a maximal clique lies in a chamber, which is itself a
     clique, so a maximal clique is a face exactly when it is a chamber.
-    NotFlag carries a minimal empty clique, shrunk from the first maximal
-    clique in label order that is not a chamber.  Returns the complex
-    itself for chaining.
-
-    An order complex is first checked against its poset (_is_chain_complex),
-    in one pass over the chambers; if that fails, the passes above find the
-    witness.
+    The chambers are looked up by their masks' bytes, not by the masks,
+    whose hashes collide as above.  NotFlag carries a minimal empty clique,
+    shrunk from the first maximal clique in label order that is not a
+    chamber.  Returns the complex itself for chaining.
     """
-    if X._poset is not None and _is_chain_complex(X, X._poset):
-        return X
     n = len(X.vertices)
     first, clashes = {}, []
     for i, s in enumerate(X._chambers):
@@ -253,35 +246,13 @@ def validate(X, require_flag=True):
         raise InconsistentOrder(X._labels(X._chamber_masks[i] & X._chamber_masks[j]))
 
     if require_flag:
-        chambers = {0, *X._chamber_masks}  # 0: the one clique of the empty complex
-        nonfaces = [c for c in _clique_masks(X._adjacency) if c not in chambers]
+        width = (n + 7) // 8  # 0 below: the one clique of the empty complex
+        chambers = {m.to_bytes(width, "little") for m in (0, *X._chamber_masks)}
+        nonfaces = [c for c in _clique_masks(X._adjacency) if c.to_bytes(width, "little") not in chambers]
         if nonfaces:
             clique = min(nonfaces, key=lambda c: tuple(_bits(c)))
             raise NotFlag(_shrink_to_minimal_nonface(X, set(X._labels(clique))))
     return X
-
-
-def _is_chain_complex(X, P):
-    """Whether the chambers of X are exactly the maximal chains of P, each read bottom-up.
-
-    Each chamber must be a cover path from a minimal to a maximal element,
-    and there must be as many chambers as such paths (counted over lower
-    covers, in height order); distinct chambers have distinct vertex sets.
-    Then X is consistent and flag: each chamber orders its vertices as P
-    does, and a clique of X is a chain of P, so it lies in a maximal chain.
-    P's elements are X's vertices, so index i names the same label in both.
-    """
-    down, up = P._down, P._up
-    for t in X._chambers:
-        if down[t[0]] or up[t[-1]]:
-            return False
-        for a, b in zip(t, t[1:]):
-            if not up[a] >> b & 1 or up[a] & down[b]:
-                return False
-    paths = [0] * len(down)
-    for i in sorted(range(len(down)), key=P._heights.__getitem__):
-        paths[i] = sum(paths[j] for j in _maximal_in(P, down[i])) if down[i] else 1
-    return len(X._chambers) == sum(k for k, above in zip(paths, up) if not above)
 
 
 def _triangle(a, b, c, n):
@@ -412,7 +383,10 @@ def star_poset(X, x):
 
 
 def order_complex(P):
-    """The type-C complex of chains of a poset, ordered bottom-up; validate checks it against P."""
-    X = OrderedComplex("C", P.elements, P.maximal_chains())
-    X._poset = P
-    return X
+    """The type-C complex of chains of a poset, ordered bottom-up.
+
+    check_type_C takes the poset itself and reads each star off its order,
+    with no chain enumerated; this complex is for the checks and metrics
+    that need its simplices.
+    """
+    return OrderedComplex("C", P.elements, P.maximal_chains())

@@ -107,7 +107,8 @@ def barycentric_cube_subdivision(cubes):
     """The order complex of the face poset of a cube complex, as a type-C complex.
 
     Vertices are face barycenters and simplex orders run by face dimension,
-    so one square yields 9 vertices and 8 maximal triangles.
+    so one square yields 9 vertices and 8 maximal triangles.  check_type_C
+    needs no subdivision: it takes the face poset itself.
     """
     K = cubes if isinstance(cubes, CubeComplex) else CubeComplex(cubes)
     P, _ = K.face_poset()

@@ -19,7 +19,7 @@ from .errors import (
     NotLocalPoset,
     PreconditionFailed,
 )
-from .poset import Poset, _key, find_bowtie, flag_condition
+from .poset import Poset, _key, _restriction, find_bowtie, flag_condition
 
 
 @dataclass(frozen=True)
@@ -90,6 +90,13 @@ def check_type_A(X):
 def check_type_C(X):
     """Pass iff every star poset has no bowtie and satisfies both flag conditions.
 
+    X is a totally ordered complex or a poset P, checked as its order
+    complex (the complex of its chains) with no chain enumerated.  There the
+    star of x holds the elements comparable to x and orders two of them as
+    P does, since with x they form a chain: it is P restricted to them.  An
+    order complex is consistent, flag and locally a poset, so P has no
+    precondition to check.
+
     Both flag conditions are checked on St(x), not on St+(x) (up) and St-(x)
     (down).  Every element is comparable to x, so a triple with some a <= x
     has a common upper bound: x if none is > x, the one > x if one is, else
@@ -97,9 +104,13 @@ def check_type_C(X):
     violations are those of St+(x), with the same up-sets and label order;
     dually down.  A failure reports the vertex, condition and witness.
     """
-    _checked(X, "C")
+    if isinstance(X, Poset):
+        stars = ((x, _restriction(X, X._down[i] | X._up[i] | 1 << i)) for i, x in enumerate(X.elements))
+    else:
+        _checked(X, "C")
+        stars = _star_posets(X)
     failures = []
-    for x, P in _star_posets(X):
+    for x, P in stars:
         bowtie = find_bowtie(P)
         if bowtie is not None:
             failures.append(Failure(x, "lattice", bowtie))

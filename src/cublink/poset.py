@@ -71,8 +71,10 @@ class Poset:
 
         The order is the transitive closure of the pairs, so pairs implied by
         transitivity change nothing and ``covers`` is the Hasse diagram.
-        Raises CycleDetected if the pairs contain a directed cycle and
-        UnknownLabel if a pair references a missing label.
+        Raises CycleDetected if the pairs contain a directed cycle,
+        UnknownLabel if a pair references a missing label, and DuplicateLabel
+        if two labels are equal or print the same (outputs name labels by
+        their string form).
         """
         elements = list(elements)
         seen = set()
@@ -81,6 +83,9 @@ class Poset:
                 raise DuplicateLabel(f"duplicate element label {x!r}")
             seen.add(x)
         elements.sort(key=_key)
+        for a, b in zip(elements, elements[1:]):
+            if _key(a) == _key(b):
+                raise DuplicateLabel(f"element labels {a!r} and {b!r} print the same")
         index = {x: i for i, x in enumerate(elements)}
         pairs = set()
         for lo, hi in cover_pairs:
@@ -95,7 +100,7 @@ class Poset:
 
     @classmethod
     def _from_index_pairs(cls, elements, pairs):
-        """Build a poset from distinct labels in label order and a set of (lower, upper) index pairs."""
+        """Build a poset from distinct labels in label order and (lower, upper) index pairs."""
         succ, pred = [[] for _ in elements], [[] for _ in elements]
         for lo, hi in pairs:
             succ[lo].append(hi)
@@ -277,9 +282,7 @@ class Poset:
         inside = 0
         for x in subset:
             inside |= 1 << self._index_of(x)
-        pairs = [(self.elements[lo], self.elements[hi])
-                 for hi in _bits(inside) for lo in _bits(self._down[hi] & inside)]
-        return Poset.from_covers([self.elements[i] for i in _bits(inside)], pairs)
+        return _restriction(self, inside)
 
     def to_json(self):
         return {
@@ -315,6 +318,20 @@ def _bits(mask):
         mask ^= low
 
 
+def _restriction(P, mask):
+    """The induced sub-poset on the elements of a mask; P itself when the mask holds them all.
+
+    Each kept element covers, inside the mask, the maximal kept elements
+    below it, and the order is the closure of those pairs.
+    """
+    if mask == (1 << len(P)) - 1:
+        return P
+    kept = list(_bits(mask))
+    local = {i: k for k, i in enumerate(kept)}
+    pairs = [(local[lo], k) for k, hi in enumerate(kept) for lo in _maximal_in(P, P._down[hi] & mask)]
+    return Poset._from_index_pairs([P.elements[i] for i in kept], pairs)
+
+
 def _maximal_in(P, mask):
     """The maximal elements of a mask, ascending; nothing below one taken (highest first) is maximal."""
     out, rest = [], mask
@@ -340,40 +357,9 @@ def _minimal_in(P, mask):
 # -- bowties -------------------------------------------------------------
 
 
-def _bowtie_pairs(P):
-    """Incomparable index pairs ordered by (height sum, labels) for deterministic witnesses.
+def _bowtie_tops(P):
+    """The sorted (height sum, c, d), c < d, of every pair with two or more maximal common lower bounds.
 
-    Pairs are bucketed by height sum; each bucket fills in label order.
-    """
-    h, full = P._heights, (1 << len(P)) - 1
-    buckets = {}
-    for i in range(len(P)):
-        later = full >> (i + 1) << (i + 1)
-        for j in _bits(later & ~(P._down[i] | P._up[i])):
-            buckets.setdefault(h[i] + h[j], []).append((i, j))
-    return [p for total in sorted(buckets) for p in buckets[total]]
-
-
-def _common_below(P, c, d):
-    """The common lower bounds of c and d as a mask, and whether two of them are maximal.
-
-    They form a down-set, which has one maximal element m iff it is m's down-set.
-    """
-    common = P._down[c] & P._down[d]
-    if not common:
-        return common, False
-    m = (common & -common).bit_length() - 1
-    while higher := P._up[m] & common:
-        m = (higher & -higher).bit_length() - 1
-    return common, common != P._down[m] | 1 << m
-
-
-def find_bowtie(P):
-    """First bowtie of the poset in canonical order, or None.
-
-    A pair (c, d) tops a bowtie exactly when it has at least two maximal
-    common lower bounds; the first two serve as (a, b).  The pairs go in
-    _bowtie_pairs order, the least (height sum, c, d) with c < d first.
     An m below c is a maximal common lower bound of c and exactly those d
     above m, after c and incomparable to it, that lie above no upper cover
     of m below c; so c's partners are the d that two such m reach.
@@ -381,7 +367,7 @@ def find_bowtie(P):
     h, down, up = P._heights, P._down, P._up
     full = (1 << len(P)) - 1
     upper = [_minimal_in(P, above) for above in up]
-    tops = []  # (height sum, c, d) of each pair that tops a bowtie
+    tops = []
     for c, below in enumerate(down):
         incomparable = full >> (c + 1) << (c + 1) & ~(below | up[c])
         if not incomparable:
@@ -395,12 +381,22 @@ def find_bowtie(P):
                         reach &= ~up[u]
                 twice |= once & reach
                 once |= reach
-        if twice:
-            tops += ((h[c] + h[d], c, d) for d in _bits(twice))
+        tops += ((h[c] + h[d], c, d) for d in _bits(twice))
+    return sorted(tops)
+
+
+def find_bowtie(P):
+    """First bowtie of the poset in canonical order, or None.
+
+    A pair (c, d) tops a bowtie exactly when it has at least two maximal
+    common lower bounds; under the least such pair by (height sum, c, d),
+    the first two serve as (a, b).
+    """
+    tops = _bowtie_tops(P)
     if not tops:
         return None
-    _, c, d = min(tops)
-    a, b = _maximal_in(P, down[c] & down[d])[:2]
+    _, c, d = tops[0]
+    a, b = _maximal_in(P, P._down[c] & P._down[d])[:2]
     el = P.elements
     return Bowtie(el[a], el[b], el[c], el[d])
 
@@ -408,19 +404,18 @@ def find_bowtie(P):
 def find_balanced_bowtie(P):
     """First bowtie with height(a) == height(b) and height(c) == height(d), or None.
 
-    Requires a graded poset.  The lower pair need not consist of maximal
+    Requires a graded poset.  Only a pair (c, d) that tops some bowtie can
+    top a balanced one, but its lower pair need not consist of maximal
     lower bounds, so all incomparable equal-height pairs below (c, d) are
     examined, with an explicit check that nothing sits between the pairs.
     """
     if not P.is_graded():
         raise NotGraded("balanced bowties need a graded poset")
     h, el = P._heights, P.elements
-    for c, d in _bowtie_pairs(P):
+    for _, c, d in _bowtie_tops(P):
         if h[c] != h[d]:
             continue
-        common, split = _common_below(P, c, d)
-        if not split:
-            continue  # (c, d) has a meet below, so it tops no bowtie
+        common = P._down[c] & P._down[d]
         candidates = sorted(_bits(common), key=lambda x: (h[x], x))
         for a, b in combinations(candidates, 2):
             if h[a] != h[b] or (P._down[a] | P._up[a]) >> b & 1:

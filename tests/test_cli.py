@@ -275,3 +275,22 @@ def test_closed_stdout_exits_two_without_a_traceback():
     err = proc.stderr.read()
     assert proc.wait() == 2
     assert err == ""
+
+
+@pytest.mark.parametrize("data, code", [
+    (SQUARE, 0),
+    ({"cubes": [["v", "x", "y", "xy"], ["v", "y", "z", "yz"], ["v", "z", "x", "zx"]]}, 1),
+], ids=["poset", "cubes"])
+def test_type_c_check_of_a_poset_builds_no_complex(tmp_path, capsys, monkeypatch, data, code):
+    from cublink.complexes import OrderedComplex
+
+    def refuse(*args):
+        raise AssertionError("no complex is built")
+
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data))
+    assert main(["check", "--type", "C", str(path)]) == code
+    verdict = capsys.readouterr().out
+    monkeypatch.setattr(OrderedComplex, "__init__", refuse)
+    assert main(["check", "--type", "C", str(path)]) == code
+    assert capsys.readouterr().out == verdict

@@ -7,15 +7,22 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cublink.complexes import OrderedComplex, _is_chain_complex, order_complex, star_poset, validate
+from cublink.complexes import OrderedComplex, order_complex, star_poset, validate
 from cublink.cubes import CubeComplex, barycentric_cube_subdivision, cube_corpus
 from cublink.errors import CycleDetected, DuplicateLabel, NoMinimum, NotFlag, NotGraded, UnknownLabel
-from cublink.generators import affine_A_patch, boolean_poset, noncrossing_partitions, random_ranked_poset
+from cublink.generators import (
+    affine_A_patch,
+    boolean_poset,
+    noncrossing_partitions,
+    partition_lattice,
+    random_ranked_poset,
+    subspace_poset,
+)
+from cublink.linkcheck import check_type_C
 from cublink.poset import (
     Bowtie,
     Poset,
-    _bowtie_pairs,
-    _common_below,
+    _bits,
     _maximal_in,
     bowtie_lattice_consistency,
     find_balanced_bowtie,
@@ -64,6 +71,11 @@ def test_self_loop_rejected():
 def test_duplicate_label_rejected():
     with pytest.raises(DuplicateLabel):
         Poset.from_covers(["a", "a"], [])
+
+
+def test_labels_that_print_the_same_rejected():
+    with pytest.raises(DuplicateLabel, match="print the same"):
+        Poset.from_covers([1, "1", "b"], [(1, "b"), ("1", "b")])
 
 
 def test_unknown_label_rejected():
@@ -464,6 +476,34 @@ def test_meet_is_greatest_lower_bound(P):
 # -- the bowtie sweep against the pair walk ------------------------------------
 
 
+def _bowtie_pairs(P):
+    """Incomparable index pairs ordered by (height sum, labels): the pair walk's order.
+
+    Pairs are bucketed by height sum; each bucket fills in label order.
+    """
+    h, full = P._heights, (1 << len(P)) - 1
+    buckets = {}
+    for i in range(len(P)):
+        later = full >> (i + 1) << (i + 1)
+        for j in _bits(later & ~(P._down[i] | P._up[i])):
+            buckets.setdefault(h[i] + h[j], []).append((i, j))
+    return [p for total in sorted(buckets) for p in buckets[total]]
+
+
+def _common_below(P, c, d):
+    """The common lower bounds of c and d as a mask, and whether two of them are maximal.
+
+    They form a down-set, which has one maximal element m iff it is m's down-set.
+    """
+    common = P._down[c] & P._down[d]
+    if not common:
+        return common, False
+    m = (common & -common).bit_length() - 1
+    while higher := P._up[m] & common:
+        m = (higher & -higher).bit_length() - 1
+    return common, common != P._down[m] | 1 << m
+
+
 def pairwalk_find_bowtie(P):
     """find_bowtie as the walk over incomparable pairs, in _bowtie_pairs order, it replaced."""
     el = P.elements
@@ -501,26 +541,74 @@ def test_bowtie_sweep_matches_the_pair_walk_at_every_star():
     assert found >= 1
 
 
-# -- order complexes checked against their poset ----------------------------------
+def pairwalk_find_balanced_bowtie(P):
+    """find_balanced_bowtie as the walk over incomparable pairs it replaced."""
+    h, el = P._heights, P.elements
+    for c, d in _bowtie_pairs(P):
+        if h[c] != h[d]:
+            continue
+        common, split = _common_below(P, c, d)
+        if not split:
+            continue
+        candidates = sorted(_bits(common), key=lambda x: (h[x], x))
+        for a, b in combinations(candidates, 2):
+            if h[a] != h[b] or (P._down[a] | P._up[a]) >> b & 1:
+                continue
+            if not P._up[a] & P._up[b] & common:
+                return Bowtie(el[a], el[b], el[c], el[d])
+    return None
 
 
-def assert_poset_route_passes(P):
-    X = order_complex(P)
-    assert _is_chain_complex(X, P)
-    assert validate(X) is X
-    general = OrderedComplex("C", X.vertices, X.maximal_simplices)
-    assert general._poset is None and validate(general) is general
+@given(st.randoms(use_true_random=False))
+@settings(max_examples=300, deadline=None)
+def test_balanced_bowtie_sweep_matches_the_pair_walk(rng):
+    P = random_ranked_poset(rng, max_elements=14)
+    assert find_balanced_bowtie(P) == pairwalk_find_balanced_bowtie(P)
+
+
+# -- type C on the poset against its order complex --------------------------------
+
+
+def assert_poset_check_matches_order_complex(P):
+    assert check_type_C(P).to_json() == check_type_C(order_complex(P)).to_json()
 
 
 @given(small_posets())
-@settings(max_examples=150, deadline=None)
-def test_order_complex_passes_the_poset_route(P):
-    assert_poset_route_passes(P)
+@example(bowtie_poset())
+@example(Poset.from_covers([], []))
+@settings(max_examples=300, deadline=None)
+def test_type_c_on_a_poset_matches_its_order_complex(P):
+    assert_poset_check_matches_order_complex(P)
 
 
-def test_cube_subdivisions_pass_the_poset_route():
+def test_type_c_on_lattices_matches_their_order_complexes():
+    for P in (boolean_poset(3), boolean_poset(4), noncrossing_partitions(4), noncrossing_partitions(5),
+              partition_lattice(4), subspace_poset(2, 3), subspace_poset(3, 2)):
+        assert_poset_check_matches_order_complex(P)
+        interior = [x for x in P.elements if x not in (P.minimum(), P.maximum())]
+        assert_poset_check_matches_order_complex(P.restrict(interior))
+
+
+def test_type_c_on_face_posets_matches_the_subdivisions():
+    verdicts = set()
     for cubes in cube_corpus().values():
-        assert_poset_route_passes(CubeComplex(cubes).face_poset()[0])
+        P = CubeComplex(cubes).face_poset()[0]
+        assert_poset_check_matches_order_complex(P)
+        verdicts.add(check_type_C(P).passed)
+    assert verdicts == {True, False}
+
+
+@given(small_posets(), st.randoms(use_true_random=False))
+@settings(max_examples=300, deadline=None)
+def test_restrict_matches_the_closure_of_the_induced_pairs(P, rng):
+    subset = [x for x in P.elements if rng.random() < 0.6]
+    pairs = [(a, b) for a in subset for b in subset if P.lt(a, b)]
+    got, want = P.restrict(subset), Poset.from_covers(subset, pairs)
+    for attr in ("elements", "_down", "_up", "_heights"):
+        assert getattr(got, attr) == getattr(want, attr), attr
+
+
+# -- validate witnesses on complexes close to an order complex -------------------------------
 
 
 def test_a_missing_chain_falls_through_to_the_flag_witness():
@@ -529,14 +617,10 @@ def test_a_missing_chain_falls_through_to_the_flag_witness():
     chains = P.maximal_chains()
     assert chains[0] == ("{}", "{1}", "{1,2}", "{1,2,3}", "{1,2,3,4}")
     X = OrderedComplex("C", P.elements, chains[1:])
-    X._poset = P
     assert X.edges() == order_complex(P).edges()
-    assert not _is_chain_complex(X, P)
-    want = frozenset({"{1}", "{1,2}", "{1,2,3}"})
-    for Y in (X, OrderedComplex("C", P.elements, chains[1:])):
-        with pytest.raises(NotFlag) as info:
-            validate(Y)
-        assert info.value.clique == want
+    with pytest.raises(NotFlag) as info:
+        validate(X)
+    assert info.value.clique == frozenset({"{1}", "{1,2}", "{1,2,3}"})
 
 
 def test_chambers_that_are_no_maximal_chains_fall_through():
@@ -548,8 +632,6 @@ def test_chambers_that_are_no_maximal_chains_fall_through():
     for poset, chambers in ((P, ["abg", "bc", "adc"]), (Q, ["ac", "abf", "ebc", "ebf"])):
         assert len(chambers) == len(poset.maximal_chains())
         X = OrderedComplex("C", poset.elements, [tuple(s) for s in chambers])
-        X._poset = poset
-        assert not _is_chain_complex(X, poset)
         with pytest.raises(NotFlag) as info:
             validate(X)
         assert info.value.clique == frozenset("abc")
