@@ -95,8 +95,8 @@ def _as_complex(data):
 def cmd_check(args):
     data = _read_input(args.input)
     if args.type == "A":
-        X = _as_complex(data)
-        if X.order_type != "A":
+        X = _read_structure(data)  # a poset or cube input is rejected before its order complex is built
+        if not isinstance(X, OrderedComplex) or X.order_type != "A":
             raise UsageError("check --type A needs a cyclically ordered complex")
         verdict = check_type_A(X)
     elif args.type == "C":

@@ -14,6 +14,7 @@ from itertools import combinations
 from .complexes import OrderedComplex, canonical_rotation, is_local_poset, star_poset, validate
 from .errors import (
     CublinkError,
+    CycleDetected,
     GarsideCheckFailed,
     NotAutomorphism,
     NotLocalPoset,
@@ -131,13 +132,18 @@ def check_type_C(X):
 def _global_order(X):
     """The vertex poset generated by edge orientations; cycles are precondition failures.
 
-    Runs after validate, so every chamber orients each of its edges as the complex does.
+    Runs after validate, so every chamber orients each of its edges as the
+    complex does, and its consecutive pairs generate its order.  Each star
+    relation is a sub-relation of this one, so the stars are read only to
+    name a cycle: the first star relation with one gives NotLocalPoset, and
+    if none has one the cycle is reported as CycleDetected.
     """
-    pairs = {(a, b) for s in X.maximal_simplices for a, b in combinations(s, 2)}
+    pairs = {(a, b) for s in X._chambers for a, b in zip(s, s[1:])}
     try:
-        return Poset.from_covers(X.vertices, pairs)
-    except CublinkError as err:
-        raise PreconditionFailed(err) from err
+        return Poset._from_index_pairs(X.vertices, pairs)
+    except CycleDetected as err:
+        violation = is_local_poset(X)
+        raise PreconditionFailed(NotLocalPoset(*violation) if violation else err) from err
 
 
 def _faces_of(X):
@@ -147,22 +153,9 @@ def _faces_of(X):
                 yield f
 
 
-def check_garside(X, phi, assume_simply_connected=False):
-    """Check the order-automorphism conditions for the pair (X, phi).
-
-    phi may be a partial injective vertex map (finite truncations of periodic
-    complexes have no total shift); every clause is checked wherever phi is
-    defined.  Simple connectivity is never verified: the caller declares it.
-
-    Clauses, in reporting order: (automorphism) phi preserves simplices and
-    edge orientations; (column) sigma plus phi(min sigma) spans a simplex;
-    (increasing) phi(x) > x; (interval-lattice) each [x, phi(x)] is a bounded
-    lattice.
-    """
+def _garside(X, phi):
+    """The global order of X and the failed clauses of (X, phi), in reporting order; see check_garside."""
     _checked(X, "C")
-    violation = is_local_poset(X)
-    if violation is not None:
-        raise PreconditionFailed(NotLocalPoset(*violation))
     P = _global_order(X)
 
     dom = sorted(phi, key=_key)
@@ -201,10 +194,26 @@ def check_garside(X, phi, assume_simply_connected=False):
                 failures.append(Failure(x, "increasing", (x, phi[x])))
     if not failures:
         for x in dom:
-            interval = P.restrict(P.up_set(x) & P.down_set(phi[x]))
-            if not interval.is_lattice():
-                witness = find_bowtie(interval)
-                failures.append(Failure(x, "interval_lattice", witness or (x, phi[x])))
+            i, j = P._index[x], P._index[phi[x]]
+            bowtie = find_bowtie(_restriction(P, (P._up[i] | 1 << i) & (P._down[j] | 1 << j)))
+            if bowtie is not None:
+                failures.append(Failure(x, "interval_lattice", bowtie))
+    return P, failures
+
+
+def check_garside(X, phi, assume_simply_connected=False):
+    """Check the order-automorphism conditions for the pair (X, phi).
+
+    phi may be a partial injective vertex map (finite truncations of periodic
+    complexes have no total shift); every clause is checked wherever phi is
+    defined.  Simple connectivity is never verified: the caller declares it.
+
+    Clauses, in reporting order: (automorphism) phi preserves simplices and
+    edge orientations; (column) sigma plus phi(min sigma) spans a simplex;
+    (increasing) phi(x) > x; (interval-lattice) each [x, phi(x)] is a bounded
+    lattice, that is, has no bowtie.
+    """
+    _, failures = _garside(X, phi)
     certificate = (
         "CUB_and_injective_certified"
         if assume_simply_connected
@@ -218,12 +227,13 @@ def garside_quotient(X, phi):
 
     Vertices are phi-orbits; a k-simplex is the image of a chain
     x0 < x1 < ... < xk < phi(x0), with the cyclic order descending from the
-    chain order.  Requires check_garside to pass.
+    chain order.  Requires check_garside to pass.  Only the maximal chains
+    of each [x0, phi(x0)) are mapped: no two elements of one orbit lie in
+    such an interval, so every other chain maps into one of their simplices.
     """
-    verdict = check_garside(X, phi)
-    if not verdict.passed:
-        raise GarsideCheckFailed(f"garside conditions fail: {verdict.failures[0]}")
-    P = _global_order(X)
+    P, failures = _garside(X, phi)
+    if failures:
+        raise GarsideCheckFailed(f"garside conditions fail: {failures[0]}")
 
     parent = {v: v for v in X.vertices}
 
@@ -241,19 +251,8 @@ def garside_quotient(X, phi):
 
     simplices = []
     for x0 in sorted(phi, key=_key):
-        top = phi[x0]
-        inside = sorted(
-            (y for y in P.up_set(x0) & P.down_set(top) if y != top),
-            key=lambda y: (P.height(y), _key(y)),
-        )
-        rest = [y for y in inside if y != x0]
-
-        def chains(prefix, candidates):
-            simplices.append(tuple(orbit[v] for v in prefix))
-            for i, y in enumerate(candidates):
-                if P.lt(prefix[-1], y):
-                    chains(prefix + [y], candidates[i + 1:])
-
-        chains([x0], rest)
+        i, j = P._index[x0], P._index[phi[x0]]
+        interval = _restriction(P, (P._up[i] | 1 << i) & P._down[j])
+        simplices += (tuple(orbit[v] for v in chain) for chain in interval.maximal_chains())
     vertices = sorted(set(orbit.values()), key=_key)
     return OrderedComplex("A", vertices, [canonical_rotation(s) for s in simplices])

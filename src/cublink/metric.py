@@ -282,11 +282,6 @@ class MeshApproximator:
         raise Disconnected("no path between the query points")
 
 
-def approx_distance(X, p, q, mesh):
-    """Graph upper bound for the length metric at the given boundary mesh."""
-    return MeshApproximator(X, mesh).distance(p, q)
-
-
 # -- chain-coordinate points on poset realizations -----------------------------------
 
 

@@ -366,7 +366,7 @@ def _bowtie_tops(P):
     """
     h, down, up = P._heights, P._down, P._up
     full = (1 << len(P)) - 1
-    upper = [_minimal_in(P, above) for above in up]
+    upper = [None] * len(P)  # each element's upper covers, computed once its reach is first non-empty
     tops = []
     for c, below in enumerate(down):
         incomparable = full >> (c + 1) << (c + 1) & ~(below | up[c])
@@ -376,6 +376,8 @@ def _bowtie_tops(P):
         for m in _bits(below):
             reach = up[m] & incomparable
             if reach:
+                if upper[m] is None:
+                    upper[m] = _minimal_in(P, up[m])
                 for u in upper[m]:
                     if below >> u & 1:
                         reach &= ~up[u]

@@ -294,3 +294,21 @@ def test_type_c_check_of_a_poset_builds_no_complex(tmp_path, capsys, monkeypatch
     monkeypatch.setattr(OrderedComplex, "__init__", refuse)
     assert main(["check", "--type", "C", str(path)]) == code
     assert capsys.readouterr().out == verdict
+
+
+@pytest.mark.parametrize("data", [
+    SQUARE,
+    {"cubes": [["v", "x", "y", "xy"], ["v", "y", "z", "yz"], ["v", "z", "x", "zx"]]},
+], ids=["poset", "cubes"])
+def test_type_a_check_rejects_a_poset_before_its_chains(tmp_path, capsys, monkeypatch, data):
+    from cublink.poset import Poset
+
+    def refuse(self):
+        raise AssertionError("no chain is enumerated")
+
+    monkeypatch.setattr(Poset, "maximal_chains", refuse)
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data))
+    assert main(["check", "--type", "A", str(path)]) == 2
+    assert json.loads(capsys.readouterr().out) == {
+        "error": "usage", "detail": "check --type A needs a cyclically ordered complex"}

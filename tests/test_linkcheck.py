@@ -3,13 +3,21 @@
 import json
 import random
 import time
+from itertools import combinations, permutations, product
 
 import pytest
 
 from cublink.cli import main
-from cublink.complexes import OrderedComplex, is_local_poset, order_complex, star_poset, validate
+from cublink.complexes import (
+    OrderedComplex,
+    canonical_rotation,
+    is_local_poset,
+    order_complex,
+    star_poset,
+    validate,
+)
 from cublink.cubes import barycentric_cube_subdivision, single_cube, squares_sharing_two_edges, three_squares_corner
-from cublink.errors import GarsideCheckFailed, NotAutomorphism, NotLocalPoset, PreconditionFailed
+from cublink.errors import CycleDetected, GarsideCheckFailed, NotAutomorphism, NotLocalPoset, PreconditionFailed
 from cublink.generators import (
     affine_A_patch,
     column_complex,
@@ -283,3 +291,71 @@ def test_quotient_of_empty_complex():
     X = OrderedComplex("C", [], [])
     Y = garside_quotient(X, {})
     assert Y.vertices == () and Y.maximal_simplices == ()
+
+
+def test_relation_cycle_through_no_star_is_a_cycle_precondition():
+    # each star of an oriented 4-cycle is a path, so only the global order has the cycle
+    X = OrderedComplex("C", list("abcd"), [("a", "b"), ("b", "c"), ("c", "d"), ("d", "a")])
+    assert is_local_poset(X) is None
+    with pytest.raises(PreconditionFailed) as info:
+        check_garside(X, {})
+    assert isinstance(info.value.cause, CycleDetected)
+    assert str(info.value.cause) == "cover pairs contain a cycle through ['a', 'b', 'c', 'd']"
+
+
+def test_interval_with_a_bowtie_fails_only_the_lattice_clause():
+    P = Poset.from_covers(list("xabcdy"), [("x", "a"), ("x", "b"), ("a", "c"), ("a", "d"),
+                                          ("b", "c"), ("b", "d"), ("c", "y"), ("d", "y")])
+    verdict = check_garside(order_complex(P), {"x": "y"})
+    assert verdict.to_json()["failures"] == [
+        {"vertex": "x", "condition": "interval_lattice", "witness": {"a": "a", "b": "b", "c": "c", "d": "d"}}]
+
+
+def orthoscheme_grid(d, k):
+    """The grid {0..k}^d cut into orthoschemes, with phi adding 1 to every coordinate where it can."""
+    label = lambda v: ",".join(map(str, v))
+    chambers = []
+    for v in product(range(k), repeat=d):
+        for axes in permutations(range(d)):
+            w = list(v)
+            chain = [label(w)]
+            for i in axes:
+                w[i] += 1
+                chain.append(label(w))
+            chambers.append(chain)
+    phi = {label(v): label([c + 1 for c in v]) for v in product(range(k), repeat=d)}
+    return OrderedComplex("C", [label(v) for v in product(range(k + 1), repeat=d)], chambers), phi
+
+
+def quotient_by_all_chains(X, phi):
+    """The quotient as the image of every chain x0 < ... < phi(x0), maximal or not, listed by recursion."""
+    P = Poset.from_covers(X.vertices, {pair for s in X.maximal_simplices for pair in combinations(s, 2)})
+    orbit = {v: v for v in X.vertices}  # the least label of each orbit, spread until nothing changes
+    changed = True
+    while changed:
+        changed = False
+        for x, y in phi.items():
+            least = min(orbit[x], orbit[y], key=str)
+            changed |= (orbit[x], orbit[y]) != (least, least)
+            orbit[x] = orbit[y] = least
+    simplices = []
+
+    def chains(prefix, candidates):
+        simplices.append(tuple(orbit[v] for v in prefix))
+        for i, y in enumerate(candidates):
+            if P.lt(prefix[-1], y):
+                chains(prefix + [y], candidates[i + 1:])
+
+    for x0 in sorted(phi, key=str):
+        inside = P.up_set(x0) & P.strictly_below(phi[x0])
+        chains([x0], sorted(inside - {x0}, key=lambda y: (P.height(y), str(y))))
+    return OrderedComplex("A", sorted(set(orbit.values()), key=str), [canonical_rotation(s) for s in simplices])
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_quotient_of_orthoscheme_grid_matches_all_chains(d):
+    X, phi = orthoscheme_grid(d, 3)
+    Y = garside_quotient(X, phi)
+    assert Y.to_json() == quotient_by_all_chains(X, phi).to_json()
+    # each [v, v + 1] is a Boolean lattice, so [v, v + 1) has d! maximal chains of d elements
+    assert len(Y.maximal_simplices) >= 2 and {len(s) for s in Y.maximal_simplices} == {d}

@@ -16,7 +16,6 @@ from cublink.metric import (
     MeshApproximator,
     PLPoint,
     affine_simplex_coords,
-    approx_distance,
     as_point,
     chamber_distance,
     chamber_distance_in_complex,
@@ -164,7 +163,7 @@ def test_atoms_of_square_share_no_chamber():
         chamber_distance(B, a, b)
     # the length metric still sees them at distance 1, via the diagonal
     X = order_complex(B)
-    assert approx_distance(X, "{1}", "{2}", F(1, 4)) == 1
+    assert MeshApproximator(X, F(1, 4)).distance("{1}", "{2}") == 1
 
 
 # -- mesh approximation ------------------------------------------------------------
@@ -173,7 +172,7 @@ def test_atoms_of_square_share_no_chamber():
 def test_one_chamber_distance_survives_any_mesh():
     X = order_complex(boolean_poset(2))
     for mesh in (F(1, 2), F(1, 4), F(1, 8)):
-        assert approx_distance(X, "{}", "{1,2}", mesh) == 1
+        assert MeshApproximator(X, mesh).distance("{}", "{1,2}") == 1
 
 
 def test_two_squares_sharing_edge_linf():
@@ -188,20 +187,20 @@ def test_two_squares_sharing_edge_linf():
     )
     # squares ab (corners a0..ab) and ac glued along the edge a0 < a1; the
     # shortest route passes through the shared corner a1
-    d = approx_distance(X, "ab", "ac", F(1, 8))
+    d = MeshApproximator(X, F(1, 8)).distance("ab", "ac")
     assert d == 2
 
 
 def test_disconnected_components_raise():
     X = OrderedComplex("C", ["a", "b", "p", "q"], [("a", "b"), ("p", "q")])
     with pytest.raises(Disconnected):
-        approx_distance(X, "a", "q", F(1, 2))
+        MeshApproximator(X, F(1, 2)).distance("a", "q")
 
 
 def test_mesh_refinement_does_not_increase():
     X = affine_A_patch(2, 2)
-    coarse = approx_distance(X, "0,0,0", "1,1,0", F(1, 2))
-    fine = approx_distance(X, "0,0,0", "1,1,0", F(1, 4))
+    coarse = MeshApproximator(X, F(1, 2)).distance("0,0,0", "1,1,0")
+    fine = MeshApproximator(X, F(1, 4)).distance("0,0,0", "1,1,0")
     assert fine <= coarse
 
 
