@@ -385,8 +385,9 @@ def star_poset(X, x):
 def order_complex(P):
     """The type-C complex of chains of a poset, ordered bottom-up.
 
-    check_type_C takes the poset itself and reads each star off its order,
-    with no chain enumerated; this complex is for the checks and metrics
-    that need its simplices.
+    check_type_C takes the poset itself, with no chain enumerated: one pass
+    over its order finds the elements whose star fails, and only their
+    stars are read off it.  This complex is for the checks and metrics that
+    need its simplices.
     """
     return OrderedComplex("C", P.elements, P.maximal_chains())

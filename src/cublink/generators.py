@@ -85,8 +85,8 @@ def noncrossing_partitions(n):
 
     A bounded graded lattice of rank n - 1; NC(4) has the familiar 14 elements.
     """
-    if not 1 <= n <= 8:
-        raise ParameterTooLarge("noncrossing_partitions supports 1 <= n <= 8")
+    if not 1 <= n <= 9:
+        raise ParameterTooLarge("noncrossing_partitions supports 1 <= n <= 9")
     parts = [p for p in _set_partitions(list(range(1, n + 1))) if _is_noncrossing(p)]
     labels = [_partition_label(p) for p in parts]
     covers = _refinement_covers(parts, _is_noncrossing)

@@ -20,7 +20,8 @@ from .errors import (
     NotLocalPoset,
     PreconditionFailed,
 )
-from .poset import Poset, _key, _restriction, find_bowtie, flag_condition
+from .poset import Poset, _bits, _bowtie_tops, _flag_violations, _key, _maximal_in, _restriction
+from .poset import find_bowtie, flag_condition
 
 
 @dataclass(frozen=True)
@@ -96,7 +97,8 @@ def check_type_C(X):
     star of x holds the elements comparable to x and orders two of them as
     P does, since with x they form a chain: it is P restricted to them.  An
     order complex is consistent, flag and locally a poset, so P has no
-    precondition to check.
+    precondition to check, and only the failing stars, found by
+    _failing_stars(P), are built for their witnesses.
 
     Both flag conditions are checked on St(x), not on St+(x) (up) and St-(x)
     (down).  Every element is comparable to x, so a triple with some a <= x
@@ -106,7 +108,8 @@ def check_type_C(X):
     dually down.  A failure reports the vertex, condition and witness.
     """
     if isinstance(X, Poset):
-        stars = ((x, _restriction(X, X._down[i] | X._up[i] | 1 << i)) for i, x in enumerate(X.elements))
+        stars = ((X.elements[i], _restriction(X, X._down[i] | X._up[i] | 1 << i))
+                 for i in _bits(_failing_stars(X)))
     else:
         _checked(X, "C")
         stars = _star_posets(X)
@@ -124,6 +127,44 @@ def check_type_C(X):
         if down is not None:
             failures.append(Failure(x, "flag_down", down))
     return Verdict(not failures, "locally_CUB_and_locally_injective_certified", tuple(failures))
+
+
+def _failing_stars(P):
+    """The mask of the elements of P whose star fails, from one pass over P.
+
+    Bowtie.  Every element of a bowtie of St(x) has an incomparable
+    partner, so none is x and the two of each pair lie on one side of x;
+    x is not between the pairs, so all four lie below x or all above.
+    P_{<x} and P_{>x} are convex in P, so that is a bowtie of P; conversely
+    a bowtie of P below or above x is one of St(x).  The tops (c, d) of P's
+    bowties are the pairs with two or more maximal common lower bounds
+    (raise a and b to such bounds), and two of those bounds a, b form a
+    bowtie above x iff x < a, b.  So St(x) has a bowtie iff x is above some
+    top pair or below two maximal common lower bounds of one.
+
+    Flag.  St(x) breaks the upward condition iff St+(x) = P_{>x} does (see
+    check_type_C).  An up-closed set, such as P_{>x} or the set U of the
+    elements with one below them, holds every upper bound of its elements,
+    so its violating triples are those of P inside it.  So St(x) breaks the
+    upward condition iff a violating triple of U lies above x.  Dually down.
+    """
+    down, up = P._down, P._up
+    mask = 0
+    for _, c, d in _bowtie_tops(P):
+        mask |= up[c] & up[d]
+        once = twice = 0
+        for a in _maximal_in(P, down[c] & down[d]):
+            twice |= once & down[a]
+            once |= down[a]
+        mask |= twice
+    for direction, under in (("up", down), ("down", up)):
+        inner = sum(1 << i for i, m in enumerate(under) if m)  # only these lie above (below) some x
+        for a, b, bad in _flag_violations(P, direction, inner):
+            common = under[a] & under[b]
+            if common & ~mask:
+                for c in _bits(bad):
+                    mask |= common & under[c]
+    return mask
 
 
 # -- the order-automorphism checks ------------------------------------------------------
@@ -144,13 +185,6 @@ def _global_order(X):
     except CycleDetected as err:
         violation = is_local_poset(X)
         raise PreconditionFailed(NotLocalPoset(*violation) if violation else err) from err
-
-
-def _faces_of(X):
-    for s in X.maximal_simplices:
-        for r in range(1, len(s) + 1):
-            for f in combinations(s, r):
-                yield f
 
 
 def _garside(X, phi):
@@ -175,19 +209,22 @@ def _garside(X, phi):
         if X.induced_tuple(image) != tuple(image):
             raise NotAutomorphism(f"phi reverses the order on {inside}")
 
+    # X is flag, so f plus phi(min f) is a simplex iff phi(min f) is in f or adjacent to all
+    # of it; a face is one index tuple in every chamber that holds it, as chambers are ordered
+    closed = [m | 1 << i for i, m in enumerate(X._adjacency)]
+    reach = {X._index[x]: closed[X._index[y]] for x, y in phi.items()}
+    el = X.vertices
     failures = []
-    seen_faces = set()
-    for f in _faces_of(X):
-        key = frozenset(f)
-        if key in seen_faces:
-            continue
-        seen_faces.add(key)
-        bottom = f[0]
-        if bottom not in phi:
-            continue
-        extended = key | {phi[bottom]}
-        if not X.has_simplex(extended):
-            failures.append(Failure(bottom, "column", tuple(f) + (phi[bottom],)))
+    seen = set()
+    for s in X._chambers:
+        for r in range(1, len(s) + 1):
+            for f in combinations(s, r):
+                if f[0] not in reach or f in seen:
+                    continue
+                seen.add(f)
+                if sum(1 << i for i in f) & ~reach[f[0]]:
+                    bottom = el[f[0]]
+                    failures.append(Failure(bottom, "column", tuple(el[i] for i in f) + (phi[bottom],)))
     if not failures:
         for x in dom:
             if not P.lt(x, phi[x]):

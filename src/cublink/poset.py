@@ -490,20 +490,31 @@ def bowtie_lattice_consistency(P):
 def flag_condition(P, direction="up"):
     """First triple pairwise bounded in the given direction with no common bound.
 
-    Returns the violating triple (label-sorted) or None, at once if a maximum
-    ("up") or minimum ("down") bounds every triple.  ``direction`` is "up"
-    for upper bounds, "down" for lower bounds.
+    Returns the violating triple (label-sorted) or None.  ``direction`` is
+    "up" for upper bounds, "down" for lower bounds.  The witness is the
+    first pair of _flag_violations with the least third element.
+    """
+    for a, b, bad in _flag_violations(P, direction, (1 << len(P)) - 1):
+        return tuple(P.elements[i] for i in (a, b, (bad & -bad).bit_length() - 1))
+    return None
+
+
+def _flag_violations(P, direction, within):
+    """Each pair a < b of a violating triple inside ``within``, with its third elements c > b as a mask.
+
+    The pairs come in (a, b) order, and none if a maximum ("up") or minimum
+    ("down") bounds every triple.
 
     By masks: bound[i] is i with its bounds, holders[u] the elements that u
     bounds, and compat[i] the elements sharing a bound with i.  For each pair
     a < b with a common bound, the candidates c > b are compatible with both,
-    and c is good when bound[c] meets bound[a] & bound[b]; the witness is the
-    first candidate that is not good.
+    and c is good when bound[c] meets bound[a] & bound[b]; the candidates
+    that are not good complete the violating triples.
     """
     if direction not in ("up", "down"):
         raise ValueError("direction must be 'up' or 'down'")
     if (P.maximum() if direction == "up" else P.minimum()) is not None:
-        return None
+        return
     above, below = (P._up, P._down) if direction == "up" else (P._down, P._up)
     bound = [m | 1 << i for i, m in enumerate(above)]
     holders = [m | 1 << i for i, m in enumerate(below)]
@@ -513,10 +524,9 @@ def flag_condition(P, direction="up"):
         for u in _bits(mask):
             c |= holders[u]
         compat.append(c)
-    full = (1 << len(P)) - 1
-    for a in range(len(P)):
-        for b in _bits(compat[a] & full >> (a + 1) << (a + 1)):
-            cand = compat[a] & compat[b] & full >> (b + 1) << (b + 1)
+    for a in _bits(within):
+        for b in _bits(compat[a] & within >> (a + 1) << (a + 1)):
+            cand = compat[a] & compat[b] & within >> (b + 1) << (b + 1)
             if not cand:
                 continue
             good = 0
@@ -525,9 +535,7 @@ def flag_condition(P, direction="up"):
                 if not cand & ~good:
                     break
             else:
-                bad = cand & ~good
-                return tuple(P.elements[i] for i in (a, b, (bad & -bad).bit_length() - 1))
-    return None
+                yield a, b, cand & ~good
 
 
 # -- grading completion ------------------------------------------------------

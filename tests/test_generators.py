@@ -21,7 +21,7 @@ from cublink.poset import find_bowtie
 
 
 def test_noncrossing_counts_are_catalan():
-    for n, catalan in ((1, 1), (2, 2), (3, 5), (4, 14), (5, 42)):
+    for n, catalan in ((1, 1), (2, 2), (3, 5), (4, 14), (5, 42), (9, 4862)):
         assert len(noncrossing_partitions(n)) == catalan
 
 
@@ -127,7 +127,7 @@ def test_parameter_guards():
     with pytest.raises(ParameterTooLarge):
         boolean_poset(9)
     with pytest.raises(ParameterTooLarge):
-        noncrossing_partitions(9)
+        noncrossing_partitions(10)
     with pytest.raises(ParameterTooLarge):
         partition_lattice(8)
     with pytest.raises(ParameterTooLarge):

@@ -3,6 +3,7 @@
 import json
 import random
 import time
+from collections import Counter
 from itertools import combinations, permutations, product
 
 import pytest
@@ -16,7 +17,14 @@ from cublink.complexes import (
     star_poset,
     validate,
 )
-from cublink.cubes import barycentric_cube_subdivision, single_cube, squares_sharing_two_edges, three_squares_corner
+from cublink.cubes import (
+    CubeComplex,
+    barycentric_cube_subdivision,
+    cube_corpus,
+    single_cube,
+    squares_sharing_two_edges,
+    three_squares_corner,
+)
 from cublink.errors import CycleDetected, GarsideCheckFailed, NotAutomorphism, NotLocalPoset, PreconditionFailed
 from cublink.generators import (
     affine_A_patch,
@@ -24,14 +32,20 @@ from cublink.generators import (
     column_shift,
     integer_line,
     line_shift,
+    noncrossing_partitions,
+    random_ranked_poset,
 )
+from cublink import linkcheck
 from cublink.linkcheck import (
+    Failure,
+    Verdict,
+    _failing_stars,
     check_garside,
     check_type_A,
     check_type_C,
     garside_quotient,
 )
-from cublink.poset import Poset, flag_condition
+from cublink.poset import Poset, _bits, _restriction, find_bowtie, flag_condition, with_bounds
 from test_complexes import oracle_complexes
 
 
@@ -236,6 +250,85 @@ def test_flag_conditions_on_the_star_match_the_restricted_parts():
     assert min(violations.values()) >= 20, violations  # both directions are exercised
 
 
+def check_type_C_star_by_star(P):
+    """check_type_C on a poset with every star restricted and tested, the reference for the one-pass filter."""
+    failures = []
+    for i, x in enumerate(P.elements):
+        S = _restriction(P, P._down[i] | P._up[i] | 1 << i)
+        bowtie = find_bowtie(S)
+        if bowtie is not None:
+            failures.append(Failure(x, "lattice", bowtie))
+            continue
+        for direction in ("up", "down"):
+            triple = flag_condition(S, direction)
+            if triple is not None:
+                failures.append(Failure(x, f"flag_{direction}", triple))
+                break
+    return Verdict(not failures, "locally_CUB_and_locally_injective_certified", tuple(failures))
+
+
+def random_face_poset(rng):
+    """The face poset of a random simplicial complex on up to 6 vertices, or its dual.
+
+    Faces meet in a face, so it has no bowtie, while its flag conditions
+    fail at a vertex whose link has a hollow triangle and at a triangle.
+    Some get up to two extra elements, each below two vertices.
+    """
+    points = "abcdef"[:rng.randint(3, 6)]
+    faces = set()
+    for _ in range(rng.randint(2, 6)):
+        s = rng.sample(points, rng.randint(2, min(4, len(points))))
+        faces |= {"".join(sorted(f)) for r in range(1, len(s) + 1) for f in combinations(s, r)}
+    pairs = [(f, g) for f in faces for g in faces if len(g) == len(f) + 1 and set(f) < set(g)]
+    for k in range(rng.randint(0, 2)):
+        pairs += [(f"z{k}", v) for v in rng.sample(sorted(f for f in faces if len(f) == 1), 2)]
+    elements = {x for pair in pairs for x in pair} | faces
+    return Poset.from_covers(elements, pairs if rng.random() < 0.5 else [(g, f) for f, g in pairs])
+
+
+def random_check_posets(count, seed=0):
+    """Random ranked posets, random orders on up to 14 elements and random face posets, in turn."""
+    rng = random.Random(seed)
+    for k in range(count):
+        if k % 3 == 0:
+            yield random_ranked_poset(rng, rng.choice([8, 12, 20]))
+        elif k % 3 == 1:
+            labels = [f"e{i}" for i in range(rng.randint(1, 14))]
+            p = rng.choice([0.15, 0.3, 0.5])
+            yield Poset.from_covers(labels, [(a, b) for a, b in combinations(labels, 2) if rng.random() < p])
+        else:
+            yield random_face_poset(rng)
+
+
+def test_one_pass_type_c_matches_the_star_by_star_check():
+    checked, failing, conditions = 0, 0, Counter()
+    for P in random_check_posets(3000):  # 1,000 of each kind
+        for Q in (P, with_bounds(P)):
+            want = check_type_C_star_by_star(Q)
+            assert check_type_C(Q).to_json() == want.to_json(), Q.to_json()
+            # both lemmas are equivalences, so the mask holds the failing elements and no other
+            assert {Q.elements[i] for i in _bits(_failing_stars(Q))} == {f.vertex for f in want.failures}
+            checked += 1
+            failing += not want.passed
+            conditions.update(f.condition for f in want.failures)
+    assert failing >= checked // 8, (checked, failing)
+    assert min(conditions[c] for c in ("lattice", "flag_up", "flag_down")) >= 20, conditions
+
+
+def test_one_pass_type_c_matches_the_star_by_star_check_on_cube_face_posets():
+    for name, cubes in cube_corpus().items():
+        P = CubeComplex(cubes).face_poset()[0]
+        assert check_type_C(P).to_json() == check_type_C_star_by_star(P).to_json(), name
+
+
+def test_a_lattice_restricts_no_star(monkeypatch):
+    def no_star(P, mask):
+        raise AssertionError("a star was restricted")
+
+    monkeypatch.setattr(linkcheck, "_restriction", no_star)
+    assert check_type_C(noncrossing_partitions(6)).passed
+
+
 # -- order automorphisms ----------------------------------------------------------
 
 
@@ -350,6 +443,48 @@ def quotient_by_all_chains(X, phi):
         inside = P.up_set(x0) & P.strictly_below(phi[x0])
         chains([x0], sorted(inside - {x0}, key=lambda y: (P.height(y), str(y))))
     return OrderedComplex("A", sorted(set(orbit.values()), key=str), [canonical_rotation(s) for s in simplices])
+
+
+def column_failures_by_labels(X, phi):
+    """The column clause over the label faces of every chamber, each tested with has_simplex."""
+    failures, seen = [], set()
+    for s in X.maximal_simplices:
+        for r in range(1, len(s) + 1):
+            for f in combinations(s, r):
+                if frozenset(f) in seen:
+                    continue
+                seen.add(frozenset(f))
+                if f[0] in phi and not X.has_simplex(set(f) | {phi[f[0]]}):
+                    failures.append(Failure(f[0], "column", f + (phi[f[0]],)).to_json())
+    return failures
+
+
+def column_shifts(X, most):
+    """Each map x -> the k-th vertex after x, for 1 <= k <= most, on a column, whose vertices form one chain."""
+    P = Poset.from_covers(X.vertices, {pair for s in X.maximal_simplices for pair in zip(s, s[1:])})
+    order = sorted(X.vertices, key=P.height)
+    return [dict(zip(order, order[k:])) for k in range(1, most + 1)]
+
+
+def grid_translations(X, d):
+    """Each map x -> x + e on an orthoscheme grid, for e in {0, 1, 2}^d other than 0, where it is defined."""
+    add = lambda x, e: ",".join(str(int(c) + a) for c, a in zip(x.split(","), e))
+    inside = set(X.vertices)
+    return [{x: add(x, e) for x in X.vertices if add(x, e) in inside} for e in product(range(3), repeat=d) if any(e)]
+
+
+def test_column_clause_matches_the_label_reference():
+    rng = random.Random(5)
+    cases = [(X, phi) for n in (1, 2, 3) for X in [column_complex(n, 2)] for phi in column_shifts(X, n + 3)]
+    cases += [(X, phi) for d in (2, 3) for X in [orthoscheme_grid(d, 3)[0]] for phi in grid_translations(X, d)]
+    cases += [(X, dict(rng.sample(sorted(phi.items()), len(phi) // 2))) for X, phi in cases]
+    failing = 0
+    for X, phi in cases:
+        want = column_failures_by_labels(X, phi)
+        got = [f for f in check_garside(X, phi).to_json()["failures"] if f["condition"] == "column"]
+        assert got == want, phi
+        failing += bool(want)
+    assert failing >= len(cases) // 3, (failing, len(cases))
 
 
 @pytest.mark.parametrize("d", [2, 3])
