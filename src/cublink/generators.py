@@ -19,8 +19,8 @@ def _subset_label(s):
 
 def boolean_poset(n):
     """Subsets of {1..n} ordered by inclusion: a bounded graded lattice of rank n."""
-    if not 0 <= n <= 8:
-        raise ParameterTooLarge("boolean_poset supports n <= 8")
+    if not 0 <= n <= 10:
+        raise ParameterTooLarge("boolean_poset supports n <= 10")
     ground = range(1, n + 1)
     subsets = []
     for r in range(n + 1):
@@ -95,8 +95,8 @@ def noncrossing_partitions(n):
 
 def partition_lattice(n):
     """All partitions of {1..n} by refinement: a bounded graded lattice of rank n - 1."""
-    if not 1 <= n <= 7:
-        raise ParameterTooLarge("partition_lattice supports 1 <= n <= 7")
+    if not 1 <= n <= 8:
+        raise ParameterTooLarge("partition_lattice supports 1 <= n <= 8")
     parts = list(_set_partitions(list(range(1, n + 1))))
     labels = [_partition_label(p) for p in parts]
     covers = _refinement_covers(parts, lambda blocks: True)

@@ -220,6 +220,20 @@ def test_program_fault_is_an_internal_error(tmp_path, capsys):
     assert error["detail"].startswith("AttributeError: ")
 
 
+def test_groupdev_face_key_past_the_last_vertex_is_an_input_error(tmp_path, capsys):
+    from cublink.groupdev import trivial_simplex
+
+    data = trivial_simplex(3).to_json()
+    data["face_subgroups"]["7|0,7"] = []
+    path = tmp_path / "bad_key.json"
+    path.write_text(json.dumps(data))
+    assert main(["groupdev", str(path)]) == 2
+    assert json.loads(capsys.readouterr().out) == {
+        "error": "UnknownLabel",
+        "detail": "face key (7, [0, 7]) is malformed",
+    }
+
+
 def test_output_is_byte_deterministic():
     runs = {run_cli(["generate", "affine-patch", "--n", "2", "--radius", "1"])[1] for _ in range(3)}
     assert len(runs) == 1

@@ -39,7 +39,7 @@ def test_crossing_partition_excluded():
 
 
 def test_partition_lattice_counts_are_bell():
-    for n, bell in ((1, 1), (2, 2), (3, 5), (4, 15)):
+    for n, bell in ((1, 1), (2, 2), (3, 5), (4, 15), (8, 4140)):
         assert len(partition_lattice(n)) == bell
     P = partition_lattice(4)
     assert P.is_lattice() and P.is_graded()
@@ -125,11 +125,12 @@ def test_random_ranked_posets_are_graded():
 
 def test_parameter_guards():
     with pytest.raises(ParameterTooLarge):
-        boolean_poset(9)
+        boolean_poset(11)
+    assert len(boolean_poset(10)) == 1024
     with pytest.raises(ParameterTooLarge):
         noncrossing_partitions(10)
     with pytest.raises(ParameterTooLarge):
-        partition_lattice(8)
+        partition_lattice(9)
     with pytest.raises(ParameterTooLarge):
         subspace_poset(5, 2)
     with pytest.raises(ParameterTooLarge):
