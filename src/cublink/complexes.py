@@ -221,14 +221,15 @@ def validate(X, require_flag=True):
     masks of faces whose indices agree modulo 61 collide) and every chamber
     that breaks it: linear in the chambers' edges or triangles.  The
     InconsistentOrder witness is the shared face of the first pair of
-    chambers, in maximal_simplices order, that disagree.
+    chambers, in maximal_simplices order, that disagree.  Then, with
+    require_flag, _check_flag.  Returns the complex itself for chaining.
 
-    A face inside a maximal clique lies in a chamber, which is itself a
-    clique, so a maximal clique is a face exactly when it is a chamber.
-    The chambers are looked up by their masks' bytes, not by the masks,
-    whose hashes collide as above.  NotFlag carries a minimal empty clique,
-    shrunk from the first maximal clique in label order that is not a
-    chamber.  Returns the complex itself for chaining.
+    The link checkers run this orientation pass only after their flag
+    check fails or their own relation closes a cycle.  A clash on an edge
+    {u, v} (type C) puts v after u in one chamber through u and before it
+    in another, and a clash on a triangle {a, b, c} (type A) does the same
+    to b and c read from a; so it closes a 2-cycle in the star relation at
+    u (at a), and in the global order.
     """
     n = len(X.vertices)
     first, clashes = {}, []
@@ -244,15 +245,27 @@ def validate(X, require_flag=True):
     if clashes:
         i, j = min(clashes)
         raise InconsistentOrder(X._labels(X._chamber_masks[i] & X._chamber_masks[j]))
-
     if require_flag:
-        width = (n + 7) // 8  # 0 below: the one clique of the empty complex
-        chambers = {m.to_bytes(width, "little") for m in (0, *X._chamber_masks)}
-        nonfaces = [c for c in _clique_masks(X._adjacency) if c.to_bytes(width, "little") not in chambers]
-        if nonfaces:
-            clique = min(nonfaces, key=lambda c: tuple(_bits(c)))
-            raise NotFlag(_shrink_to_minimal_nonface(X, set(X._labels(clique))))
+        _check_flag(X)
     return X
+
+
+def _check_flag(X):
+    """Raise NotFlag unless every clique of the 1-skeleton spans a simplex; reads no order.
+
+    A face inside a maximal clique lies in a chamber, which is itself a
+    clique, so a maximal clique is a face exactly when it is a chamber.
+    The chambers are looked up by their masks' bytes, not by the masks,
+    whose hashes collide as in validate.  NotFlag carries a minimal empty
+    clique, shrunk from the first maximal clique in label order that is not
+    a chamber.
+    """
+    width = (len(X.vertices) + 7) // 8  # 0 below: the one clique of the empty complex
+    chambers = {m.to_bytes(width, "little") for m in (0, *X._chamber_masks)}
+    nonfaces = [c for c in _clique_masks(X._adjacency) if c.to_bytes(width, "little") not in chambers]
+    if nonfaces:
+        clique = min(nonfaces, key=lambda c: tuple(_bits(c)))
+        raise NotFlag(_shrink_to_minimal_nonface(X, set(X._labels(clique))))
 
 
 def _triangle(a, b, c, n):

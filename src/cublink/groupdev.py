@@ -183,6 +183,8 @@ class SimplexOfGroups:
             i = int(head)
             I = frozenset(int(t) for t in idx.split(","))
             _check_face_key(n, i, I)
+            if i >= len(vertex_groups):  # __init__'s check, before the index below
+                raise ValueError("one ambient group per vertex is required")
             degree = data["vertex_groups"][i]["degree"]
             face_groups[(i, I)] = closure(degree, gens)
         return cls(n, vertex_groups, face_groups)

@@ -11,12 +11,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .complexes import OrderedComplex, canonical_rotation, is_local_poset, star_poset, validate
+from .complexes import OrderedComplex, _check_flag, canonical_rotation, is_local_poset, star_poset, validate
 from .errors import (
     CublinkError,
     CycleDetected,
     GarsideCheckFailed,
     NotAutomorphism,
+    NotFlag,
     NotLocalPoset,
     PreconditionFailed,
 )
@@ -54,8 +55,28 @@ class Verdict:
 
 
 def _checked(X, order_type):
+    """Check the order type and flagness, the preconditions read before any relation is built.
+
+    Face-order consistency is left to the relation the checker builds next:
+    a clash closes a cycle in it (see validate), so validate's orientation
+    pass runs only on a failure, through _validated.
+    """
     if X.order_type != order_type:
         raise PreconditionFailed(ValueError(f"expected a type-{order_type} complex"))
+    try:
+        _check_flag(X)
+    except NotFlag as err:
+        _validated(X)
+        raise PreconditionFailed(err) from err
+
+
+def _validated(X):
+    """Raise PreconditionFailed for validate's failure on X, if it has one.
+
+    Called after the flag check fails or a relation closes a cycle, before
+    the caller raises its own cause, so InconsistentOrder outranks NotFlag,
+    which outranks NotLocalPoset, and each keeps its witness.
+    """
     try:
         validate(X)
     except CublinkError as err:
@@ -71,6 +92,7 @@ def _star_posets(X):
         try:
             yield x, star_poset(X, x).poset
         except NotLocalPoset as err:
+            _validated(X)
             raise PreconditionFailed(err) from err
 
 
@@ -78,7 +100,10 @@ def check_type_A(X):
     """Pass iff every star poset of the cyclically ordered complex is a meet-semilattice.
 
     Equivalently, no star poset contains a bowtie; the first bowtie found is
-    the witness.
+    the witness.  The complex must be flag, its cyclic orders consistent
+    and each star relation acyclic; validate's orientation pass runs only
+    when the flag check fails or a star relation closes a cycle, as every
+    clash does (see _checked).
     """
     _checked(X, "A")
     failures = []
@@ -98,7 +123,8 @@ def check_type_C(X):
     P does, since with x they form a chain: it is P restricted to them.  An
     order complex is consistent, flag and locally a poset, so P has no
     precondition to check, and only the failing stars, found by
-    _failing_stars(P), are built for their witnesses.
+    _failing_stars(P), are built for their witnesses.  A complex has the
+    preconditions of check_type_A, checked the same way.
 
     Both flag conditions are checked on St(x), not on St+(x) (up) and St-(x)
     (down).  Every element is comparable to x, so a triple with some a <= x
@@ -173,16 +199,19 @@ def _failing_stars(P):
 def _global_order(X):
     """The vertex poset generated by edge orientations; cycles are precondition failures.
 
-    Runs after validate, so every chamber orients each of its edges as the
-    complex does, and its consecutive pairs generate its order.  Each star
-    relation is a sub-relation of this one, so the stars are read only to
-    name a cycle: the first star relation with one gives NotLocalPoset, and
-    if none has one the cycle is reported as CycleDetected.
+    Each chamber's consecutive pairs generate its order, so two chambers
+    that orient an edge differently close a cycle: an acyclic closure means
+    a consistent complex, and validate's orientation pass is not run.  On a
+    cycle, validate's failure is reported if it has one.  Else, as each star
+    relation is a sub-relation of this one, the stars are read only to name
+    the cycle: the first star relation with one gives NotLocalPoset, and if
+    none has one the cycle is reported as CycleDetected.
     """
     pairs = {(a, b) for s in X._chambers for a, b in zip(s, s[1:])}
     try:
         return Poset._from_index_pairs(X.vertices, pairs)
     except CycleDetected as err:
+        _validated(X)
         violation = is_local_poset(X)
         raise PreconditionFailed(NotLocalPoset(*violation) if violation else err) from err
 

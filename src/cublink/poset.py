@@ -502,36 +502,46 @@ def flag_condition(P, direction="up"):
 def _flag_violations(P, direction, within):
     """Each pair a < b of a violating triple inside ``within``, with its third elements c > b as a mask.
 
-    The pairs come in (a, b) order, and none if a maximum ("up") or minimum
-    ("down") bounds every triple.
+    The pairs come in (a, b) order.  Read this for "up"; "down" is dual,
+    with minimal elements and lower bounds.
 
-    By masks: bound[i] is i with its bounds, holders[u] the elements that u
-    bounds, and compat[i] the elements sharing a bound with i.  For each pair
-    a < b with a common bound, the candidates c > b are compatible with both,
-    and c is good when bound[c] meets bound[a] & bound[b]; the candidates
-    that are not good complete the violating triples.
+    Only the maximal elements matter: every upper bound lies under a
+    maximal element, so some elements have a common upper bound iff they
+    have a common maximal one.  An element x under a single maximal element
+    t lies in no violating triple: every upper bound of x lies under t, so
+    each element sharing a bound with x lies under t, and t bounds the
+    triple.  So ``within`` is cut to the elements under two or more maximal
+    elements, which keeps every violating triple and so every yielded pair
+    and mask; under a maximum nothing is left.
+
+    By masks: tops[i] holds the maximal elements at or above i, holders[t]
+    the elements under t, and compat[i] the elements of within that share
+    a maximal element with i.  For each pair a < b sharing one, the
+    candidates c > b are compatible with both, and c is good when a
+    maximal element lies above a, b and c; the candidates that are not
+    good complete the violating triples.
     """
     if direction not in ("up", "down"):
         raise ValueError("direction must be 'up' or 'down'")
-    if (P.maximum() if direction == "up" else P.minimum()) is not None:
-        return
     above, below = (P._up, P._down) if direction == "up" else (P._down, P._up)
-    bound = [m | 1 << i for i, m in enumerate(above)]
+    maximal = sum(1 << i for i, m in enumerate(above) if not m)
+    tops = [(m | 1 << i) & maximal for i, m in enumerate(above)]
+    within &= sum(1 << i for i, m in enumerate(tops) if m & m - 1)  # two or more maximal elements
     holders = [m | 1 << i for i, m in enumerate(below)]
-    compat = []
-    for mask in bound:
+    compat = {}
+    for i in _bits(within):
         c = 0
-        for u in _bits(mask):
-            c |= holders[u]
-        compat.append(c)
+        for t in _bits(tops[i]):
+            c |= holders[t]
+        compat[i] = c & within
     for a in _bits(within):
-        for b in _bits(compat[a] & within >> (a + 1) << (a + 1)):
-            cand = compat[a] & compat[b] & within >> (b + 1) << (b + 1)
+        for b in _bits(compat[a] >> (a + 1) << (a + 1)):
+            cand = compat[a] & compat[b] >> (b + 1) << (b + 1)
             if not cand:
                 continue
             good = 0
-            for u in _bits(bound[a] & bound[b]):
-                good |= holders[u]
+            for t in _bits(tops[a] & tops[b]):
+                good |= holders[t]
                 if not cand & ~good:
                     break
             else:

@@ -234,6 +234,20 @@ def test_groupdev_face_key_past_the_last_vertex_is_an_input_error(tmp_path, caps
     }
 
 
+def test_groupdev_with_too_few_vertex_groups_is_an_input_error(tmp_path, capsys):
+    from cublink.groupdev import trivial_simplex
+
+    data = trivial_simplex(3).to_json()
+    del data["vertex_groups"][-1]
+    path = tmp_path / "two_groups.json"
+    path.write_text(json.dumps(data))
+    assert main(["groupdev", str(path)]) == 2
+    assert json.loads(capsys.readouterr().out) == {
+        "error": "input",
+        "detail": "one ambient group per vertex is required",
+    }
+
+
 def test_output_is_byte_deterministic():
     runs = {run_cli(["generate", "affine-patch", "--n", "2", "--radius", "1"])[1] for _ in range(3)}
     assert len(runs) == 1

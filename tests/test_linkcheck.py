@@ -11,6 +11,7 @@ import pytest
 from cublink.cli import main
 from cublink.complexes import (
     OrderedComplex,
+    _check_flag,
     canonical_rotation,
     is_local_poset,
     order_complex,
@@ -25,7 +26,15 @@ from cublink.cubes import (
     squares_sharing_two_edges,
     three_squares_corner,
 )
-from cublink.errors import CycleDetected, GarsideCheckFailed, NotAutomorphism, NotLocalPoset, PreconditionFailed
+from cublink.errors import (
+    CycleDetected,
+    GarsideCheckFailed,
+    InconsistentOrder,
+    NotAutomorphism,
+    NotFlag,
+    NotLocalPoset,
+    PreconditionFailed,
+)
 from cublink.generators import (
     affine_A_patch,
     column_complex,
@@ -151,6 +160,96 @@ def test_later_relation_cycle_outranks_earlier_failures():
         assert isinstance(cause, NotLocalPoset)
         assert (cause.vertex, cause.cycle) == is_local_poset(X)
         assert cause.vertex == center
+
+
+# -- precondition precedence: the orientation pass runs only on a failure ----------------------------
+
+CLASH_A = [("a", "b", "c", "d"), ("a", "c", "b", "e")]  # cyclic orders (a, b, c) and (a, c, b)
+CLASH_C = [("a", "b", "c"), ("b", "a", "d")]  # a < b and b < a
+HOLLOW = [("p", "q"), ("q", "r"), ("p", "r")]  # a clique that spans no simplex
+CONE_A = [("z", "r0", "r1"), ("z", "r1", "r2"), ("z", "r2", "r3"), ("z", "r3", "r0")]
+CONE_C = [("z0", "z1", "zz"), ("z1", "z2", "zz"), ("z2", "z3", "zz"), ("z3", "z0", "zz")]
+
+
+def complex_of(order_type, simplices):
+    return OrderedComplex(order_type, {v for s in simplices for v in s}, simplices)
+
+
+def garside_without_map(X):
+    return check_garside(X, {})
+
+
+def checked_outcome(check, X):
+    """The verdict as JSON, or the precondition's cause as (class name, message)."""
+    try:
+        return check(X).to_json()
+    except PreconditionFailed as err:
+        return type(err.cause).__name__, str(err.cause)
+
+
+def precedence_cases():
+    """A clash, a clash with a hollow triangle, the hollow triangle alone and a cycle alone, per check."""
+    face_abc = ("InconsistentOrder", "inconsistent induced orders on face ['a', 'b', 'c']")
+    face_ab = ("InconsistentOrder", "inconsistent induced orders on face ['a', 'b']")
+    hollow = ("NotFlag", "empty clique ['p', 'q', 'r'] spans no simplex")
+    yield check_type_A, "A", CLASH_A, face_abc
+    yield check_type_A, "A", CLASH_A + HOLLOW, face_abc
+    yield check_type_A, "A", CLASH_A[:1] + HOLLOW, hollow
+    yield check_type_A, "A", CONE_A, ("NotLocalPoset", "star relation at z not transitive on ('r0', 'r1', 'r2', 'r3')")
+    for check in (check_type_C, garside_without_map):
+        yield check, "C", CLASH_C, face_ab
+        yield check, "C", CLASH_C + HOLLOW, face_ab
+        yield check, "C", CLASH_C[:1] + HOLLOW, hollow
+        yield check, "C", CONE_C, ("NotLocalPoset", "star relation at zz not transitive on ('z0', 'z1', 'z2', 'z3')")
+
+
+@pytest.mark.parametrize("check, order_type, simplices, want", list(precedence_cases()))
+def test_inconsistent_order_outranks_not_flag_outranks_a_relation_cycle(check, order_type, simplices, want):
+    assert checked_outcome(check, complex_of(order_type, simplices)) == want
+
+
+def test_checks_report_validates_failure_first_on_random_complexes():
+    rng = random.Random(4)
+    seen = Counter()
+    for _ in range(1500):
+        order_type = rng.choice("AC")
+        vertices = [f"v{i}" for i in range(rng.randint(3, 9))]
+        simplices = [rng.sample(vertices, rng.randint(1, min(5, len(vertices)))) for _ in range(rng.randint(1, 9))]
+        if rng.random() < 0.5:  # a cone over an oriented rim, whose star relation has a cycle
+            x, *rim = rng.sample(vertices, min(len(vertices), rng.randint(4, 6)))
+            simplices += [(a, b, x) if order_type == "C" else (x, a, b) for a, b in zip(rim, rim[1:] + rim[:1])]
+        X = OrderedComplex(order_type, vertices, simplices)
+        try:
+            validate(X)
+            want = None
+        except (InconsistentOrder, NotFlag) as err:
+            want = (type(err).__name__, str(err))
+        clash = want is not None and want[0] == "InconsistentOrder"
+        try:
+            _check_flag(X)
+            flag = True
+        except NotFlag:
+            flag = False
+        for check in (check_type_A,) if order_type == "A" else (check_type_C, garside_without_map):
+            got = checked_outcome(check, X)
+            if want is not None:
+                assert got == want, X.maximal_simplices
+            seen[clash, flag, got[0] if isinstance(got, tuple) else "verdict"] += 1
+    # a clash, a clash and a hollow clique, a hollow clique alone and a relation cycle alone
+    kinds = ((True, True, "InconsistentOrder"), (True, False, "InconsistentOrder"),
+             (False, False, "NotFlag"), (False, True, "NotLocalPoset"))
+    assert min(seen[k] for k in kinds) >= 40, seen
+
+
+def test_passing_checks_run_no_orientation_pass(monkeypatch):
+    def no_orientation_pass(X, require_flag=True):
+        raise AssertionError("validate ran")
+
+    monkeypatch.setattr(linkcheck, "validate", no_orientation_pass)
+    assert check_type_A(affine_A_patch(3, 2)).passed
+    assert check_type_C(barycentric_cube_subdivision(single_cube())).passed
+    assert check_type_C(column_complex(2, 2)).passed
+    assert check_garside(column_complex(2, 2), column_shift(2, 2)).passed
 
 
 def test_long_chain_passes_in_seconds():

@@ -7,9 +7,18 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cublink import linkcheck, poset
 from cublink.complexes import OrderedComplex, order_complex, star_poset, validate
 from cublink.cubes import CubeComplex, barycentric_cube_subdivision, cube_corpus
-from cublink.errors import CycleDetected, DuplicateLabel, NoMinimum, NotFlag, NotGraded, UnknownLabel
+from cublink.errors import (
+    CycleDetected,
+    DuplicateLabel,
+    MalformedCubeComplex,
+    NoMinimum,
+    NotFlag,
+    NotGraded,
+    UnknownLabel,
+)
 from cublink.generators import (
     affine_A_patch,
     boolean_poset,
@@ -18,11 +27,12 @@ from cublink.generators import (
     random_ranked_poset,
     subspace_poset,
 )
-from cublink.linkcheck import check_type_C
+from cublink.linkcheck import _failing_stars, check_type_C
 from cublink.poset import (
     Bowtie,
     Poset,
     _bits,
+    _flag_violations,
     _maximal_in,
     bowtie_lattice_consistency,
     find_balanced_bowtie,
@@ -32,7 +42,7 @@ from cublink.poset import (
     with_bounds,
 )
 from test_complexes import oracle_complexes, pairwise_star_relation
-from test_linkcheck import bowtie_star_complex
+from test_linkcheck import bowtie_star_complex, random_check_posets, two_level_order_complexes
 
 
 def chain_poset(k):
@@ -564,6 +574,87 @@ def pairwalk_find_balanced_bowtie(P):
 def test_balanced_bowtie_sweep_matches_the_pair_walk(rng):
     P = random_ranked_poset(rng, max_elements=14)
     assert find_balanced_bowtie(P) == pairwalk_find_balanced_bowtie(P)
+
+
+# -- the flag walk over maximal bounds against the walk over every bound ---------------------
+
+
+def fullwalk_flag_violations(P, direction, within):
+    """_flag_violations as the walk over every element of within and all its bounds, which it replaced."""
+    if direction not in ("up", "down"):
+        raise ValueError("direction must be 'up' or 'down'")
+    if (P.maximum() if direction == "up" else P.minimum()) is not None:
+        return
+    above, below = (P._up, P._down) if direction == "up" else (P._down, P._up)
+    bound = [m | 1 << i for i, m in enumerate(above)]
+    holders = [m | 1 << i for i, m in enumerate(below)]
+    compat = []
+    for mask in bound:
+        c = 0
+        for u in _bits(mask):
+            c |= holders[u]
+        compat.append(c)
+    for a in _bits(within):
+        for b in _bits(compat[a] & within >> (a + 1) << (a + 1)):
+            cand = compat[a] & compat[b] & within >> (b + 1) << (b + 1)
+            if not cand:
+                continue
+            good = 0
+            for u in _bits(bound[a] & bound[b]):
+                good |= holders[u]
+                if not cand & ~good:
+                    break
+            else:
+                yield a, b, cand & ~good
+
+
+def random_cube_face_posets(count, seed=0):
+    """Face posets of random complexes of up to five squares and edges on up to nine corners."""
+    rng = random.Random(seed)
+    made = 0
+    while made < count:
+        pool = [f"u{i}" for i in range(rng.randint(4, 9))]
+        cubes = [tuple(rng.sample(pool, rng.choice((2, 4, 4)))) for _ in range(rng.randint(1, 5))]
+        try:
+            K = CubeComplex(cubes)
+        except MalformedCubeComplex:
+            continue
+        made += 1
+        yield K.face_poset()[0]
+
+
+def flag_walk_posets():
+    """Random check posets, random cube face posets and the stars of order and other complexes."""
+    yield from random_check_posets(600, seed=5)
+    yield from random_cube_face_posets(200)
+    for _, X in [*oracle_complexes(), *two_level_order_complexes(200, seed=5)]:
+        yield from (star_poset(X, x).poset for x in X.vertices)
+
+
+def test_flag_walk_over_maximal_bounds_matches_the_full_walk():
+    rng = random.Random(11)
+    triples = 0
+    for P in flag_walk_posets():
+        full = (1 << len(P)) - 1
+        for direction in ("up", "down"):
+            for within in (full, *(rng.getrandbits(len(P)) for _ in range(3))):
+                want = list(fullwalk_flag_violations(P, direction, within))
+                assert list(_flag_violations(P, direction, within)) == want, (P.to_json(), direction, within)
+                triples += sum(bad.bit_count() for _, _, bad in want)
+    assert triples >= 1000, triples
+
+
+def test_flag_condition_and_failing_stars_match_the_full_walk():
+    failing = 0
+    for P in flag_walk_posets():
+        got = (flag_condition(P, "up"), flag_condition(P, "down"), _failing_stars(P))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(poset, "_flag_violations", fullwalk_flag_violations)
+            patch.setattr(linkcheck, "_flag_violations", fullwalk_flag_violations)
+            want = (flag_condition(P, "up"), flag_condition(P, "down"), _failing_stars(P))
+        assert got == want, P.to_json()
+        failing += want[0] is not None or want[1] is not None
+    assert failing >= 200, failing
 
 
 # -- type C on the poset against its order complex --------------------------------
