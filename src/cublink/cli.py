@@ -13,6 +13,7 @@ import functools
 import json
 import os
 import sys
+from itertools import chain
 
 from .complexes import OrderedComplex, order_complex
 from .cubes import CubeComplex, barycentric_cube_subdivision  # noqa: F401  (perfbench/spans.py wraps it here)
@@ -53,6 +54,35 @@ def _read_input(path):
         raise UsageError(f"cannot read input: {err}") from err
 
 
+_LEAVES = {"label": {str, int, float, bool, type(None)}, "integer": {int}}  # the type of True is bool, not int
+
+
+def _check_shape(value, shape, where="input"):
+    """Raise ValueError unless a JSON value has the shape, checked before any structure is built.
+
+    A shape is a dict of the shapes of an object's keys (under "*", of every
+    value), a one-item list for an array of that shape (nested arrays are
+    checked a level at a time), a name in _LEAVES, or None for anything.  A
+    constructor would fail on an array or object label as unhashable; the
+    other non-labels are refused by _checked_labels, after any repeated label.
+    """
+    values = [value]
+    while isinstance(shape, list):
+        if not {list}.issuperset(map(type, values)):
+            raise ValueError(f"{where} holds {next(v for v in values if type(v) is not list)!r}, which is no array")
+        values, shape = list(chain.from_iterable(values)), shape[0]
+    if isinstance(shape, dict):
+        for v in values:
+            if type(v) is not dict:
+                raise ValueError(f"{where} holds {v!r}, which is no object")
+            for key, item in shape.items():
+                for k in v if key == "*" else [key]:
+                    _check_shape(v[k], item, f"{where}[{k!r}]")
+    elif shape is not None and not _LEAVES[shape].issuperset(map(type, values)):
+        bad = next(v for v in values if type(v) not in _LEAVES[shape])
+        raise ValueError(f"{where} holds {bad!r}, which is no {shape}")
+
+
 def _checked_labels(labels):
     """Labels are JSON strings or integers: not true or false (equal to 1 and 0), not floats.
 
@@ -70,13 +100,17 @@ def _checked_labels(labels):
 
 def _read_structure(data):
     """The complex of a complex input; the poset of a poset input, or the face poset of a cube complex."""
+    _check_shape(data, {})
     if "maximal_simplices" in data:
+        _check_shape(data, {"vertices": ["label"], "maximal_simplices": [["label"]]})
         X = OrderedComplex.from_json(data)
         _checked_labels(X.vertices)  # once built, so a repeated label is reported as such
         return X
     if "covers" in data:
+        _check_shape(data, {"elements": ["label"], "covers": [["label"]]})
         P = poset_from_json(data)
     elif "cubes" in data:
+        _check_shape(data, {"cubes": [["label"]]})
         cubes = [tuple(c) for c in data["cubes"]]
         _checked_labels([x for c in cubes for x in c])
         P, _ = CubeComplex(cubes).face_poset()
@@ -111,6 +145,7 @@ def cmd_check(args):
         phi = _read_input(args.phi)
         if not isinstance(phi, dict):
             raise UsageError("--phi must be a JSON object mapping vertices to vertices")
+        _check_shape(list(phi.values()), ["label"], "--phi")
         verdict = check_garside(X, phi, assume_simply_connected=args.assume_simply_connected)
     return _emit(verdict.to_json(), 0 if verdict.passed else 1)
 
@@ -147,8 +182,10 @@ def _parse_point(raw, X):
     if isinstance(spec, str):
         return spec
     if isinstance(spec, dict) and "weights" in spec:
+        _check_shape(spec, {"weights": {}}, "a point")
         return {v: frac(w) for v, w in spec["weights"].items()}
     if isinstance(spec, dict) and "chain" in spec:
+        _check_shape(spec, {"chain": ["label"], "coords": [None]}, "a point")
         return PLPoint.from_json(spec).to_barycentric()
     raise UsageError("points are vertex labels, {'weights': ...}, or {'chain': ..., 'coords': ...}")
 
@@ -165,6 +202,7 @@ def cmd_dist(args):
 
 def cmd_tightspan(args):
     data = _read_input(args.input)
+    _check_shape(data, {"points": ["label"], "dist": [[None]]})  # frac parses the distances
     M = FiniteMetric.from_json(data)
     _checked_labels(M.points)
     span = tight_span(M)
@@ -182,6 +220,8 @@ def cmd_groupdev(args):
         S = s4_simplex() if args.example == "s4" else trivial_simplex(4)
     else:
         data = _read_input(args.input)
+        _check_shape(data, {"n": "integer", "vertex_groups": [{"degree": "integer", "generators": [["integer"]]}],
+                            "face_subgroups": {"*": [["integer"]]}})
         S = SimplexOfGroups.from_json(data)
     report = check_conditions(S)
     payload = {"conditions": report.to_json(), "developments": {}}
@@ -293,7 +333,7 @@ def _run(argv):
     except CublinkError as err:
         print(json.dumps({"error": type(err).__name__, "detail": str(err)}))
         return 2
-    except (ValueError, KeyError, TypeError) as err:
+    except (ValueError, KeyError) as err:
         print(json.dumps({"error": "input", "detail": str(err)}))
         return 2
     except BrokenPipeError:

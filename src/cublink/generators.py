@@ -64,7 +64,7 @@ def _partition_label(blocks):
     return "|".join("".join(str(x) for x in b) for b in blocks)
 
 
-def _refinement_covers(partitions, keep):
+def _refinement_covers(partitions):
     """Covers of a refinement order: merge two blocks, result staying in the family."""
     index = {_partition_label(p): p for p in partitions}
     covers = []
@@ -73,10 +73,9 @@ def _refinement_covers(partitions, keep):
         for i, j in combinations(range(len(blocks)), 2):
             merged = [b for k, b in enumerate(blocks) if k not in (i, j)]
             merged.append(blocks[i] | blocks[j])
-            if keep(merged):
-                lab = _partition_label(merged)
-                if lab in index:
-                    covers.append((_partition_label(p), lab))
+            lab = _partition_label(merged)
+            if lab in index:
+                covers.append((_partition_label(p), lab))
     return covers
 
 
@@ -89,7 +88,7 @@ def noncrossing_partitions(n):
         raise ParameterTooLarge("noncrossing_partitions supports 1 <= n <= 9")
     parts = [p for p in _set_partitions(list(range(1, n + 1))) if _is_noncrossing(p)]
     labels = [_partition_label(p) for p in parts]
-    covers = _refinement_covers(parts, _is_noncrossing)
+    covers = _refinement_covers(parts)
     return Poset.from_covers(labels, covers)
 
 
@@ -99,7 +98,7 @@ def partition_lattice(n):
         raise ParameterTooLarge("partition_lattice supports 1 <= n <= 8")
     parts = list(_set_partitions(list(range(1, n + 1))))
     labels = [_partition_label(p) for p in parts]
-    covers = _refinement_covers(parts, lambda blocks: True)
+    covers = _refinement_covers(parts)
     return Poset.from_covers(labels, covers)
 
 

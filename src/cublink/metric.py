@@ -36,7 +36,7 @@ def frac(x):
             return Fraction(x)
         except ZeroDivisionError:
             raise ValueError(f"zero denominator in {x!r}") from None
-    raise TypeError(f"not an exact rational: {x!r}")
+    raise ValueError(f"not an exact rational: {x!r}")
 
 
 def frac_str(x):
@@ -65,59 +65,18 @@ def polyhedral_norm(v):
     return max(v) - min(v)
 
 
-# -- exact linear algebra for ball vertices ------------------------------------
-
-
-def _solve_square(rows, rhs):
-    """Solve an n x n rational system; None if singular."""
-    n = len(rows)
-    a = [list(r) + [b] for r, b in zip(rows, rhs)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if pivot is None:
-            return None
-        a[col], a[pivot] = a[pivot], a[col]
-        inv = a[col][col]
-        a[col] = [x / inv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                factor = a[r][col]
-                a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
-    return [a[r][n] for r in range(n)]
-
-
 def polyhedral_ball_extreme_points(n):
     """Extreme points of the unit ball of the polyhedral norm in dimension n.
 
-    Returned as full (n+1)-coordinate sum-zero tuples; n = 2 yields the six
-    hexagon vertices, n = 3 the fourteen vertices of the rhombic dodecahedron.
+    Returned as full (n+1)-coordinate sum-zero tuples, sorted: one point
+    1_S - |S|/(n+1) for each nonempty proper subset S of {0..n}.  n = 2
+    yields the six hexagon vertices, n = 3 the fourteen vertices of the
+    rhombic dodecahedron.
     """
     if not 1 <= n <= 3:
         raise ParameterTooLarge("ball enumeration supports n <= 3")
-    # substitute x_n = -(x_0 + ... + x_{n-1}); constraints x_i - x_j <= 1
-    idx = list(range(n + 1))
-
-    def constraint(i, j):
-        row = [Fraction(0)] * n
-        for k, sign in ((i, 1), (j, -1)):
-            if k < n:
-                row[k] += sign
-            else:
-                row = [x - sign for x in row]
-        return row
-
-    cons = [(constraint(i, j), Fraction(1)) for i in idx for j in idx if i != j]
-    points = set()
-    for chosen in combinations(range(len(cons)), n):
-        rows = [cons[c][0] for c in chosen]
-        rhs = [cons[c][1] for c in chosen]
-        sol = _solve_square(rows, rhs)
-        if sol is None:
-            continue
-        if all(sum(r * x for r, x in zip(row, sol)) <= b for row, b in cons):
-            full = tuple(sol) + (-sum(sol, Fraction(0)),)
-            points.add(full)
-    return sorted(points)
+    return sorted(tuple((i in S) - Fraction(len(S), n + 1) for i in range(n + 1))
+                  for size in range(1, n + 1) for S in combinations(range(n + 1), size))
 
 
 # -- model coordinates of chambers ---------------------------------------------

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from cublink import cli
 from cublink.cli import main
 
 
@@ -210,14 +211,40 @@ def test_duplicate_vertex_label_is_an_input_error(tmp_path, capsys):
         assert json.loads(capsys.readouterr().out)["error"] == "DuplicateLabel"
 
 
-def test_program_fault_is_an_internal_error(tmp_path, capsys):
-    # lists where from_json expects objects raise AttributeError inside the program
-    path = tmp_path / "list_subgroups.json"
-    path.write_text(json.dumps({"n": 2, "vertex_groups": [], "face_subgroups": []}))
-    assert main(["groupdev", str(path)]) == 2
-    error = json.loads(capsys.readouterr().out)
-    assert error["error"] == "internal"
-    assert error["detail"].startswith("AttributeError: ")
+def test_program_fault_is_an_internal_error(tmp_path, capsys, monkeypatch):
+    # malformed input is refused before any constructor runs, so a TypeError is a fault in the program
+    def fault(X):
+        raise TypeError("a fault in the program")
+
+    monkeypatch.setattr(cli, "check_type_C", fault)
+    path = tmp_path / "square.json"
+    path.write_text(json.dumps(SQUARE))
+    assert main(["check", "--type", "C", str(path)]) == 2
+    assert json.loads(capsys.readouterr().out) == {"error": "internal", "detail": "TypeError: a fault in the program"}
+
+
+@pytest.mark.parametrize("argv, data", [
+    (["check", "--type", "C"], ["not", "an", "object"]),
+    (["check", "--type", "C"], {"elements": "ab", "covers": [["a", "b"]]}),
+    (["check", "--type", "C"], {"elements": [["a"], "b"], "covers": [[["a"], "b"]]}),
+    (["check", "--type", "C"], {"elements": ["a", "b"], "covers": [["a", "b", "a"]]}),
+    (["check", "--type", "C"], {"type": "C", "vertices": ["a", "b"], "maximal_simplices": "ab"}),
+    (["check", "--type", "C"], {"cubes": [[["v"], "x", "y", "xy"]]}),
+    (["tightspan"], {"points": [["x"], "y"], "dist": [[0, 1], [1, 0]]}),
+    (["tightspan"], {"points": ["x", "y"], "dist": [[0, 1], 1]}),
+    (["groupdev"], {"n": 2, "vertex_groups": [], "face_subgroups": []}),
+    (["groupdev"], {"n": "2", "vertex_groups": [], "face_subgroups": {}}),
+    (["check", "--type", "garside", "--phi", "PHI"], SQUARE),
+    (["dist", "--from", json.dumps({"weights": ["a"]}), "--to", "b"], SQUARE),
+    (["dist", "--from", json.dumps({"chain": [["0"], "a", "1"], "coords": ["0", "0"]}), "--to", "b"], SQUARE),
+], ids=["not-an-object", "string-elements", "list-element", "cover-of-three", "string-simplices", "list-corner",
+        "list-point", "number-row", "list-face-subgroups", "string-n", "list-phi-image", "list-weights", "list-chain"])
+def test_malformed_input_is_an_input_error(tmp_path, capsys, argv, data):
+    path, phi = tmp_path / "input.json", tmp_path / "phi.json"
+    path.write_text(json.dumps(data))
+    phi.write_text(json.dumps({"0": ["a"]}))
+    assert main([str(phi) if a == "PHI" else a for a in argv] + [str(path)]) == 2
+    assert json.loads(capsys.readouterr().out)["error"] == "input"
 
 
 def test_groupdev_face_key_past_the_last_vertex_is_an_input_error(tmp_path, capsys):

@@ -1,27 +1,22 @@
 """Norms, chamber distances, mesh approximation, product decomposition."""
 
-import heapq
-import random
 from fractions import Fraction
-from itertools import combinations, count, product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cublink.complexes import OrderedComplex, order_complex
-from cublink.errors import Disconnected, NoCommonChamber, NotComparableToAll, NotSumZero
+from cublink.errors import Disconnected, NoCommonChamber, NotComparableToAll, NotSumZero, ParameterTooLarge
 from cublink.generators import affine_A_patch, boolean_poset
 from cublink.metric import (
     MeshApproximator,
     PLPoint,
-    affine_simplex_coords,
-    as_point,
     chamber_distance,
     chamber_distance_in_complex,
+    frac,
     linf_norm,
     local_product_check,
-    orthoscheme_coords,
     polyhedral_ball_extreme_points,
     polyhedral_norm,
 )
@@ -37,6 +32,12 @@ def test_linf_basics():
     assert linf_norm([0, 0, 0]) == 0
     assert linf_norm([]) == 0
     assert linf_norm([F(1, 3), F(-1, 2)]) == F(1, 2)
+
+
+def test_frac_refuses_inexact_values():
+    for x in (1.5, True, None, [1]):
+        with pytest.raises(ValueError, match="not an exact rational"):
+            frac(x)
 
 
 def test_polyhedral_norm_on_simplex_vertex():
@@ -77,18 +78,23 @@ def test_polyhedral_norm_axioms(v, scale):
     assert polyhedral_norm(v) >= 0
 
 
-def test_hexagon_extreme_points():
-    points = polyhedral_ball_extreme_points(2)
-    assert len(points) == 6
-    for p in points:
-        assert sum(p) == 0 and polyhedral_norm(p) == 1
+BALL_EXTREME_POINTS = {
+    1: ["-1/2 1/2", "1/2 -1/2"],
+    2: ["-2/3 1/3 1/3", "-1/3 -1/3 2/3", "-1/3 2/3 -1/3", "1/3 -2/3 1/3", "1/3 1/3 -2/3", "2/3 -1/3 -1/3"],
+    3: ["-3/4 1/4 1/4 1/4", "-1/2 -1/2 1/2 1/2", "-1/2 1/2 -1/2 1/2", "-1/2 1/2 1/2 -1/2", "-1/4 -1/4 -1/4 3/4",
+        "-1/4 -1/4 3/4 -1/4", "-1/4 3/4 -1/4 -1/4", "1/4 -3/4 1/4 1/4", "1/4 1/4 -3/4 1/4", "1/4 1/4 1/4 -3/4",
+        "1/2 -1/2 -1/2 1/2", "1/2 -1/2 1/2 -1/2", "1/2 1/2 -1/2 -1/2", "3/4 -1/4 -1/4 -1/4"],
+}
 
 
-def test_rhombic_dodecahedron_extreme_points():
-    points = polyhedral_ball_extreme_points(3)
-    assert len(points) == 14
-    for p in points:
-        assert polyhedral_norm(p) == 1
+@pytest.mark.parametrize("n", sorted(BALL_EXTREME_POINTS))
+def test_ball_extreme_points(n):
+    # the segment, the six hexagon vertices and the fourteen of the rhombic dodecahedron
+    points = polyhedral_ball_extreme_points(n)
+    assert [" ".join(map(str, p)) for p in points] == BALL_EXTREME_POINTS[n]
+    assert all(sum(p) == 0 and polyhedral_norm(p) == 1 for p in points)
+    with pytest.raises(ParameterTooLarge):
+        polyhedral_ball_extreme_points(4)
 
 
 # -- chamber distances on complexes ----------------------------------------------
@@ -229,97 +235,6 @@ def test_off_mesh_query_point_does_not_shortcut_later_queries():
     approx = MeshApproximator(X, F(1, 2))
     approx.distance({"{}": F(3, 4), "{1,2}": F(1, 4)}, p)
     assert approx.distance(p, q) == 1
-
-
-def rebuilt_distance(X, mesh, p, q):
-    """The mesh distance as a whole-graph rebuild for every query.
-
-    Every mesh node is enumerated, the two endpoints are added as nodes, and
-    each chamber scans all nodes for its members.  This is the reference for
-    MeshApproximator, which builds its graph once and joins off-mesh
-    endpoints only to their own chambers.
-    """
-    m = mesh.denominator
-    nodes = set()
-    for s in X.maximal_simplices:
-        for size in range(1, max(len(s), 2)):
-            for face in combinations(s, size):
-                for comp in product(range(1, m + 1), repeat=size):
-                    if sum(comp) == m:
-                        nodes.add(tuple(sorted((v, F(c, m)) for v, c in zip(face, comp))))
-    source, target = (tuple(sorted(as_point(X, x).items())) for x in (p, q))
-    nodes |= {source, target}
-    adj = {node: [] for node in nodes}
-    if X.order_type == "C":
-        coords_of, norm = orthoscheme_coords, linf_norm
-    else:
-        coords_of, norm = affine_simplex_coords, polyhedral_norm
-    for s in X.maximal_simplices:
-        at = dict(zip(s, coords_of(len(s) - 1)))
-        dim = len(at[s[0]])
-
-        def place(node):
-            return [sum((w * at[v][i] for v, w in node), F(0)) for i in range(dim)]
-
-        members = [node for node in nodes if all(v in at for v, _ in node)]
-        for a, b in combinations(members, 2):
-            d = norm([x - y for x, y in zip(place(a), place(b))])
-            adj[a].append((b, d))
-            adj[b].append((a, d))
-    best, tie = {source: F(0)}, count()
-    heap = [(F(0), next(tie), source)]
-    while heap:
-        d, _, node = heapq.heappop(heap)
-        if node == target:
-            return d
-        if d > best[node]:
-            continue
-        for other, w in adj[node]:
-            if other not in best or d + w < best[other]:
-                best[other] = d + w
-                heapq.heappush(heap, (d + w, next(tie), other))
-    raise Disconnected("no path between the query points")
-
-
-def random_point(rng, X, mesh=None):
-    """A point of a random face of a random chamber, on the mesh when mesh is given."""
-    s = rng.choice(X.maximal_simplices)
-    face = rng.sample(s, rng.randint(1, len(s)))
-    if mesh is None:
-        weights = [rng.randint(1, 6) for _ in face]
-    else:
-        m = mesh.denominator
-        face = face[:m]
-        cuts = [0] + sorted(rng.sample(range(1, m), len(face) - 1)) + [m]
-        weights = [b - a for a, b in zip(cuts, cuts[1:])]
-    return {v: F(w, sum(weights)) for v, w in zip(face, weights)}
-
-
-def random_queries(rng, X, mesh):
-    """Vertex pairs, on-mesh points, off-mesh points, two off-mesh points of one chamber, p == q."""
-    queries = []
-    for _ in range(4):
-        queries.append(tuple(rng.sample(X.vertices, 2)))
-        queries.append((random_point(rng, X, mesh), random_point(rng, X, mesh)))
-        queries.append((random_point(rng, X), rng.choice(X.vertices)))
-        queries.append((random_point(rng, X, mesh), random_point(rng, X)))
-        s = rng.choice(X.maximal_simplices)
-        inside = [{v: F(w, sum(ws)) for v, w in zip(s, ws)}
-                  for ws in ([rng.randint(1, 6) for _ in s] for _ in range(2))]
-        queries.append(tuple(inside))
-        p = random_point(rng, X, mesh if rng.random() < 0.5 else None)
-        queries.append((p, p))
-    return queries
-
-
-@pytest.mark.parametrize("X", [affine_A_patch(2, 1), order_complex(boolean_poset(3))],
-                         ids=["patch(2,1)", "B(3)"])
-def test_mesh_distance_matches_whole_graph_rebuild(X):
-    rng = random.Random(31)
-    mesh = F(1, 4)
-    approx = MeshApproximator(X, mesh)
-    for p, q in random_queries(rng, X, mesh):
-        assert approx.distance(p, q) == rebuilt_distance(X, mesh, p, q), (p, q)
 
 
 def test_off_mesh_query_leaves_the_graph_unchanged():
