@@ -173,20 +173,27 @@ def cmd_generate(args):
 
 
 def _parse_point(raw, X):
-    if raw in X._index:  # labels win over JSON (a label may look like "{}")
-        return raw
+    """A point named on the command line: a vertex, weights keyed by vertices, or a chain of vertices.
+
+    Each vertex may be named by its printed form, so integer labels can be
+    named from arguments, JSON strings and JSON keys; _checked_labels made
+    those forms unique.
+    """
+    printed = {str(v): v for v in X.vertices}
+    if raw in printed:  # labels win over JSON (a label may look like "{}")
+        return printed[raw]
     try:
         spec = json.loads(raw)
     except json.JSONDecodeError:
         spec = raw
     if isinstance(spec, str):
-        return spec
+        return printed.get(spec, spec)
     if isinstance(spec, dict) and "weights" in spec:
         _check_shape(spec, {"weights": {}}, "a point")
-        return {v: frac(w) for v, w in spec["weights"].items()}
+        return {printed.get(v, v): frac(w) for v, w in spec["weights"].items()}
     if isinstance(spec, dict) and "chain" in spec:
         _check_shape(spec, {"chain": ["label"], "coords": [None]}, "a point")
-        return PLPoint.from_json(spec).to_barycentric()
+        return PLPoint.from_json({**spec, "chain": [printed.get(x, x) for x in spec["chain"]]}).to_barycentric()
     raise UsageError("points are vertex labels, {'weights': ...}, or {'chain': ..., 'coords': ...}")
 
 

@@ -13,14 +13,19 @@ from .errors import ParameterTooLarge
 from .poset import Poset
 
 
+def _check_range(where, name, value, lo, hi):
+    """Raise unless lo <= value <= hi: ValueError below the range, ParameterTooLarge above the desk-scale one."""
+    if not lo <= value <= hi:
+        raise (ValueError if value < lo else ParameterTooLarge)(f"{where} supports {lo} <= {name} <= {hi}")
+
+
 def _subset_label(s):
     return "{" + ",".join(str(i) for i in sorted(s)) + "}"
 
 
 def boolean_poset(n):
     """Subsets of {1..n} ordered by inclusion: a bounded graded lattice of rank n."""
-    if not 0 <= n <= 10:
-        raise ParameterTooLarge("boolean_poset supports n <= 10")
+    _check_range("boolean_poset", "n", n, 0, 10)
     ground = range(1, n + 1)
     subsets = []
     for r in range(n + 1):
@@ -84,8 +89,7 @@ def noncrossing_partitions(n):
 
     A bounded graded lattice of rank n - 1; NC(4) has the familiar 14 elements.
     """
-    if not 1 <= n <= 9:
-        raise ParameterTooLarge("noncrossing_partitions supports 1 <= n <= 9")
+    _check_range("noncrossing_partitions", "n", n, 1, 9)
     parts = [p for p in _set_partitions(list(range(1, n + 1))) if _is_noncrossing(p)]
     labels = [_partition_label(p) for p in parts]
     covers = _refinement_covers(parts)
@@ -94,8 +98,7 @@ def noncrossing_partitions(n):
 
 def partition_lattice(n):
     """All partitions of {1..n} by refinement: a bounded graded lattice of rank n - 1."""
-    if not 1 <= n <= 8:
-        raise ParameterTooLarge("partition_lattice supports 1 <= n <= 8")
+    _check_range("partition_lattice", "n", n, 1, 8)
     parts = list(_set_partitions(list(range(1, n + 1))))
     labels = [_partition_label(p) for p in parts]
     covers = _refinement_covers(parts)
@@ -120,10 +123,8 @@ def _span(vectors, q, n):
 
 def subspace_poset(q, n):
     """All subspaces of F_q^n by inclusion, with bounds: a graded lattice of rank n."""
-    if q not in (2, 3):
-        raise ParameterTooLarge("subspace_poset supports q in {2, 3}")
-    if not 1 <= n <= (4 if q == 2 else 3):
-        raise ParameterTooLarge("subspace_poset supports n <= 4 (q=2) or n <= 3 (q=3)")
+    _check_range("subspace_poset", "q", q, 2, 3)
+    _check_range(f"subspace_poset with q = {q}", "n", n, 1, 4 if q == 2 else 3)
     vectors = [v for v in product(range(q), repeat=n)]
     nonzero = [v for v in vectors if any(v)]
     zero_space = frozenset({(0,) * n})
@@ -184,10 +185,8 @@ def affine_A_patch(n, radius):
     in Z/(n+1) (coordinate sum mod n+1) and the cyclic order on every simplex
     is the type order.  radius counts steps in the 1-skeleton.
     """
-    if not 1 <= n <= 4:
-        raise ParameterTooLarge("affine_A_patch supports n <= 4")
-    if not 0 <= radius <= 3:
-        raise ParameterTooLarge("affine_A_patch supports radius <= 3")
+    _check_range("affine_A_patch", "n", n, 1, 4)
+    _check_range("affine_A_patch", "radius", radius, 0, 3)
     origin = (0,) * (n + 1)
     ball = {origin}
     frontier = {origin}
@@ -229,10 +228,8 @@ def column_complex(n, depth):
     with defining level |q| <= depth are the windows of n+2 consecutive
     vertices of the total order.
     """
-    if not 1 <= n <= 4:
-        raise ParameterTooLarge("column_complex supports n <= 4")
-    if not 0 <= depth <= 4:
-        raise ParameterTooLarge("column_complex supports depth <= 4")
+    _check_range("column_complex", "n", n, 1, 4)
+    _check_range("column_complex", "depth", depth, 0, 4)
     lo = -(depth + 1) * (n + 1)
     hi = depth * (n + 1) + n
     labels = {i: _class_label(_column_vertex(n, i)) for i in range(lo, hi + 1)}

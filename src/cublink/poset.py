@@ -5,7 +5,10 @@ immutable; every query is pure.  Elements are opaque hashable labels.
 All deterministic orderings use the string form of labels, so results are
 reproducible regardless of label types.  The order is kept as int bitmasks
 over the elements in that order, so meets, bowties and the flag condition
-are mask ANDs, not walks over an eager frozenset closure.
+are mask ANDs, not walks over an eager frozenset closure.  A poset with no
+bowtie is, unless it is wide, certified from its cover pairs alone; the
+sweep over its down-sets runs on the other posets and names the witness
+of a bowtie.
 """
 
 from __future__ import annotations
@@ -337,7 +340,7 @@ def _maximal_in(P, mask):
     out, rest = [], mask
     while rest:
         i = rest.bit_length() - 1
-        rest &= ~(P._down[i] | 1 << i)
+        rest ^= rest & P._down[i] | 1 << i
         if not P._up[i] & mask:
             out.append(i)
     return out[::-1]
@@ -348,7 +351,7 @@ def _minimal_in(P, mask):
     out, rest = [], mask
     while rest:
         i = (rest & -rest).bit_length() - 1
-        rest &= ~(P._up[i] | 1 << i)
+        rest ^= rest & P._up[i] | 1 << i
         if not P._down[i] & mask:
             out.append(i)
     return out
@@ -357,13 +360,60 @@ def _minimal_in(P, mask):
 # -- bowties -------------------------------------------------------------
 
 
+def _may_have_bowtie(P):
+    """False when no pair of P has two or more maximal common lower bounds, read off its co-covered pairs.
+
+    Let Q be P with a fresh 0̂ and 1̂ adjoined.  A pair of P has a meet in Q
+    iff its common lower bounds in P are none (the meet is 0̂) or have a
+    maximum, so Q is a lattice iff no pair of P has two maximal common
+    lower bounds, which is iff _bowtie_tops(P) is empty.
+
+    By the dual of Björner-Edelman-Ziegler, "Hyperplane arrangements with a
+    lattice of regions" (1990), Lemma 2.1, a finite bounded poset is a
+    lattice once any two elements covered by one element have a meet.
+    (Else take x, y with no meet under a minimal common upper bound z,
+    lower covers x' >= x and y' >= y of z, distinct as (x, y) lies under no
+    element below z; then the meets w = x' ∧ y', p = x ∧ w and q = y ∧ p
+    exist by the choice of z, and every common lower bound of x, y lies
+    below w, p and q, so q is their meet.)  In Q the pairs under an
+    element z of P are the pairs of lower covers of z in P, the pairs under
+    1̂ are the pairs of maximal elements of P, and 0̂ is never half of a
+    pair: the elements that cover it are the minimal elements of P, and it
+    is their only lower cover.
+
+    Such a pair (u, v) has a meet in Q iff L, the intersection of their
+    closed down-sets, is empty or the closed down-set of one element.  A
+    pair that fails is incomparable with two maximal common lower bounds, so
+    it tops a bowtie.  The set holds the masks themselves, so nothing is
+    copied; masks whose bits agree modulo 61 hash alike, which costs time,
+    never a wrong answer.
+
+    True means that a bowtie may exist: a pair failed, or the pass was not
+    run.  The sweep walks each comparable pair m < c of P with a few mask
+    operations, and the pass tests each pair of a group with one AND and
+    one lookup.  So a poset whose groups hold more pairs than P has
+    comparable pairs, such as a wide one with many minimal elements under
+    one element, is left to the sweep.
+    """
+    down = P._down
+    groups = [[i for i, above in enumerate(P._up) if not above], *(_maximal_in(P, below) for below in down)]
+    if sum(len(g) * (len(g) - 1) for g in groups) > 2 * sum(below.bit_count() for below in down):
+        return True
+    closed = [below | 1 << i for i, below in enumerate(down)]
+    principal = set(closed)
+    return any((L := closed[u] & closed[v]) and L not in principal for g in groups for u, v in combinations(g, 2))
+
+
 def _bowtie_tops(P):
     """The sorted (height sum, c, d), c < d, of every pair with two or more maximal common lower bounds.
 
+    The sweep runs only when _may_have_bowtie cannot rule such a pair out.
     An m below c is a maximal common lower bound of c and exactly those d
     above m, after c and incomparable to it, that lie above no upper cover
     of m below c; so c's partners are the d that two such m reach.
     """
+    if not _may_have_bowtie(P):
+        return []
     h, down, up = P._heights, P._down, P._up
     full = (1 << len(P)) - 1
     upper = [None] * len(P)  # each element's upper covers, computed once its reach is first non-empty
@@ -392,7 +442,9 @@ def find_bowtie(P):
 
     A pair (c, d) tops a bowtie exactly when it has at least two maximal
     common lower bounds; under the least such pair by (height sum, c, d),
-    the first two serve as (a, b).
+    the first two serve as (a, b).  None is decided from the cover pairs
+    (_may_have_bowtie), and only a poset that may have a bowtie, or is
+    wide, is swept for its tops.
     """
     tops = _bowtie_tops(P)
     if not tops:

@@ -102,6 +102,37 @@ def test_dist_accepts_chain_points(tmp_path):
     assert json.loads(out)["distance"] == "1"
 
 
+INTEGER_TRIANGLE = {"type": "C", "vertices": [1, 2, 3], "maximal_simplices": [[1, 2, 3]]}
+
+
+@pytest.mark.parametrize("p, q, distance", [
+    ("1", "3", "1"),
+    (json.dumps({"weights": {"1": "1/2", "3": "1/2"}}), "2", "1/2"),
+    (json.dumps("1"), "3", "1"),
+    (json.dumps({"chain": ["1", "2", "3"], "coords": ["1/2", "1/2"]}), "2", "1/2"),
+], ids=["labels", "weight-keys", "json-string", "chain"])
+def test_dist_names_integer_labels_by_their_printed_form(tmp_path, capsys, p, q, distance):
+    path = tmp_path / "triangle.json"
+    path.write_text(json.dumps(INTEGER_TRIANGLE))
+    assert main(["check", "--type", "C", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["dist", "--from", p, "--to", q, str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["distance"] == distance
+    string_labels = {"type": "C", "vertices": ["1", "2", "3"], "maximal_simplices": [["1", "2", "3"]]}
+    path.write_text(json.dumps(string_labels))
+    assert main(["dist", "--from", p, "--to", q, str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["distance"] == distance
+
+
+def test_generator_parameter_out_of_range_exits_two(capsys):
+    assert main(["generate", "boolean", "--n", "-1"]) == 2
+    assert json.loads(capsys.readouterr().out) == {"error": "input", "detail": "boolean_poset supports 0 <= n <= 10"}
+    assert main(["generate", "affine-patch", "--n", "0"]) == 2
+    assert json.loads(capsys.readouterr().out)["error"] == "input"
+    assert main(["generate", "boolean", "--n", "11"]) == 2
+    assert json.loads(capsys.readouterr().out)["error"] == "ParameterTooLarge"
+
+
 def test_groupdev_pipeline(tmp_path):
     from cublink.groupdev import s4_simplex
 

@@ -139,6 +139,21 @@ def test_parameter_guards():
         affine_A_patch(5, 1)
     with pytest.raises(ParameterTooLarge):
         column_complex(2, 9)
+    below = [  # a value below the range is no input at all, not one too large
+        (boolean_poset, (-1,), "boolean_poset supports 0 <= n <= 10"),
+        (noncrossing_partitions, (0,), "noncrossing_partitions supports 1 <= n <= 9"),
+        (partition_lattice, (0,), "partition_lattice supports 1 <= n <= 8"),
+        (subspace_poset, (1, 2), "subspace_poset supports 2 <= q <= 3"),
+        (subspace_poset, (2, 0), "subspace_poset with q = 2 supports 1 <= n <= 4"),
+        (affine_A_patch, (0, 1), "affine_A_patch supports 1 <= n <= 4"),
+        (affine_A_patch, (2, -1), "affine_A_patch supports 0 <= radius <= 3"),
+        (column_complex, (0, 1), "column_complex supports 1 <= n <= 4"),
+        (column_complex, (2, -1), "column_complex supports 0 <= depth <= 4"),
+    ]
+    for build, args, message in below:
+        with pytest.raises(ValueError, match=f"^{message}$") as err:
+            build(*args)
+        assert not isinstance(err.value, ParameterTooLarge)
 
 
 def test_order_complex_round_trip_consistency():

@@ -1,6 +1,7 @@
 """Poset core: construction, meets, grading, bowties, flag condition, completion."""
 
 import random
+import time
 from itertools import combinations
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from cublink.complexes import OrderedComplex, order_complex, validate
 from cublink.errors import CycleDetected, DuplicateLabel, NoMinimum, NotFlag, NotGraded, UnknownLabel
+from cublink import poset as poset_module
 from cublink.generators import boolean_poset, noncrossing_partitions, random_ranked_poset
 from cublink.poset import (
     Poset,
@@ -166,6 +168,72 @@ def test_boolean_has_no_bowtie():
 
 def test_chain_has_no_bowtie():
     assert find_bowtie(chain_poset(4)) is None
+
+
+def sweep_tops(P, monkeypatch):
+    """The bowtie tops of the down-set sweep alone, with the cover-pair certificate taken out."""
+    with monkeypatch.context() as m:
+        m.setattr(poset_module, "_may_have_bowtie", lambda P: True)
+        return poset_module._bowtie_tops(P)
+
+
+def pairs_without_meet(P):
+    """The pairs the certificate tests (co-covered or maximal) that share a lower bound but lack a meet."""
+    groups = [P.lower_covers(z) for z in P.elements] + [P.maximal_elements()]
+    return [(u, v) for group in groups for u, v in combinations(group, 2)
+            if P.down_set(u) & P.down_set(v) and P.meet(u, v) is None]
+
+
+def test_bowtie_seen_only_by_the_pair_of_maximal_elements(monkeypatch):
+    # a, b < c, d with c < e and d < f: c and d have no common upper cover, so
+    # only the maximal pair (e, f) fails, yet the witness stays (a, b, c, d)
+    P = Poset.from_covers("abcdef", [("a", "c"), ("a", "d"), ("b", "c"), ("b", "d"), ("c", "e"), ("d", "f")])
+    assert pairs_without_meet(P) == [("e", "f")]
+    assert poset_module._may_have_bowtie(P)
+    assert find_bowtie(P).as_tuple() == ("a", "b", "c", "d")
+    assert poset_module._bowtie_tops(P) == sweep_tops(P, monkeypatch)
+
+
+@pytest.mark.parametrize("covers", [
+    [("a", "t"), ("b", "t")],
+    [("a1", "a2"), ("a2", "t"), ("b1", "b2"), ("b2", "t")],
+], ids=["v-shape", "two-chains-under-a-top"])
+def test_co_covered_elements_with_no_common_lower_bound(monkeypatch, covers):
+    P = Poset.from_covers({x for pair in covers for x in pair}, covers)
+    assert P.minimum() is None and len(P.lower_covers("t")) == 2
+    assert not poset_module._may_have_bowtie(P)
+    assert find_bowtie(P) is None and sweep_tops(P, monkeypatch) == []
+
+
+@pytest.mark.parametrize("between", [False, True], ids=["bowtie", "no-bowtie"])
+def test_masks_that_hash_alike_keep_the_verdict(monkeypatch, between):
+    # e00 and e61 are minimal, and e98, e99 lie above both; the common lower
+    # bounds {e00, e61} of that maximal pair hash like the closed down-set of
+    # e01, the bottom of a chain through the other elements
+    assert hash(1 << 0 | 1 << 61) == hash(1 << 1)
+    labels = [f"e{i:02d}" for i in range(100)]
+    covers = [("e00", "e98"), ("e00", "e99"), ("e61", "e98"), ("e61", "e99")]
+    if between:  # e50 above e00 and e61 and below e98 and e99 is their meet
+        covers = [("e00", "e50"), ("e61", "e50"), ("e50", "e98"), ("e50", "e99")]
+    rest = [x for x in labels if x not in ("e00", "e50", "e61", "e98", "e99")]
+    P = Poset.from_covers(labels, covers + list(zip(rest, rest[1:])))
+    assert poset_module._may_have_bowtie(P) is not between
+    assert poset_module._bowtie_tops(P) == sweep_tops(P, monkeypatch)
+    assert (find_bowtie(P) is None) is between
+
+
+def test_wide_posets_stay_fast():
+    # k minimal elements under one hub w, and k maximal elements each covering
+    # only w: no bowtie, and about as many co-covered pairs as comparable pairs
+    k = 300
+    lows, tops = [f"m{i}" for i in range(k)], [f"t{i}" for i in range(k)]
+    hub = Poset.from_covers(lows + ["w"] + tops, [(m, "w") for m in lows] + [("w", t) for t in tops])
+    # a fan: its lower covers' pairs far outnumber its comparable pairs
+    fan = Poset.from_covers(lows + ["w"], [(m, "w") for m in lows])
+    assert poset_module._may_have_bowtie(fan)  # left to the sweep
+    start = time.perf_counter()
+    assert find_bowtie(hub) is None and find_bowtie(fan) is None
+    assert time.perf_counter() - start < 1.0
 
 
 def test_balanced_bowtie_requires_graded():
