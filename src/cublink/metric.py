@@ -9,11 +9,11 @@ for the length metric.  No floating point enters any verdict.
 from __future__ import annotations
 
 import heapq
-from collections import ChainMap
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations, count
+from itertools import combinations
+from math import lcm
 
 from .complexes import order_complex
 from .errors import (
@@ -21,9 +21,9 @@ from .errors import (
     NoCommonChamber,
     NotComparableToAll,
     NotSumZero,
-    ParameterTooLarge,
     UnknownLabel,
 )
+from .generators import _check_range
 from .poset import _key
 
 
@@ -73,8 +73,7 @@ def polyhedral_ball_extreme_points(n):
     yields the six hexagon vertices, n = 3 the fourteen vertices of the
     rhombic dodecahedron.
     """
-    if not 1 <= n <= 3:
-        raise ParameterTooLarge("ball enumeration supports n <= 3")
+    _check_range("polyhedral_ball_extreme_points", "n", n, 1, 3)
     return sorted(tuple((i in S) - Fraction(len(S), n + 1) for i in range(n + 1))
                   for size in range(1, n + 1) for S in combinations(range(n + 1), size))
 
@@ -168,11 +167,14 @@ class MeshApproximator:
     graph distance is an upper bound for the length metric that does not
     increase when the mesh is refined by an integer factor.
 
-    The graph is built once, at the first query; no query changes it.  A
-    node's support is a proper face of a chamber, never a whole one, so a
-    chamber holds only the nodes on its own proper faces.  An off-mesh
-    endpoint is joined, for its query only, to the nodes of the chambers
-    containing its support, and to the other endpoint if it is off-mesh there.
+    The graph is built once, at the first query; no query changes it.  Its
+    nodes are ints and its weights the chamber lengths times one int scale.
+    A mesh node's first query computes its distance row, which answers every
+    later query from or to that node.  A node's support is a proper face of
+    a chamber, never a whole one, so a chamber holds only the nodes on its
+    own proper faces.  An off-mesh endpoint is joined, for its query only,
+    to the nodes of the chambers containing its support, and to the other
+    endpoint if it is off-mesh there; such a query keeps no row.
     """
 
     def __init__(self, X, mesh):
@@ -181,6 +183,7 @@ class MeshApproximator:
             raise ValueError("mesh must be 1/m for a positive integer m")
         self.X = X
         self.mesh = mesh
+        self._rows = {}  # a mesh node's int -> {node's int: distance times scale}, for each source searched
 
     def _chamber(self, i):
         """The nodes of chamber i with their places, and the chamber's place and dist."""
@@ -197,48 +200,85 @@ class MeshApproximator:
 
     @cached_property
     def _graph(self):
-        graph = {}
-        for i in range(len(self.X.maximal_simplices)):
+        """(ids, adj, scale): the mesh nodes' ints, and per int {neighbour: least chamber length times scale}.
+
+        scale clears every place coordinate: (1/m)Z for type C, (1/(m(d + 1)))Z on a type-A d-chamber.
+        """
+        X, m = self.X, self.mesh.denominator
+        scale = m if X.order_type == "C" else m * lcm(*map(len, X.maximal_simplices))
+        ids, adj = {}, []
+        for i in range(len(X.maximal_simplices)):
             members, _, dist = self._chamber(i)
             for node, _ in members:
-                graph.setdefault(node, [])
+                if node not in ids:
+                    ids[node] = len(adj)
+                    adj.append({})
             for (a, pa), (b, pb) in combinations(members, 2):
-                d = dist(pa, pb)
-                graph[a].append((b, d))
-                graph[b].append((a, d))
-        return graph
+                w, a, b = _scaled(dist(pa, pb), scale), ids[a], ids[b]
+                if w < adj[a].get(b, w + 1):
+                    adj[a][b] = adj[b][a] = w
+        return ids, adj, scale
 
     def distance(self, p, q):
         p, q = as_point(self.X, p), as_point(self.X, q)
         source, target = frozenset(p.items()), frozenset(q.items())
-        graph = self._graph
-        joins, joined = {}, {}  # edges of this query; chamber -> off-mesh endpoints in it
-        for node in {source, target} - graph.keys():
+        ids, adj, scale = self._graph
+        if source in ids and target in ids:
+            s, t = ids[source], ids[target]
+            if t in self._rows:
+                s, t = t, s
+            if s not in self._rows:
+                self._rows[s] = _dijkstra(adj, s, 1, {})
+            d = self._rows[s].get(t)
+        else:
+            d, scale = self._off_mesh(source, target)
+        if d is None:
+            raise Disconnected("no path between the query points")
+        return Fraction(d, scale)
+
+    def _off_mesh(self, source, target):
+        """(distance, scale) of a query with an off-mesh endpoint: one search over the graph and its joins."""
+        ids, adj, scale = self._graph
+        at = {node: k for k, node in enumerate(dict.fromkeys((source, target)), len(adj)) if node not in ids}
+        m = self.mesh.denominator
+        # the endpoints' places add their weights' denominators to m's
+        fine = scale // m * lcm(m, *(w.denominator for node in at for _, w in node))
+        joins, joined = {}, {}  # this query's edges; chamber -> its off-mesh endpoints with their places
+        for node, a in at.items():
             for i in self.X.carriers(v for v, _ in node):
                 members, place, dist = self._chamber(i)
-                members += [(other, place(other)) for other in joined.get(i, ())]
                 here = place(node)
-                for other, there in members:
-                    d = dist(here, there)
-                    joins.setdefault(node, []).append((other, d))
-                    joins.setdefault(other, []).append((node, d))
-                joined.setdefault(i, []).append(node)
-        adj = ChainMap({node: graph.get(node, []) + e for node, e in joins.items()}, graph)
-        best = {source: Fraction(0)}
-        tie = count()
-        heap = [(Fraction(0), next(tie), source)]
-        while heap:
-            d, _, node = heapq.heappop(heap)
-            if node == target:
-                return d
-            if d > best[node]:
-                continue
-            for other, w in adj[node]:
-                nd = d + w
+                for b, there in [(ids[other], there) for other, there in members] + joined.get(i, []):
+                    w = _scaled(dist(here, there), fine)
+                    if w < joins.setdefault(a, {}).get(b, w + 1):
+                        joins[a][b] = joins.setdefault(b, {})[a] = w
+                joined.setdefault(i, []).append((a, here))
+        s, t = (ids[x] if x in ids else at[x] for x in (source, target))
+        return _dijkstra(adj, s, fine // scale, joins).get(t), fine
+
+
+def _scaled(x, scale):
+    """The Fraction x times scale, as an int; scale must clear x's denominator."""
+    n, r = divmod(x.numerator * scale, x.denominator)
+    if r:
+        raise ArithmeticError(f"{x} times {scale} is not an integer")
+    return n
+
+
+def _dijkstra(adj, source, ratio, joins):
+    """Int distances from source: adj's weights count ratio times, the query-only joins once."""
+    best, heap, n = {source: 0}, [(0, source)], len(adj)
+    while heap:
+        d, node = heapq.heappop(heap)
+        if d > best[node]:
+            continue
+        for edges, r in ((adj[node] if node < n else {}, ratio), (joins.get(node, {}), 1)):
+            for other, w in edges.items():
+                nd = d + w * r
                 if other not in best or nd < best[other]:
                     best[other] = nd
-                    heapq.heappush(heap, (nd, next(tie), other))
-        raise Disconnected("no path between the query points")
+                    heapq.heappush(heap, (nd, other))
+    return best
 
 
 # -- chain-coordinate points on poset realizations -----------------------------------

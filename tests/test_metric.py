@@ -1,6 +1,9 @@
 """Norms, chamber distances, mesh approximation, product decomposition."""
 
+import copy
+import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -93,8 +96,15 @@ def test_ball_extreme_points(n):
     points = polyhedral_ball_extreme_points(n)
     assert [" ".join(map(str, p)) for p in points] == BALL_EXTREME_POINTS[n]
     assert all(sum(p) == 0 and polyhedral_norm(p) == 1 for p in points)
-    with pytest.raises(ParameterTooLarge):
-        polyhedral_ball_extreme_points(4)
+
+
+@pytest.mark.parametrize("n, error", [(-1, ValueError), (0, ValueError), (4, ParameterTooLarge)])
+def test_ball_extreme_points_outside_the_range(n, error):
+    # below the range is bad input, above it is beyond desk scale
+    message = r"^polyhedral_ball_extreme_points supports 1 <= n <= 3$"
+    with pytest.raises((ValueError, ParameterTooLarge), match=message) as err:
+        polyhedral_ball_extreme_points(n)
+    assert type(err.value) is error
 
 
 # -- chamber distances on complexes ----------------------------------------------
@@ -175,6 +185,22 @@ def test_atoms_of_square_share_no_chamber():
 # -- mesh approximation ------------------------------------------------------------
 
 
+def flat(point):
+    """The sum-zero coordinates of a point of a type-A patch: a vertex label or barycentric weights."""
+    weights = point if isinstance(point, dict) else {point: F(1)}
+    coords = [[F(x) for x in label.split(",")] for label in weights]
+    v = [sum(w * c[i] for w, c in zip(weights.values(), coords)) for i in range(len(coords[0]))]
+    mean = sum(v, F(0)) / len(v)
+    return [x - mean for x in v]
+
+
+def chamber_point(rng, X):
+    """A point inside a seeded chamber of X: never a mesh node, as mesh nodes lie on proper faces."""
+    s = rng.choice(X.maximal_simplices)
+    w = [rng.randint(1, 6) for _ in s]
+    return {v: F(x, sum(w)) for v, x in zip(s, w)}
+
+
 def test_one_chamber_distance_survives_any_mesh():
     X = order_complex(boolean_poset(2))
     for mesh in (F(1, 2), F(1, 4), F(1, 8)):
@@ -201,6 +227,12 @@ def test_disconnected_components_raise():
     X = OrderedComplex("C", ["a", "b", "p", "q"], [("a", "b"), ("p", "q")])
     with pytest.raises(Disconnected):
         MeshApproximator(X, F(1, 2)).distance("a", "q")
+    # once the rows of a and p are cached, either endpoint's row must answer
+    approx = MeshApproximator(X, F(1, 2))
+    assert approx.distance("a", "b") == approx.distance("p", "q") == 1
+    for p, q in (("a", "q"), ("q", "a"), ("b", "p"), ("p", "b"), ({"a": F(1, 2), "b": F(1, 2)}, "q")):
+        with pytest.raises(Disconnected):
+            approx.distance(p, q)
 
 
 def test_mesh_refinement_does_not_increase():
@@ -210,15 +242,47 @@ def test_mesh_refinement_does_not_increase():
     assert fine <= coarse
 
 
+def test_refinement_does_not_widen_the_gap_to_the_flat_norm():
+    # pairs of vertices have no gap at mesh 1/8 or 1/16, so the pairs here are
+    # of points inside seeded chambers, where a mesh route must bend
+    X = affine_A_patch(2, 2)
+    rng = random.Random("refinement")
+    pairs = [(chamber_point(rng, X), chamber_point(rng, X)) for _ in range(30)]
+    gaps = []
+    for mesh in (F(1, 8), F(1, 16)):
+        approx = MeshApproximator(X, mesh)
+        gaps.append([approx.distance(p, q) - polyhedral_norm([a - b for a, b in zip(flat(p), flat(q))])
+                     for p, q in pairs])
+    coarse, fine = gaps
+    assert all(0 <= g <= c for c, g in zip(coarse, fine))
+    assert any(coarse)
+
+
+@pytest.mark.parametrize("X", [affine_A_patch(2, 2), order_complex(boolean_poset(3))], ids=["patch(2,2)", "B(3)"])
+def test_cached_rows_change_no_answer(X):
+    # one approximator answers mesh queries from its cached rows, in both
+    # orders and with off-mesh queries between them, as a fresh one does
+    rng = random.Random(f"cached rows:{X.order_type}")
+    mesh = F(1, 3)
+
+    def mesh_point():  # a vertex, or a mesh node inside an edge
+        if rng.random() < 0.5:
+            return rng.choice(X.vertices)
+        a, b = rng.sample(rng.choice(X.maximal_simplices), 2)
+        c = rng.randint(1, 2)
+        return {a: c * mesh, b: 1 - c * mesh}
+
+    pairs = [(mesh_point(), mesh_point()) for _ in range(8)]
+    queries = [q for p, r in pairs for q in ((p, r), (chamber_point(rng, X), r))] + [(r, p) for p, r in pairs]
+    approx = MeshApproximator(X, mesh)
+    for p, q in queries:
+        assert approx.distance(p, q) == MeshApproximator(X, mesh).distance(p, q), (p, q)
+    assert approx._rows
+
+
 def test_patch_distance_matches_polyhedral_norm():
     X = affine_A_patch(2, 2)
     approx = MeshApproximator(X, F(1, 4))
-
-    def flat(label):
-        v = [F(x) for x in label.split(",")]
-        s = sum(v, F(0)) / len(v)
-        return [x - s for x in v]
-
     for target in ("1,0,0", "1,1,0", "2,1,0", "2,2,0"):
         exact = polyhedral_norm([a - b for a, b in zip(flat(target), flat("0,0,0"))])
         got = approx.distance("0,0,0", target)
@@ -241,15 +305,17 @@ def test_off_mesh_query_leaves_the_graph_unchanged():
     X = affine_A_patch(2, 1)
     approx = MeshApproximator(X, F(1, 4))
     approx.distance(X.vertices[0], X.vertices[1])
-    graph = approx._graph
-    before = {node: list(edges) for node, edges in graph.items()}
+    graph = approx._graph  # (node ids, adjacency, scale)
+    before, rows = copy.deepcopy(graph), copy.deepcopy(approx._rows)
     s = X.maximal_simplices[0]
     inside = ({s[0]: F(1, 3), s[1]: F(1, 3), s[2]: F(1, 3)},
               {s[0]: F(1, 2), s[1]: F(1, 3), s[2]: F(1, 6)})
-    for p, q in (inside, (inside[0], X.vertices[-1]), ({s[0]: F(1, 3), s[1]: F(2, 3)}, inside[1])):
+    edge = {s[0]: F(1, 3), s[1]: F(2, 3)}  # off the mesh of 1/4
+    for p, q in (inside, (inside[0], X.vertices[-1]), (X.vertices[2], inside[1]), (edge, inside[1])):
         approx.distance(p, q)
         assert approx._graph is graph
         assert graph == before
+        assert approx._rows == rows
 
 
 # -- the product decomposition -----------------------------------------------------
