@@ -19,7 +19,7 @@ from .poset import Poset, _key
 
 def _cube_dim(size):
     d = size.bit_length() - 1
-    if 1 << d != size:
+    if not size or 1 << d != size:
         raise MalformedCubeComplex(f"cube with {size} vertices is not a power of two")
     return d
 

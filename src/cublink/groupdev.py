@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .complexes import OrderedComplex, maximal_cliques
-from .errors import IncompatibleInclusions, NotASubgroup, UnknownLabel
+from .errors import IncompatibleInclusions, NotASubgroup, ParameterTooLarge, UnknownLabel
 from .poset import _key
 
 # permutations are tuples in one-line notation over 0..degree-1
@@ -97,17 +97,25 @@ def _check_face_key(n, i, I):
         raise UnknownLabel(f"face key ({i}, {sorted(I)}) is malformed")
 
 
+def _check_size(n):
+    if n > 8:
+        raise ParameterTooLarge(f"a simplex of groups supports n <= 8 vertices, not {n}")
+
+
 class SimplexOfGroups:
     """A simple simplex of groups over cyclically indexed vertices.
 
     face_groups maps (vertex, frozenset index set) to the element set of the
     face group's image in that vertex group.  Index sets of size three or
     more default to the intersection of their pair groups when omitted.
+    The table holds n * 2^(n-1) faces and its checks compare them in pairs,
+    so n is limited to 8 (1,024 faces).
     """
 
     def __init__(self, n, vertex_groups, face_groups):
         if n < 2:
             raise ValueError("a simplex of groups needs at least 2 vertices")
+        _check_size(n)
         self.n = n
         self.vertex_groups = [frozenset(map(tuple, g)) for g in vertex_groups]
         if len(self.vertex_groups) != n:
@@ -177,6 +185,7 @@ class SimplexOfGroups:
     @classmethod
     def from_json(cls, data):
         n = data["n"]
+        _check_size(n)  # before any group is closed
         vertex_groups = [closure(vg["degree"], vg["generators"]) for vg in data["vertex_groups"]]
         face_groups = {}
         for key, gens in data["face_subgroups"].items():

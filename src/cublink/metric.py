@@ -4,6 +4,10 @@ Everything here works in exact rational arithmetic: the two simplex norms,
 vertex coordinates of the model simplices, points given by barycentric
 weights or chain coordinates, and a boundary-mesh shortest-path upper bound
 for the length metric.  No floating point enters any verdict.
+
+Every chamber length comes from one formula on the running weight sums of
+its two points (`_length`); the model coordinates and the norms stay public
+as the definition that formula is tested against.
 """
 
 from __future__ import annotations
@@ -100,29 +104,26 @@ def affine_simplex_coords(d):
     return out
 
 
-def _chamber_metric(X, simplex):
-    """Exact metric on one chamber as (place, dist): place maps (vertex, weight)
-    pairs to model coordinates, and dist is the norm of two places' difference."""
-    d = len(simplex) - 1
-    if X.order_type == "C":
-        coords = orthoscheme_coords(d)
-        norm = linf_norm
-    else:
-        coords = affine_simplex_coords(d)
-        norm = polyhedral_norm
-    index = {v: coords[i] for i, v in enumerate(simplex)}
+def _sums(simplex, weights):
+    """The running weight sums a_0, ..., a_d of a point (vertex -> weight) along a chamber's vertex order."""
+    out, a = [], 0
+    for v in simplex:
+        a += weights.get(v, 0)
+        out.append(a)
+    return out
 
-    def place(pairs):
-        out = [Fraction(0)] * len(coords[0])
-        for v, w in pairs:
-            for i, c in enumerate(index[v]):
-                out[i] += w * c
-        return out
 
-    def dist(a, b):
-        return norm([x - y for x, y in zip(a, b)])
+def _length(order_type, a, b):
+    """The chamber length between two points given by their running sums a and b.
 
-    return place, dist
+    With D_k = a_k - b_k, the orthoscheme place of a point is x_i = 1 - a_i,
+    so the sup norm is max |D_k|; the cyclic-simplex place is 1 - a_k less a
+    constant, so the polyhedral norm is max D_k - min D_k.  D_d = 0 for both
+    types, and rotating a type-A chamber's vertex order shifts D cyclically
+    and by a constant, which leaves the length unchanged.
+    """
+    diff = [x - y for x, y in zip(a, b)]
+    return max(map(abs, diff)) if order_type == "C" else max(diff) - min(diff)
 
 
 def as_point(X, point):
@@ -151,8 +152,8 @@ def chamber_distance_in_complex(X, p, q):
     i = X.carrier(support)
     if i is None:
         raise NoCommonChamber(f"{sorted(map(str, support))} lies in no single chamber")
-    place, dist = _chamber_metric(X, X.maximal_simplices[i])
-    return dist(place(p.items()), place(q.items()))
+    s = X.maximal_simplices[i]
+    return Fraction(_length(X.order_type, _sums(s, p), _sums(s, q)))
 
 
 # -- mesh graph and the length-metric upper bound --------------------------------
@@ -168,13 +169,14 @@ class MeshApproximator:
     increase when the mesh is refined by an integer factor.
 
     The graph is built once, at the first query; no query changes it.  Its
-    nodes are ints and its weights the chamber lengths times one int scale.
-    A mesh node's first query computes its distance row, which answers every
-    later query from or to that node.  A node's support is a proper face of
-    a chamber, never a whole one, so a chamber holds only the nodes on its
-    own proper faces.  An off-mesh endpoint is joined, for its query only,
-    to the nodes of the chambers containing its support, and to the other
-    endpoint if it is off-mesh there; such a query keeps no row.
+    nodes are ints and its weights the chamber lengths times m, at mesh 1/m,
+    as a node's running weight sums times m are ints.  A mesh node's first
+    query computes its distance row, which answers every later query from
+    or to that node.  A node's support is a proper face of a chamber, never
+    a whole one, so a chamber holds only the nodes on its own proper faces.
+    An off-mesh endpoint is joined, for its query only, to the nodes of the
+    chambers containing its support, and to the other endpoint if it is
+    off-mesh there; such a query keeps no row.
     """
 
     def __init__(self, X, mesh):
@@ -183,53 +185,47 @@ class MeshApproximator:
             raise ValueError("mesh must be 1/m for a positive integer m")
         self.X = X
         self.mesh = mesh
-        self._rows = {}  # a mesh node's int -> {node's int: distance times scale}, for each source searched
+        self._rows = {}  # a mesh node's int -> {node's int: distance times m}, for each source searched
 
     def _chamber(self, i):
-        """The nodes of chamber i with their places, and the chamber's place and dist."""
-        s = self.X.maximal_simplices[i]
-        place, dist = _chamber_metric(self.X, s)
-        m = self.mesh.denominator
-        nodes = [  # weights c/m with c > 0, from the cuts 0 < c_1 < ... < m
-            frozenset((v, Fraction(b - a, m)) for v, a, b in zip(face, (0,) + cuts, cuts + (m,)))
-            for size in range(1, max(len(s), 2))  # a lone vertex is its own node
-            for face in combinations(s, size)
-            for cuts in combinations(range(1, m), size - 1)
-        ]
-        return [(node, place(node)) for node in nodes], place, dist
+        """The mesh nodes of chamber i, each with its running weight sums times m."""
+        s, m = self.X.maximal_simplices[i], self.mesh.denominator
+        out = []
+        for size in range(1, max(len(s), 2)):  # a lone vertex is its own node
+            for face in combinations(s, size):
+                for cuts in combinations(range(1, m), size - 1):  # weights c/m, c > 0, cut at 0 < c_1 < ... < m
+                    c = {v: y - x for v, x, y in zip(face, (0,) + cuts, cuts + (m,))}
+                    out.append((frozenset((v, Fraction(w, m)) for v, w in c.items()), _sums(s, c)))
+        return out
 
     @cached_property
     def _graph(self):
-        """(ids, adj, scale): the mesh nodes' ints, and per int {neighbour: least chamber length times scale}.
-
-        scale clears every place coordinate: (1/m)Z for type C, (1/(m(d + 1)))Z on a type-A d-chamber.
-        """
-        X, m = self.X, self.mesh.denominator
-        scale = m if X.order_type == "C" else m * lcm(*map(len, X.maximal_simplices))
+        """(ids, adj): the mesh nodes' ints, and per int {neighbour: least chamber length times m}."""
+        X = self.X
         ids, adj = {}, []
         for i in range(len(X.maximal_simplices)):
-            members, _, dist = self._chamber(i)
+            members = self._chamber(i)
             for node, _ in members:
                 if node not in ids:
                     ids[node] = len(adj)
                     adj.append({})
-            for (a, pa), (b, pb) in combinations(members, 2):
-                w, a, b = _scaled(dist(pa, pb), scale), ids[a], ids[b]
+            for (a, sa), (b, sb) in combinations(members, 2):
+                w, a, b = _length(X.order_type, sa, sb), ids[a], ids[b]
                 if w < adj[a].get(b, w + 1):
                     adj[a][b] = adj[b][a] = w
-        return ids, adj, scale
+        return ids, adj
 
     def distance(self, p, q):
         p, q = as_point(self.X, p), as_point(self.X, q)
         source, target = frozenset(p.items()), frozenset(q.items())
-        ids, adj, scale = self._graph
+        ids, adj = self._graph
         if source in ids and target in ids:
             s, t = ids[source], ids[target]
             if t in self._rows:
                 s, t = t, s
             if s not in self._rows:
                 self._rows[s] = _dijkstra(adj, s, 1, {})
-            d = self._rows[s].get(t)
+            d, scale = self._rows[s].get(t), self.mesh.denominator
         else:
             d, scale = self._off_mesh(source, target)
         if d is None:
@@ -237,32 +233,25 @@ class MeshApproximator:
         return Fraction(d, scale)
 
     def _off_mesh(self, source, target):
-        """(distance, scale) of a query with an off-mesh endpoint: one search over the graph and its joins."""
-        ids, adj, scale = self._graph
+        """(distance, scale) of a query with an off-mesh endpoint: one search over the graph and its joins.
+
+        The scale also clears the endpoints' weights, so the graph's edges count scale // m times.
+        """
+        X, (ids, adj), m = self.X, self._graph, self.mesh.denominator
         at = {node: k for k, node in enumerate(dict.fromkeys((source, target)), len(adj)) if node not in ids}
-        m = self.mesh.denominator
-        # the endpoints' places add their weights' denominators to m's
-        fine = scale // m * lcm(m, *(w.denominator for node in at for _, w in node))
-        joins, joined = {}, {}  # this query's edges; chamber -> its off-mesh endpoints with their places
+        fine = lcm(m, *(w.denominator for node in at for _, w in node))
+        joins, joined = {}, {}  # this query's edges; chamber -> its off-mesh endpoints with their sums
         for node, a in at.items():
-            for i in self.X.carriers(v for v, _ in node):
-                members, place, dist = self._chamber(i)
-                here = place(node)
-                for b, there in [(ids[other], there) for other, there in members] + joined.get(i, []):
-                    w = _scaled(dist(here, there), fine)
+            for i in X.carriers(v for v, _ in node):
+                here = [int(x * fine) for x in _sums(X.maximal_simplices[i], dict(node))]
+                members = [(ids[other], [x * (fine // m) for x in sums]) for other, sums in self._chamber(i)]
+                for b, there in members + joined.get(i, []):
+                    w = _length(X.order_type, here, there)
                     if w < joins.setdefault(a, {}).get(b, w + 1):
                         joins[a][b] = joins.setdefault(b, {})[a] = w
                 joined.setdefault(i, []).append((a, here))
         s, t = (ids[x] if x in ids else at[x] for x in (source, target))
-        return _dijkstra(adj, s, fine // scale, joins).get(t), fine
-
-
-def _scaled(x, scale):
-    """The Fraction x times scale, as an int; scale must clear x's denominator."""
-    n, r = divmod(x.numerator * scale, x.denominator)
-    if r:
-        raise ArithmeticError(f"{x} times {scale} is not an integer")
-    return n
+        return _dijkstra(adj, s, fine // m, joins).get(t), fine
 
 
 def _dijkstra(adj, source, ratio, joins):

@@ -306,6 +306,30 @@ def test_groupdev_with_too_few_vertex_groups_is_an_input_error(tmp_path, capsys)
     }
 
 
+@pytest.mark.parametrize("cube", [[], ["a", "b", "c"]], ids=["empty", "three-vertices"])
+def test_cube_of_no_power_of_two_vertices_is_malformed(tmp_path, capsys, cube):
+    path = tmp_path / "cubes.json"
+    path.write_text(json.dumps({"cubes": [cube]}))
+    assert main(["check", "--type", "C", str(path)]) == 2
+    assert json.loads(capsys.readouterr().out) == {
+        "error": "MalformedCubeComplex",
+        "detail": f"cube with {len(cube)} vertices is not a power of two",
+    }
+
+
+def test_groupdev_past_eight_vertices_is_too_large(tmp_path, capsys):
+    # 16 * 2^15 faces: the table is refused before it is filled
+    n, one = 16, {"degree": 1, "generators": [[0]]}
+    pairs = {f"{i}|{min(i, j)},{max(i, j)}": [[0]] for i in range(n) for j in range(n) if j != i}
+    path = tmp_path / "sixteen.json"
+    path.write_text(json.dumps({"n": n, "vertex_groups": [one] * n, "face_subgroups": pairs}))
+    assert main(["groupdev", str(path)]) == 2
+    assert json.loads(capsys.readouterr().out) == {
+        "error": "ParameterTooLarge",
+        "detail": "a simplex of groups supports n <= 8 vertices, not 16",
+    }
+
+
 def test_output_is_byte_deterministic():
     runs = {run_cli(["generate", "affine-patch", "--n", "2", "--radius", "1"])[1] for _ in range(3)}
     assert len(runs) == 1

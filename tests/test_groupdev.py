@@ -5,7 +5,7 @@ import random
 import pytest
 
 from cublink.complexes import validate
-from cublink.errors import IncompatibleInclusions, NotASubgroup, UnknownLabel
+from cublink.errors import IncompatibleInclusions, NotASubgroup, ParameterTooLarge, UnknownLabel
 from cublink.groupdev import (
     SimplexOfGroups,
     check_conditions,
@@ -90,6 +90,13 @@ def test_missing_pair_group_rejected():
     one = closure(1, [])
     with pytest.raises(UnknownLabel):
         SimplexOfGroups(3, [one, one, one], {(0, frozenset({0, 1})): one})
+
+
+def test_more_than_eight_vertices_is_too_large():
+    # n = 8 is the largest table, 8 * 2^7 faces; n = 9 is refused before its table is filled
+    assert check_conditions(trivial_simplex(8)).passed
+    with pytest.raises(ParameterTooLarge, match="n <= 8"):
+        trivial_simplex(9)
 
 
 # -- the canonical example ---------------------------------------------------------

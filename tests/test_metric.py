@@ -15,11 +15,13 @@ from cublink.generators import affine_A_patch, boolean_poset
 from cublink.metric import (
     MeshApproximator,
     PLPoint,
+    affine_simplex_coords,
     chamber_distance,
     chamber_distance_in_complex,
     frac,
     linf_norm,
     local_product_check,
+    orthoscheme_coords,
     polyhedral_ball_extreme_points,
     polyhedral_norm,
 )
@@ -134,6 +136,36 @@ def test_face_distance_matches_ambient_chamber():
     p = {"{}": F(1, 3), "{1,2}": F(2, 3)}
     q = {"{}": F(3, 4), "{1,2}": F(1, 4)}
     assert chamber_distance_in_complex(X, p, q) == F(5, 12)
+
+
+@pytest.mark.parametrize("order_type", ["C", "A"])
+def test_chamber_distance_is_the_norm_of_the_model_places(order_type):
+    # seeded points of a d-chamber, d = 0..4, in a seeded vertex order, placed
+    # at the model vertices: the orthoscheme with the sup norm, the cyclic
+    # simplex with the polyhedral norm.  A type-A chamber is stored from its
+    # least label, so its model is placed in every rotation of its order.
+    rng = random.Random(f"model places:{order_type}")
+    coords_of, norm = (orthoscheme_coords, linf_norm) if order_type == "C" else (affine_simplex_coords, polyhedral_norm)
+    for d in range(5):
+        labels = [f"v{k}" for k in range(d + 1)]
+        order = rng.sample(labels, d + 1)
+        X = OrderedComplex(order_type, labels, [tuple(order)])
+        rotations = [order[r:] + order[:r] for r in range(d + 1 if order_type == "A" else 1)]
+
+        def place(point, s):
+            at = dict(zip(s, coords_of(d)))
+            return [sum((w * at[v][i] for v, w in point.items()), F(0)) for i in range(len(at[s[0]]))]
+
+        def point():
+            support = rng.sample(labels, rng.randint(1, d + 1))
+            w = [rng.randint(1, 9) for _ in support]
+            return {v: F(x, sum(w)) for v, x in zip(support, w)}
+
+        for _ in range(25):
+            p, q = point(), point()
+            got = chamber_distance_in_complex(X, p, q)
+            for s in rotations:
+                assert got == norm([a - b for a, b in zip(place(p, s), place(q, s))]), (s, p, q)
 
 
 def test_no_common_chamber():
@@ -305,7 +337,7 @@ def test_off_mesh_query_leaves_the_graph_unchanged():
     X = affine_A_patch(2, 1)
     approx = MeshApproximator(X, F(1, 4))
     approx.distance(X.vertices[0], X.vertices[1])
-    graph = approx._graph  # (node ids, adjacency, scale)
+    graph = approx._graph  # (node ids, adjacency)
     before, rows = copy.deepcopy(graph), copy.deepcopy(approx._rows)
     s = X.maximal_simplices[0]
     inside = ({s[0]: F(1, 3), s[1]: F(1, 3), s[2]: F(1, 3)},
