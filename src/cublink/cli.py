@@ -113,7 +113,7 @@ def _read_structure(data):
         _check_shape(data, {"cubes": [["label"]]})
         cubes = [tuple(c) for c in data["cubes"]]
         _checked_labels([x for c in cubes for x in c])
-        P, _ = CubeComplex(cubes).face_poset()
+        P = CubeComplex(cubes).face_poset()
     else:
         raise UsageError("input is neither a complex, a poset, nor a cube complex")
     _checked_labels(P.elements)

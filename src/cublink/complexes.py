@@ -224,8 +224,9 @@ def validate(X, require_flag=True):
     chambers, in maximal_simplices order, that disagree.  Then, with
     require_flag, _check_flag.  Returns the complex itself for chaining.
 
-    The link checkers run this orientation pass only after their flag
-    check fails or their own relation closes a cycle.  A clash on an edge
+    The link checkers run this orientation pass, with require_flag False,
+    only after their own flag check fails or their own relation closes a
+    cycle; their flag check has run by then.  A clash on an edge
     {u, v} (type C) puts v after u in one chamber through u and before it
     in another, and a clash on a triangle {a, b, c} (type A) does the same
     to b and c read from a; so it closes a 2-cycle in the star relation at

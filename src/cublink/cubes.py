@@ -48,7 +48,11 @@ def _structural_faces(cube):
 
 
 class CubeComplex:
-    """Immutable cube complex with vertex-determined faces."""
+    """Immutable cube complex with vertex-determined faces.
+
+    face_dims maps the vertex set of each face to its dimension, and
+    face_subfaces maps it to the vertex sets of its proper faces.
+    """
 
     def __init__(self, cubes):
         cubes = [tuple(c) for c in cubes]
@@ -56,29 +60,19 @@ class CubeComplex:
             if len(set(c)) != len(c):
                 raise MalformedCubeComplex(f"repeated vertex in cube {c}")
             _cube_dim(len(c))
-        # every face of every cube, deduplicated by vertex set
-        face_of = {}
-        subfaces = {}
+        # every face of every cube, deduplicated by vertex set; a face's dimension is
+        # log2 of its vertex count, so two faces on one vertex set differ only in their sub-faces
+        face_dims, subfaces = {}, {}
         for c in cubes:
             for f in _structural_faces(c):
                 key = frozenset(f)
-                dim = _cube_dim(len(f))
-                if key in face_of and face_of[key] != dim:
-                    raise MalformedCubeComplex(
-                        f"vertex set {sorted(map(str, key))} spans faces of different dimensions"
-                    )
-                face_of[key] = dim
-                proper = frozenset(
-                    frozenset(g) for g in _structural_faces(f) if len(g) < len(f)
-                )
-                if key in subfaces and subfaces[key] != proper:
+                proper = frozenset(frozenset(g) for g in _structural_faces(f) if len(g) < len(f))
+                if subfaces.setdefault(key, proper) != proper:
                     raise MalformedCubeComplex(
                         f"face {sorted(map(str, key))} is glued with incompatible structure"
                     )
-                subfaces[key] = proper
-        self.cubes = tuple(sorted({frozenset(c): c for c in cubes}.values(),
-                                  key=lambda c: tuple(map(_key, c))))
-        self.face_dims = face_of
+                face_dims[key] = _cube_dim(len(f))
+        self.face_dims = face_dims
         self.face_subfaces = subfaces
 
     def vertices(self):
@@ -89,14 +83,11 @@ class CubeComplex:
         return sorted(out, key=lambda f: tuple(sorted(map(_key, f))))
 
     def face_poset(self):
-        """All faces ordered by the structural face relation."""
+        """All faces, each named by face_label, ordered by the structural face relation."""
         labels = {f: face_label(f) for f in self.face_dims}
-        covers = []
-        for f, subs in self.face_subfaces.items():
-            for g in subs:
-                if self.face_dims[g] == self.face_dims[f] - 1:
-                    covers.append((labels[g], labels[f]))
-        return Poset.from_covers(labels.values(), covers), labels
+        covers = [(labels[g], labels[f]) for f, subs in self.face_subfaces.items()
+                  for g in subs if self.face_dims[g] == self.face_dims[f] - 1]
+        return Poset.from_covers(labels.values(), covers)
 
 
 def face_label(face_set):
@@ -111,8 +102,7 @@ def barycentric_cube_subdivision(cubes):
     needs no subdivision: it takes the face poset itself.
     """
     K = cubes if isinstance(cubes, CubeComplex) else CubeComplex(cubes)
-    P, _ = K.face_poset()
-    return order_complex(P)
+    return order_complex(K.face_poset())
 
 
 # -- the direct vertex-link test ----------------------------------------------------

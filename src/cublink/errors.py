@@ -33,26 +33,26 @@ class NoMinimum(CublinkError):
 class InconsistentOrder(CublinkError):
     """Two simplices induce different orders on a shared face."""
 
-    def __init__(self, face, message=None):
+    def __init__(self, face):
         self.face = face
-        super().__init__(message or f"inconsistent induced orders on face {sorted(map(str, face))}")
+        super().__init__(f"inconsistent induced orders on face {sorted(map(str, face))}")
 
 
 class NotFlag(CublinkError):
     """A clique of the 1-skeleton spans no simplex."""
 
-    def __init__(self, clique, message=None):
+    def __init__(self, clique):
         self.clique = clique
-        super().__init__(message or f"empty clique {sorted(map(str, clique))} spans no simplex")
+        super().__init__(f"empty clique {sorted(map(str, clique))} spans no simplex")
 
 
 class NotLocalPoset(CublinkError):
     """The star relation at some vertex orders a cycle, so it generates no partial order."""
 
-    def __init__(self, vertex, cycle, message=None):
+    def __init__(self, vertex, cycle):
         self.vertex = vertex
         self.cycle = cycle
-        super().__init__(message or f"star relation at {vertex} not transitive on {cycle}")
+        super().__init__(f"star relation at {vertex} not transitive on {cycle}")
 
 
 class MalformedCubeComplex(CublinkError):
@@ -60,7 +60,7 @@ class MalformedCubeComplex(CublinkError):
 
 
 class ParameterTooLarge(CublinkError):
-    """A generator parameter exceeds the supported desk-scale range."""
+    """A parameter or input exceeds the supported desk-scale size; nothing that grows with it has run."""
 
 
 class PreconditionFailed(CublinkError):

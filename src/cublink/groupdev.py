@@ -109,7 +109,9 @@ class SimplexOfGroups:
     face group's image in that vertex group.  Index sets of size three or
     more default to the intersection of their pair groups when omitted.
     The table holds n * 2^(n-1) faces and its checks compare them in pairs,
-    so n is limited to 8 (1,024 faces).
+    so n is limited to 8 (1,024 faces); each group's product-closure test
+    composes every pair of its elements, so a group is limited to 720
+    elements, the order of the symmetric group of degree 6.
     """
 
     def __init__(self, n, vertex_groups, face_groups):
@@ -143,6 +145,9 @@ class SimplexOfGroups:
                         table[(i, I)] = meet
         self.face_groups = table
 
+        for (i, I), elements in table.items():
+            if len(elements) > 720:
+                raise ParameterTooLarge(f"face {sorted(I)} at vertex {i} has {len(elements)} elements, more than 720")
         for (i, I), elements in table.items():
             if not elements <= self.vertex_groups[i]:
                 raise NotASubgroup(f"group of face {sorted(I)} is not inside vertex group {i}")
@@ -186,6 +191,9 @@ class SimplexOfGroups:
     def from_json(cls, data):
         n = data["n"]
         _check_size(n)  # before any group is closed
+        for vg in data["vertex_groups"]:
+            if vg["degree"] > 8:
+                raise ParameterTooLarge(f"a vertex group supports degree <= 8, not {vg['degree']}")
         vertex_groups = [closure(vg["degree"], vg["generators"]) for vg in data["vertex_groups"]]
         face_groups = {}
         for key, gens in data["face_subgroups"].items():

@@ -71,14 +71,15 @@ def _checked(X, order_type):
 
 
 def _validated(X):
-    """Raise PreconditionFailed for validate's failure on X, if it has one.
+    """Raise PreconditionFailed for an orientation clash on X, if it has one.
 
     Called after the flag check fails or a relation closes a cycle, before
     the caller raises its own cause, so InconsistentOrder outranks NotFlag,
-    which outranks NotLocalPoset, and each keeps its witness.
+    which outranks NotLocalPoset, and each keeps its witness.  The flag
+    check has run by then (see _checked), so validate skips it.
     """
     try:
-        validate(X)
+        validate(X, require_flag=False)
     except CublinkError as err:
         raise PreconditionFailed(err) from err
 

@@ -13,11 +13,12 @@ as the definition that formula is tested against.
 from __future__ import annotations
 
 import heapq
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
-from math import lcm
+from math import comb, lcm
 
 from .complexes import order_complex
 from .errors import (
@@ -25,6 +26,7 @@ from .errors import (
     NoCommonChamber,
     NotComparableToAll,
     NotSumZero,
+    ParameterTooLarge,
     UnknownLabel,
 )
 from .generators import _check_range
@@ -177,12 +179,23 @@ class MeshApproximator:
     An off-mesh endpoint is joined, for its query only, to the nodes of the
     chambers containing its support, and to the other endpoint if it is
     off-mesh there; such a query keeps no row.
+
+    The build joins every pair of nodes in a chamber, so a complex and mesh
+    with more than MAX_PAIRS such pairs are refused before any node is made.
     """
+
+    MAX_PAIRS = 10**6
 
     def __init__(self, X, mesh):
         mesh = frac(mesh)
         if mesh <= 0 or mesh.numerator != 1:
             raise ValueError("mesh must be 1/m for a positive integer m")
+        m, pairs = mesh.denominator, 0
+        for k, chambers in Counter(map(len, X.maximal_simplices)).items():
+            nodes = sum(comb(k, size) * comb(m - 1, size - 1) for size in range(1, max(k, 2)))  # as _chamber
+            pairs += chambers * comb(nodes, 2)
+        if pairs > self.MAX_PAIRS:
+            raise ParameterTooLarge(f"mesh 1/{m} joins {pairs} node pairs, more than {self.MAX_PAIRS}")
         self.X = X
         self.mesh = mesh
         self._rows = {}  # a mesh node's int -> {node's int: distance times m}, for each source searched
@@ -377,11 +390,12 @@ class ProductReport:
         }
 
 
-def local_product_check(L, x, mesh=Fraction(1, 4), max_samples=12):
+def local_product_check(L, x, mesh=Fraction(1, 4)):
     """Compare distances near x in |L| with the sup of the two factor distances.
 
     L must have x comparable to every element; points are sampled on the mesh
-    grid at barycentric weight 1 - 2*mesh on x, and distances in |L| are
+    grid at barycentric weight 1 - 2*mesh on x, one toward each of the first
+    12 other elements in label order, and distances in |L| are
     compared against max of the distances between the projections to the
     realizations of L+ = {y >= x} and L- = {y <= x}.  The documented bound on
     the discrepancy is 2 * mesh.
@@ -398,11 +412,7 @@ def local_product_check(L, x, mesh=Fraction(1, 4), max_samples=12):
     approx_minus = MeshApproximator(minus_c, mesh)
 
     delta = 2 * mesh
-    samples = []
-    for y in sorted((y for y in L.elements if y != x), key=_key):
-        samples.append({x: 1 - delta, y: delta})
-        if len(samples) >= max_samples:
-            break
+    samples = [{x: 1 - delta, y: delta} for y in sorted((y for y in L.elements if y != x), key=_key)[:12]]
 
     def project(point, side):
         kept = {v: w for v, w in point.items() if v in side and v != x}

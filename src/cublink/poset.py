@@ -238,10 +238,6 @@ class Poset:
                     return False
         return True
 
-    def height(self, x):
-        """Length of a longest chain ending at x (counted in cover steps)."""
-        return self._heights[self._index_of(x)]
-
     def heights(self):
         return dict(zip(self.elements, self._heights))
 

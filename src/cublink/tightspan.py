@@ -51,10 +51,6 @@ class FiniteMetric:
     def __len__(self):
         return len(self.points)
 
-    def d(self, x, y):
-        i, j = self.points.index(x), self.points.index(y)
-        return self.dist[i][j]
-
     def to_json(self):
         return {
             "points": [str(p) for p in self.points],

@@ -255,6 +255,36 @@ def reference_flag_condition(below, direction):
     return None
 
 
+# -- cube complexes: a face is the set of corners that agree on some fixed coordinates ----------------
+
+
+def reference_face_poset(cubes):
+    """CubeComplex(cubes).face_poset() by its definition, or CubeComplex's error at the first failing cube or face.
+
+    Corner m of a cube of 2^d corners has the bits of m as its coordinates.
+    Every cube is checked for a repeated corner and a power-of-two size
+    first.  Then the faces are read cube by cube and, in each, by dimension:
+    a vertex set met again must have the same set of proper sub-faces.
+    """
+    for c in map(tuple, cubes):
+        if len(set(c)) != len(c):
+            raise MalformedCubeComplex(f"repeated vertex in cube {c}")
+        if len(c) not in {2 ** d for d in range(len(c).bit_length())}:
+            raise MalformedCubeComplex(f"cube with {len(c)} vertices is not a power of two")
+    sub_faces = {}
+    for c in cubes:
+        d = len(c).bit_length() - 1
+        faces = [frozenset(c[m] for m in range(len(c)) if all(m >> i & 1 == v for i, v in zip(fixed, values)))
+                 for dim in range(d + 1) for free in combinations(range(d), dim)
+                 for fixed in [[i for i in range(d) if i not in free]] for values in product((0, 1), repeat=d - dim)]
+        for S in faces:
+            subs = frozenset(T for T in faces if T < S)
+            if sub_faces.setdefault(S, subs) != subs:
+                raise MalformedCubeComplex(f"face {sorted(map(str, S))} is glued with incompatible structure")
+    label = {S: "+".join(sorted(map(str, S))) for S in sub_faces}
+    return poset_json({label[S]: {label[T] for T in sub_faces[S]} for S in sorted(sub_faces, key=label.get)})
+
+
 # -- complexes ------------------------------------------------------------------------------------
 
 
@@ -791,7 +821,7 @@ def random_face_poset(rng):
             pool = [f"u{i}" for i in range(rng.randint(4, 9))]
             cubes = [rng.sample(pool, rng.choice((2, 4, 4))) for _ in range(rng.randint(1, 5))]
             try:
-                P = CubeComplex(cubes).face_poset()[0]
+                P = CubeComplex(cubes).face_poset()
             except MalformedCubeComplex:
                 continue
             return list(P.elements), sorted(P.covers)
@@ -806,6 +836,30 @@ def random_face_poset(rng):
     return sorted(faces | {x for pair in pairs for x in pair}), pairs
 
 
+def random_cubes(rng):
+    """Cubes of the cube corpus, or up to four random ones on a few labels; some have their corners shuffled.
+
+    Few labels make cubes share faces, and a shuffled corner order often
+    glues one vertex set with two structures.  A few inputs get a cube with
+    a repeated corner or with no power-of-two number of corners.
+    """
+    if rng.random() < 0.3:
+        cubes = [list(c) for c in rng.choice(list(cube_corpus().values()))]
+    else:
+        pool = [f"u{i}" for i in range(rng.randint(4, 10))]
+        sizes = [min(rng.choice((1, 2, 4, 4, 8)), len(pool) // 4 * 4) for _ in range(rng.randint(1, 4))]
+        cubes = [rng.sample(pool, size) for size in sizes]
+    for c in cubes:
+        if rng.random() < 0.15:
+            rng.shuffle(c)
+    fault = rng.randrange(20)
+    if fault == 0:
+        cubes.insert(rng.randint(0, len(cubes)), ["w0", "w1", "w0", "w2"])
+    elif fault == 1:
+        cubes.insert(rng.randint(0, len(cubes)), [f"w{i}" for i in range(rng.choice((0, 3, 5, 6)))])
+    return cubes
+
+
 @cache
 def poset_corpus():
     """Small lattices, each also without its bounds, and the face posets of the cube corpus."""
@@ -815,7 +869,7 @@ def poset_corpus():
         out.append((P.elements, sorted(P.covers)))
         inner = [x for x in P.elements if x not in (P.minimum(), P.maximum())]
         out.append((inner, [(a, b) for a, b in sorted(P.covers) if a in inner and b in inner]))
-    for P in (CubeComplex(cubes).face_poset()[0] for cubes in cube_corpus().values()):
+    for P in (CubeComplex(cubes).face_poset() for cubes in cube_corpus().values()):
         out.append((P.elements, sorted(P.covers)))
     return out
 
@@ -1099,6 +1153,15 @@ def prop_from_covers(rng):
     return tags(out, "poset")
 
 
+def prop_face_poset(rng):
+    """CubeComplex(...).face_poset(): the face poset's JSON, or the error at the first malformed cube or face."""
+    cubes = random_cubes(rng)
+    out = agree(lambda: cubes, lambda cubes: CubeComplex(cubes).face_poset(), reference_face_poset, cubes)
+    if "error" not in out:
+        return ["poset"]
+    return [next(kind for kind in ("repeated vertex", "power of two", "glued") if kind in out["message"])]
+
+
 def _poset_case(rng):
     P = random_poset(rng)
     return P, reference_closure(P.elements, P.covers), lambda: P.to_json()
@@ -1252,6 +1315,8 @@ class Property(NamedTuple):
 PROPERTIES = {
     "Poset.from_covers": Property(prop_from_covers, 2, frozenset(
         {"poset", "DuplicateLabel", "UnknownLabel", "CycleDetected"})),
+    "CubeComplex.face_poset": Property(prop_face_poset, 2, frozenset(
+        {"poset", "repeated vertex", "power of two", "glued"})),
     "find_bowtie": Property(prop_find_bowtie, 2, frozenset({"found", "none"})),
     "find_balanced_bowtie": Property(prop_find_balanced_bowtie, 2, frozenset({"found", "none", "NotGraded"})),
     "flag_condition": Property(prop_flag_condition, 2, frozenset({"up", "down", "none"})),

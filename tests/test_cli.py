@@ -8,6 +8,7 @@ import pytest
 
 from cublink import cli
 from cublink.cli import main
+from cublink.generators import boolean_poset
 
 
 def run_cli(args, stdin=None):
@@ -328,6 +329,75 @@ def test_groupdev_past_eight_vertices_is_too_large(tmp_path, capsys):
         "error": "ParameterTooLarge",
         "detail": "a simplex of groups supports n <= 8 vertices, not 16",
     }
+
+
+ONE = {"degree": 1, "generators": []}
+
+
+def _symmetric_simplex(degree):
+    """Two vertex groups, the symmetric group of the degree and the trivial group, with trivial pair groups."""
+    swap, cycle = [1, 0, *range(2, degree)], [*range(1, degree), 0]
+    groups = [{"degree": degree, "generators": [swap, cycle]}, ONE]
+    return {"n": 2, "vertex_groups": groups, "face_subgroups": {"0|0,1": [], "1|0,1": []}}
+
+
+@pytest.mark.parametrize("argv, data, detail", [
+    (["dist", "--from", "{1}", "--to", "{2}", "--mesh", "1/512"], boolean_poset(2).to_json(),
+     "mesh 1/512 joins 2357760 node pairs, more than 1000000"),
+    (["dist", "--from", "{1}", "--to", "{2}", "--mesh", "1/100000"], boolean_poset(2).to_json(),
+     "mesh 1/100000 joins 89999700000 node pairs, more than 1000000"),
+    (["groupdev", "--conditions-only"], _symmetric_simplex(8),
+     "face [0] at vertex 0 has 40320 elements, more than 720"),
+], ids=["mesh-1/512", "mesh-1/100000", "S8-group"])
+def test_oversized_input_is_refused_before_it_is_built(tmp_path, capsys, argv, data, detail):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data))
+    assert main([*argv, str(path)]) == 2
+    assert json.loads(capsys.readouterr().out) == {"error": "ParameterTooLarge", "detail": detail}
+
+
+@pytest.mark.parametrize("argv, data, error", [
+    (["dist", "--from", json.dumps({"weights": {"a": "1/2"}}), "--to", "b"], SQUARE,
+     {"error": "input", "detail": "barycentric weights must sum to 1"}),
+    (["dist", "--from", json.dumps({"weights": {"a": "3/2", "0": "-1/2"}}), "--to", "b"], SQUARE,
+     {"error": "input", "detail": "barycentric weights must be nonnegative"}),
+    (["dist", "--from", json.dumps({"weights": {"a": "1/2", "b": "1/2"}}), "--to", "1"], SQUARE,
+     {"error": "UnknownLabel", "detail": "support ['a', 'b'] spans no simplex"}),
+    (["dist", "--from", "a", "--to", "b", "--mesh", "2/3"], SQUARE,
+     {"error": "input", "detail": "mesh must be 1/m for a positive integer m"}),
+    (["dist", "--from", json.dumps({"chain": ["0", "a", "1"], "coords": ["1/2", "1/4"]}), "--to", "b"], SQUARE,
+     {"error": "input", "detail": "coordinates must be nondecreasing"}),
+    (["dist", "--from", json.dumps({"chain": ["0", "a", "1"], "coords": ["1/2"]}), "--to", "b"], SQUARE,
+     {"error": "input", "detail": "a rank-n chain needs n+1 elements and n coordinates"}),
+    (["dist", "--from", json.dumps({"chain": ["0", "a", "1"], "coords": ["1/2", "3/2"]}), "--to", "b"], SQUARE,
+     {"error": "input", "detail": "coordinates must stay within [0, 1]"}),
+    (["tightspan"], {"points": ["x", "x"], "dist": [[0, 1], [1, 0]]},
+     {"error": "NotAMetric", "detail": "point labels must be unique"}),
+    (["tightspan"], {"points": ["x", "y"], "dist": [[0, 1], [1]]},
+     {"error": "NotAMetric", "detail": "distance matrix shape must match the point count"}),
+    (["tightspan"], {"points": ["x", "y"], "dist": [[0, 0], [0, 0]]},
+     {"error": "NotAMetric", "detail": "distinct points need positive distance"}),
+    (["tightspan"], {"points": ["x", "y"], "dist": [[0, 1], [2, 0]]},
+     {"error": "NotAMetric", "detail": "distance matrix must be symmetric"}),
+    (["check", "--type", "C"], {"type": "C", "vertices": ["a", "b"], "maximal_simplices": [["a", "a", "b"]]},
+     {"error": "input", "detail": "repeated vertex in simplex ('a', 'a', 'b')"}),
+    (["check", "--type", "C"], {"type": "C", "vertices": ["a", "b"], "maximal_simplices": [["a", "z"]]},
+     {"error": "UnknownLabel", "detail": "simplex uses undeclared vertex 'z'"}),
+    (["check", "--type", "C"], {"type": "B", "vertices": ["a", "b"], "maximal_simplices": [["a", "b"]]},
+     {"error": "input", "detail": "order_type must be 'A' or 'C'"}),
+    (["groupdev"], {"n": 2, "vertex_groups": [{"degree": 2, "generators": [[0, 0]]}, ONE],
+                    "face_subgroups": {"0|0,1": [], "1|0,1": []}},
+     {"error": "input", "detail": "(0, 0) is not a permutation of degree 2"}),
+    (["groupdev"], {"n": 1, "vertex_groups": [ONE], "face_subgroups": {}},
+     {"error": "input", "detail": "a simplex of groups needs at least 2 vertices"}),
+], ids=["weights-sum-to-half", "negative-weight", "support-spans-no-simplex", "mesh-2/3", "decreasing-coords",
+        "too-few-coords", "coord-past-one", "repeated-point", "ragged-matrix", "zero-distance", "asymmetric-matrix",
+        "repeated-simplex-vertex", "undeclared-vertex", "type-B", "not-a-permutation", "one-vertex"])
+def test_input_error_exits_two_with_its_error_object(tmp_path, capsys, argv, data, error):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data))
+    assert main([*argv, str(path)]) == 2
+    assert json.loads(capsys.readouterr().out) == error
 
 
 def test_output_is_byte_deterministic():

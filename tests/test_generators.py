@@ -94,7 +94,7 @@ def test_cube_barycenter_star_is_face_poset_without_top():
     assert len(sp.poset) == 27  # the cube's 26 proper faces plus the center
     assert sp.poset.maximum() == top
     assert find_bowtie(sp.poset) is None
-    face_poset, _ = K.face_poset()
+    face_poset = K.face_poset()
     assert set(sp.poset.covers) == set(face_poset.covers)
 
 

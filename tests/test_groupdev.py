@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from cublink import groupdev
 from cublink.complexes import validate
 from cublink.errors import IncompatibleInclusions, NotASubgroup, ParameterTooLarge, UnknownLabel
 from cublink.groupdev import (
@@ -97,6 +98,30 @@ def test_more_than_eight_vertices_is_too_large():
     assert check_conditions(trivial_simplex(8)).passed
     with pytest.raises(ParameterTooLarge, match="n <= 8"):
         trivial_simplex(9)
+
+
+def test_group_past_720_elements_is_too_large():
+    # S6, of 720 elements, is the largest group; S7 is refused before its product-closure test
+    one = closure(1, [])
+
+    def simplex(degree):
+        pairs = {(0, frozenset({0, 1})): closure(degree, []), (1, frozenset({0, 1})): one}
+        return SimplexOfGroups(2, [symmetric_group(degree), one], pairs)
+
+    assert check_conditions(simplex(6)).passed
+    with pytest.raises(ParameterTooLarge, match=r"^face \[0\] at vertex 0 has 5040 elements, more than 720$"):
+        simplex(7)
+
+
+def test_degree_past_eight_is_refused_before_any_group_is_closed(monkeypatch):
+    def no_closure(degree, generators):
+        raise AssertionError("a group was closed")
+
+    monkeypatch.setattr(groupdev, "closure", no_closure)
+    data = {"n": 2, "vertex_groups": [{"degree": 1, "generators": []}, {"degree": 9, "generators": []}],
+            "face_subgroups": {"0|0,1": [], "1|0,1": []}}
+    with pytest.raises(ParameterTooLarge, match="^a vertex group supports degree <= 8, not 9$"):
+        SimplexOfGroups.from_json(data)
 
 
 # -- the canonical example ---------------------------------------------------------

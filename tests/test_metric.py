@@ -4,6 +4,7 @@ import copy
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -331,6 +332,18 @@ def test_off_mesh_query_point_does_not_shortcut_later_queries():
     approx = MeshApproximator(X, F(1, 2))
     approx.distance({"{}": F(3, 4), "{1,2}": F(1, 4)}, p)
     assert approx.distance(p, q) == 1
+
+
+def test_mesh_past_its_node_pair_limit_is_refused_before_the_build(monkeypatch):
+    # chambers of 3, 2 and 1 vertices; the limit counts the pairs the build would join
+    X = OrderedComplex("C", ["a", "b", "c", "d", "e"], [("a", "b", "c"), ("c", "d")])
+    approx = MeshApproximator(X, F(1, 8))
+    pairs = sum(comb(len(approx._chamber(i)), 2) for i in range(3))
+    monkeypatch.setattr(MeshApproximator, "MAX_PAIRS", pairs)
+    assert MeshApproximator(X, F(1, 8)).distance("a", "b") == 1
+    monkeypatch.setattr(MeshApproximator, "MAX_PAIRS", pairs - 1)
+    with pytest.raises(ParameterTooLarge, match=f"^mesh 1/8 joins {pairs} node pairs, more than {pairs - 1}$"):
+        MeshApproximator(X, F(1, 8))
 
 
 def test_off_mesh_query_leaves_the_graph_unchanged():
