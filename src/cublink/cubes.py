@@ -91,7 +91,16 @@ class CubeComplex:
 
 
 def face_label(face_set):
-    return "+".join(sorted(map(str, face_set)))
+    """The face's vertex labels in label order, joined by "+".
+
+    If a label holds a "+", each label is instead written with "\\" doubled
+    and "+" as "\\p", and ended by "+": such a name ends in "+" and a plain
+    join does not, so no two faces share a name.
+    """
+    joined = "+".join(sorted(map(str, face_set)))
+    if joined.count("+") < len(face_set):
+        return joined
+    return "".join(x.replace("\\", "\\\\").replace("+", "\\p") + "+" for x in sorted(map(str, face_set)))
 
 
 def barycentric_cube_subdivision(cubes):

@@ -6,11 +6,12 @@ their JSON serializations are byte-stable.
 
 from __future__ import annotations
 
-from itertools import combinations, product
+from itertools import accumulate, combinations, permutations, product
+from operator import add
 
-from .complexes import OrderedComplex, maximal_cliques
+from .complexes import OrderedComplex
 from .errors import ParameterTooLarge
-from .poset import Poset
+from .poset import Poset, _bits
 
 
 def _check_range(where, name, value, lo, hi):
@@ -40,48 +41,64 @@ def boolean_poset(n):
     return Poset.from_covers(labels.values(), covers)
 
 
-def _set_partitions(items):
-    if not items:
-        yield []
-        return
-    first, rest = items[0], items[1:]
-    for part in _set_partitions(rest):
-        for i in range(len(part)):
-            yield part[:i] + [[first] + part[i]] + part[i + 1:]
-        yield [[first]] + part
+def _set_partitions(n):
+    """All partitions of 1..n as tuples of block masks, each tuple in order of least element.
+
+    Element x joins a block or opens one; a block it opens has the largest
+    least element so far, so it goes last.
+    """
+    parts = [()]
+    for x in range(1, n + 1):
+        bit = 1 << x
+        parts = [p[:i] + (p[i] | bit,) + p[i + 1:] for p in parts for i in range(len(p))] + [p + (bit,) for p in parts]
+    return parts
 
 
-def _is_noncrossing(blocks):
-    for A, B in combinations(blocks, 2):
-        merged = sorted((x, 0) for x in A) + sorted((x, 1) for x in B)
-        merged.sort()
-        runs = 1
-        for (_, s), (_, t) in zip(merged, merged[1:]):
-            if s != t:
-                runs += 1
-        if runs >= 4:  # pattern ABAB means the convex hulls cross
-            return False
-    return True
+def _noncrossing(lo, hi, memo):
+    """Noncrossing partitions of lo..hi as tuples of block masks, each tuple in order of least element.
 
-
-def _partition_label(blocks):
-    blocks = sorted(tuple(sorted(b)) for b in blocks)
-    return "|".join("".join(str(x) for x in b) for b in blocks)
+    The block of lo cuts the rest into gaps, the runs between its elements
+    and after its last one; no other block joins two gaps, so a partition is
+    that block followed by one partition of each gap (Kreweras 1972).
+    """
+    if lo > hi:
+        return [()]
+    if (lo, hi) not in memo:
+        out = []
+        for rest in range(1 << hi - lo):
+            block = 1 << lo | rest << lo + 1
+            parts = [()]
+            start = lo + 1
+            for b in range(lo + 1, hi + 2):
+                if b > hi or block >> b & 1:
+                    parts = [p + q for p in parts for q in _noncrossing(start, b - 1, memo)]
+                    start = b + 1
+            out += [(block, *p) for p in parts]
+        memo[lo, hi] = out
+    return memo[lo, hi]
 
 
 def _refinement_covers(partitions):
-    """Covers of a refinement order: merge two blocks, result staying in the family."""
-    index = {_partition_label(p): p for p in partitions}
-    covers = []
+    """Labels and covers of a refinement order on partitions given as tuples of block masks by least element.
+
+    Merging blocks i < j keeps that order, so the merged tuple is found by
+    slicing; it covers the partition if it is in the family.
+    """
+    block_labels = {}
+    labels = {}
     for p in partitions:
-        blocks = [frozenset(b) for b in p]
-        for i, j in combinations(range(len(blocks)), 2):
-            merged = [b for k, b in enumerate(blocks) if k not in (i, j)]
-            merged.append(blocks[i] | blocks[j])
-            lab = _partition_label(merged)
-            if lab in index:
-                covers.append((_partition_label(p), lab))
-    return covers
+        for m in p:
+            if m not in block_labels:
+                block_labels[m] = "".join(str(x) for x in _bits(m))
+        labels[p] = "|".join(block_labels[m] for m in p)
+    covers = []
+    for p, lab in labels.items():
+        for j in range(1, len(p)):
+            for i in range(j):
+                merged = labels.get(p[:i] + (p[i] | p[j],) + p[i + 1:j] + p[j + 1:])
+                if merged is not None:
+                    covers.append((lab, merged))
+    return labels.values(), covers
 
 
 def noncrossing_partitions(n):
@@ -89,71 +106,52 @@ def noncrossing_partitions(n):
 
     A bounded graded lattice of rank n - 1; NC(4) has the familiar 14 elements.
     """
-    _check_range("noncrossing_partitions", "n", n, 1, 9)
-    parts = [p for p in _set_partitions(list(range(1, n + 1))) if _is_noncrossing(p)]
-    labels = [_partition_label(p) for p in parts]
-    covers = _refinement_covers(parts)
-    return Poset.from_covers(labels, covers)
+    _check_range("noncrossing_partitions", "n", n, 1, 10)
+    return Poset.from_covers(*_refinement_covers(_noncrossing(1, n, {})))
 
 
 def partition_lattice(n):
     """All partitions of {1..n} by refinement: a bounded graded lattice of rank n - 1."""
     _check_range("partition_lattice", "n", n, 1, 8)
-    parts = list(_set_partitions(list(range(1, n + 1))))
-    labels = [_partition_label(p) for p in parts]
-    covers = _refinement_covers(parts)
-    return Poset.from_covers(labels, covers)
+    return Poset.from_covers(*_refinement_covers(_set_partitions(n)))
 
 
 # -- subspace lattices over small prime fields -------------------------------------
 
 
-def _span(vectors, q, n):
-    space = {(0,) * n}
-    for v in vectors:
-        if v in space:
-            continue
-        new = set()
-        for w in space:
-            for c in range(1, q):
-                new.add(tuple((wi + c * vi) % q for wi, vi in zip(w, v)))
-        space |= new
-    return frozenset(space)
-
-
 def subspace_poset(q, n):
-    """All subspaces of F_q^n by inclusion, with bounds: a graded lattice of rank n."""
+    """All subspaces of F_q^n by inclusion, with bounds: a graded lattice of rank n.
+
+    The vectors are numbered in label order and a subspace is the mask of
+    its vectors.  Each subspace S is extended by every v outside it to
+    S + <v>, the union of the lines s + c·v through its points; those are
+    its upper covers, and each holds every v it was reached by.
+    """
     _check_range("subspace_poset", "q", q, 2, 3)
     _check_range(f"subspace_poset with q = {q}", "n", n, 1, 4 if q == 2 else 3)
-    vectors = [v for v in product(range(q), repeat=n)]
-    nonzero = [v for v in vectors if any(v)]
-    zero_space = frozenset({(0,) * n})
-    by_dim = [{zero_space}]
-    while True:
-        current = by_dim[-1]
-        bigger = set()
-        for S in current:
-            for v in nonzero:
-                if v not in S:
-                    bigger.add(_span(sorted(S | {v}), q, n))
-        if not bigger:
-            break
-        by_dim.append(bigger)
-
-    def label(S):
-        vecs = sorted("".join(str(c) for c in v) for v in S if any(v))
-        return "<" + ",".join(vecs) + ">" if vecs else "<0>"
-
-    labels = {}
-    for dim, spaces in enumerate(by_dim):
-        for S in spaces:
-            labels[S] = label(S)
+    vectors = list(product(range(q), repeat=n))
+    index = {v: k for k, v in enumerate(vectors)}
+    names = ["".join(map(str, v)) for v in vectors]
+    lines = [[sum(1 << index[tuple((a + c * b) % q for a, b in zip(u, v))] for c in range(q)) for v in vectors]
+             for u in vectors]
+    labels = {1: "<0>"}
     covers = []
-    for dim in range(len(by_dim) - 1):
-        for S in by_dim[dim]:
-            for T in by_dim[dim + 1]:
-                if S <= T:
+    level = [1]
+    while level:
+        bigger = []
+        for S in level:
+            seen = S
+            for v in range(len(vectors)):
+                if not seen >> v & 1:
+                    T = 0
+                    for s in _bits(S):
+                        T |= lines[s][v]
+                    seen |= T
+                    if T not in labels:
+                        labels[T] = "<" + ",".join(names[k] for k in _bits(T & ~1)) + ">"
+                        bigger.append(T)
                     covers.append((labels[S], labels[T]))
+        level = bigger
     return Poset.from_covers(labels.values(), covers)
 
 
@@ -169,48 +167,36 @@ def _class_label(v):
     return ",".join(str(x) for x in v)
 
 
-def _patch_neighbors(v, n):
-    out = set()
-    for bits in product((0, 1), repeat=n + 1):
-        if all(b == 0 for b in bits) or all(b == 1 for b in bits):
-            continue
-        out.add(_canon_class(tuple(x + b for x, b in zip(v, bits))))
-    return out
-
-
 def affine_A_patch(n, radius):
     """Ball of the affine type-A simplex tiling of R^n around the origin vertex.
 
-    Vertices are integer vectors modulo the diagonal; each vertex has a type
-    in Z/(n+1) (coordinate sum mod n+1) and the cyclic order on every simplex
-    is the type order.  radius counts steps in the 1-skeleton.
+    Vertices are integer vectors modulo the diagonal, each kept with least
+    coordinate 0; each vertex has a type in Z/(n+1) (coordinate sum mod n+1)
+    and the cyclic order on every simplex is the type order.  radius counts
+    steps in the 1-skeleton.
+
+    A step adds a 0/1 vector other than 0 and the diagonal, so it moves
+    max - min by at most one, and v is max(v) steps from the origin: the
+    ball is {v : max(v) <= radius}.  The walls x_i - x_j = radius bound it,
+    so its chambers are the alcoves inside it.  An alcove is one type-0
+    vertex t and t + e_s(1) + ... + e_s(k) for k = 1..n and a permutation s
+    of the coordinates, already in type order.
     """
     _check_range("affine_A_patch", "n", n, 1, 4)
     _check_range("affine_A_patch", "radius", radius, 0, 3)
-    origin = (0,) * (n + 1)
-    ball = {origin}
-    frontier = {origin}
-    for _ in range(radius):
-        nxt = set()
-        for v in frontier:
-            nxt |= _patch_neighbors(v, n)
-        frontier = nxt - ball
-        ball |= nxt
-    adjacency = {
-        v: frozenset(w for w in _patch_neighbors(v, n) if w in ball) for v in ball
-    }
-
-    def vertex_type(v):
-        return sum(v) % (n + 1)
-
+    ball = [v for v in product(range(radius + 1), repeat=n + 1) if 0 in v]
     labels = {v: _class_label(v) for v in ball}
-    adj_labeled = {labels[v]: frozenset(labels[w] for w in adjacency[v]) for v in ball}
+    steps = [tuple(mask >> i & 1 for i in range(n + 1)) for mask in range(1 << n + 1)]
+    chains = [tuple(accumulate(1 << i for i in s))[:-1] for s in permutations(range(n + 1))]
     sims = []
-    for clique in maximal_cliques(list(adj_labeled), adj_labeled):
-        back = {labels[v]: v for v in ball}
-        ordered = sorted(clique, key=lambda lab: (vertex_type(back[lab]), lab))
-        sims.append(tuple(ordered))
-    return OrderedComplex("A", list(adj_labeled), sims)
+    for t in ball:
+        if sum(t) % (n + 1) == 0:
+            near = [labels.get(_canon_class(tuple(map(add, t, step)))) for step in steps]
+            for chain in chains:
+                sim = [near[mask] for mask in chain]
+                if None not in sim:
+                    sims.append((labels[t], *sim))
+    return OrderedComplex("A", labels.values(), sims)
 
 
 # -- the column of orthoschemes -------------------------------------------------------

@@ -19,6 +19,8 @@ from .poset import _key
 
 # permutations are tuples in one-line notation over 0..degree-1
 
+MAX_ORDER = 720  # the largest group a simplex of groups admits: the order of the symmetric group of degree 6
+
 
 def identity(degree):
     return tuple(range(degree))
@@ -36,8 +38,14 @@ def inverse(p):
     return tuple(out)
 
 
-def closure(degree, generators):
-    """The subgroup generated by the given permutations, as a frozenset."""
+def closure(degree, generators, name="the group"):
+    """The subgroup generated by the given permutations, as a frozenset.
+
+    Raise ParameterTooLarge, naming the group, after the first round of
+    products that takes it past MAX_ORDER elements; each round multiplies
+    only elements found before, so at most MAX_ORDER times the number of
+    generators products are formed.
+    """
     gens = [tuple(g) for g in generators]
     for g in gens:
         if sorted(g) != list(range(degree)):
@@ -53,6 +61,8 @@ def closure(degree, generators):
                     elements.add(y)
                     nxt.append(y)
         frontier = nxt
+        if len(elements) > MAX_ORDER:
+            raise ParameterTooLarge(f"{name} has more than {MAX_ORDER} elements")
     return frozenset(elements)
 
 
@@ -111,7 +121,8 @@ class SimplexOfGroups:
     The table holds n * 2^(n-1) faces and its checks compare them in pairs,
     so n is limited to 8 (1,024 faces); each group's product-closure test
     composes every pair of its elements, so a group is limited to 720
-    elements, the order of the symmetric group of degree 6.
+    elements, the order of the symmetric group of degree 6; from_json
+    refuses a larger one while it closes it, once it passes 720.
     """
 
     def __init__(self, n, vertex_groups, face_groups):
@@ -146,8 +157,9 @@ class SimplexOfGroups:
         self.face_groups = table
 
         for (i, I), elements in table.items():
-            if len(elements) > 720:
-                raise ParameterTooLarge(f"face {sorted(I)} at vertex {i} has {len(elements)} elements, more than 720")
+            if len(elements) > MAX_ORDER:
+                raise ParameterTooLarge(
+                    f"face {sorted(I)} at vertex {i} has {len(elements)} elements, more than {MAX_ORDER}")
         for (i, I), elements in table.items():
             if not elements <= self.vertex_groups[i]:
                 raise NotASubgroup(f"group of face {sorted(I)} is not inside vertex group {i}")
@@ -194,7 +206,8 @@ class SimplexOfGroups:
         for vg in data["vertex_groups"]:
             if vg["degree"] > 8:
                 raise ParameterTooLarge(f"a vertex group supports degree <= 8, not {vg['degree']}")
-        vertex_groups = [closure(vg["degree"], vg["generators"]) for vg in data["vertex_groups"]]
+        vertex_groups = [closure(vg["degree"], vg["generators"], f"face [{i}] at vertex {i}")
+                         for i, vg in enumerate(data["vertex_groups"])]
         face_groups = {}
         for key, gens in data["face_subgroups"].items():
             head, _, idx = key.partition("|")
@@ -204,7 +217,7 @@ class SimplexOfGroups:
             if i >= len(vertex_groups):  # __init__'s check, before the index below
                 raise ValueError("one ambient group per vertex is required")
             degree = data["vertex_groups"][i]["degree"]
-            face_groups[(i, I)] = closure(degree, gens)
+            face_groups[(i, I)] = closure(degree, gens, f"face {sorted(I)} at vertex {i}")
         return cls(n, vertex_groups, face_groups)
 
 

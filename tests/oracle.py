@@ -258,6 +258,13 @@ def reference_flag_condition(below, direction):
 # -- cube complexes: a face is the set of corners that agree on some fixed coordinates ----------------
 
 
+def _face_name(names):
+    """Sorted vertex names joined by "+", or, if one holds a "+", each escaped ("\\" to "\\\\", "+" to "\\p") and ended by "+"."""
+    if any("+" in x for x in names):
+        return "".join(x.replace("\\", "\\\\").replace("+", "\\p") + "+" for x in names)
+    return "+".join(names)
+
+
 def reference_face_poset(cubes):
     """CubeComplex(cubes).face_poset() by its definition, or CubeComplex's error at the first failing cube or face.
 
@@ -281,7 +288,7 @@ def reference_face_poset(cubes):
             subs = frozenset(T for T in faces if T < S)
             if sub_faces.setdefault(S, subs) != subs:
                 raise MalformedCubeComplex(f"face {sorted(map(str, S))} is glued with incompatible structure")
-    label = {S: "+".join(sorted(map(str, S))) for S in sub_faces}
+    label = {S: _face_name(sorted(map(str, S))) for S in sub_faces}
     return poset_json({label[S]: {label[T] for T in sub_faces[S]} for S in sorted(sub_faces, key=label.get)})
 
 
@@ -797,6 +804,116 @@ def reference_distance(X, mesh, p, q):
     raise Disconnected("no path between the query points")
 
 
+# -- canonical generators: each family found by search or by filtering a larger one ----------------------
+
+
+def _all_set_partitions(items):
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for part in _all_set_partitions(rest):
+        for i in range(len(part)):
+            yield part[:i] + [[first] + part[i]] + part[i + 1:]
+        yield [[first]] + part
+
+
+def _crossing(A, B):
+    """Two blocks cross when their elements, in order, alternate A, B, A, B."""
+    marks = [s for _, s in sorted([(x, 0) for x in A] + [(x, 1) for x in B])]
+    return sum(s != t for s, t in zip(marks, marks[1:])) >= 3
+
+
+def _refinement_json(partitions):
+    """The refinement order on a family of partitions: a cover merges two blocks and stays in the family."""
+    label = lambda blocks: "|".join("".join(map(str, b)) for b in sorted(tuple(sorted(b)) for b in blocks))
+    labels = {label(p) for p in partitions}
+    covers = set()
+    for p in partitions:
+        for A, B in combinations(p, 2):
+            merged = label([b for b in p if b is not A and b is not B] + [A + B])
+            if merged in labels:
+                covers.add((label(p), merged))
+    return {"elements": sorted(labels), "covers": sorted(map(list, covers))}
+
+
+def reference_noncrossing_partitions(n):
+    """noncrossing_partitions(n).to_json(): the set partitions of 1..n with no two blocks crossing."""
+    return _refinement_json([p for p in _all_set_partitions(list(range(1, n + 1)))
+                             if not any(_crossing(A, B) for A, B in combinations(p, 2))])
+
+
+def reference_partition_lattice(n):
+    """partition_lattice(n).to_json(): every set partition of 1..n."""
+    return _refinement_json(list(_all_set_partitions(list(range(1, n + 1)))))
+
+
+def reference_subspace_poset(q, n):
+    """subspace_poset(q, n).to_json(): the span of each subspace and one more vector, dimension by dimension.
+
+    A subspace is named by its nonzero vectors as digit strings; a cover is
+    an inclusion between consecutive dimensions.
+    """
+    def span(vectors):
+        space = {(0,) * n}
+        for v in vectors:
+            space |= {tuple((a + c * b) % q for a, b in zip(w, v)) for w in space for c in range(q)}
+        return frozenset(space)
+
+    nonzero = [v for v in product(range(q), repeat=n) if any(v)]
+    by_dim = [{span([])}]
+    while True:
+        bigger = {span(sorted(S) + [v]) for S in by_dim[-1] for v in nonzero if v not in S}
+        if not bigger:
+            break
+        by_dim.append(bigger)
+    name = lambda S: "<" + ",".join(sorted("".join(map(str, v)) for v in S if any(v))) + ">" if len(S) > 1 else "<0>"
+    covers = [[name(S), name(T)] for lower, upper in zip(by_dim, by_dim[1:]) for S in lower for T in upper if S < T]
+    return {"elements": sorted(name(S) for spaces in by_dim for S in spaces), "covers": sorted(covers)}
+
+
+def _maximal_cliques(adjacency):
+    """Bron-Kerbosch with a pivot, on sets."""
+    out = []
+
+    def expand(clique, candidates, excluded):
+        if not candidates and not excluded:
+            out.append(clique)
+            return
+        pivot = max(candidates | excluded, key=lambda u: len(adjacency[u] & candidates))
+        for v in list(candidates - adjacency[pivot]):
+            expand(clique | {v}, candidates & adjacency[v], excluded & adjacency[v])
+            candidates = candidates - {v}
+            excluded = excluded | {v}
+
+    expand(frozenset(), set(adjacency), set())
+    return out
+
+
+def reference_affine_A_patch(n, radius):
+    """affine_A_patch(n, radius).to_json(): the ball grown step by step, its chambers the maximal cliques.
+
+    A vertex is an integer vector with least coordinate 0, a step adds a 0/1
+    vector other than 0 and the diagonal, and a chamber is listed in type
+    order (coordinate sum mod n + 1) and then rotated to its least label.
+    """
+    def canon(v):
+        return tuple(x - min(v) for x in v)
+
+    steps = [b for b in product((0, 1), repeat=n + 1) if 0 < sum(b) < n + 1]
+    neighbors = lambda v: {canon(tuple(x + b for x, b in zip(v, step))) for step in steps}
+    ball = frontier = {(0,) * (n + 1)}
+    for _ in range(radius):
+        frontier = {w for v in frontier for w in neighbors(v)} - ball
+        ball = ball | frontier
+    label = lambda v: ",".join(map(str, v))
+    adjacency = {label(v): {label(w) for w in neighbors(v) & ball} for v in ball}
+    vertex = {label(v): v for v in ball}
+    chambers = [sorted(c, key=lambda x: (sum(vertex[x]) % (n + 1), x)) for c in _maximal_cliques(adjacency)]
+    return {"type": "A", "vertices": sorted(adjacency),
+            "maximal_simplices": sorted(list(_least_rotation(tuple(c))) for c in chambers)}
+
+
 # -- input families ---------------------------------------------------------------------------
 
 
@@ -841,7 +958,8 @@ def random_cubes(rng):
 
     Few labels make cubes share faces, and a shuffled corner order often
     glues one vertex set with two structures.  A few inputs get a cube with
-    a repeated corner or with no power-of-two number of corners.
+    a repeated corner or with no power-of-two number of corners, and a few
+    get edges on labels holding "+" and "\\p", the escaped "+" of a face name.
     """
     if rng.random() < 0.3:
         cubes = [list(c) for c in rng.choice(list(cube_corpus().values()))]
@@ -857,6 +975,8 @@ def random_cubes(rng):
         cubes.insert(rng.randint(0, len(cubes)), ["w0", "w1", "w0", "w2"])
     elif fault == 1:
         cubes.insert(rng.randint(0, len(cubes)), [f"w{i}" for i in range(rng.choice((0, 3, 5, 6)))])
+    elif fault == 2:
+        cubes += [["u0+u1", "u2\\p"], ["u0", "u1"]]
     return cubes
 
 

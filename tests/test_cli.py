@@ -347,7 +347,7 @@ def _symmetric_simplex(degree):
     (["dist", "--from", "{1}", "--to", "{2}", "--mesh", "1/100000"], boolean_poset(2).to_json(),
      "mesh 1/100000 joins 89999700000 node pairs, more than 1000000"),
     (["groupdev", "--conditions-only"], _symmetric_simplex(8),
-     "face [0] at vertex 0 has 40320 elements, more than 720"),
+     "face [0] at vertex 0 has more than 720 elements"),
 ], ids=["mesh-1/512", "mesh-1/100000", "S8-group"])
 def test_oversized_input_is_refused_before_it_is_built(tmp_path, capsys, argv, data, detail):
     path = tmp_path / "input.json"
@@ -460,7 +460,8 @@ def test_closed_stdout_exits_two_without_a_traceback():
 @pytest.mark.parametrize("data, code", [
     (SQUARE, 0),
     ({"cubes": [["v", "x", "y", "xy"], ["v", "y", "z", "yz"], ["v", "z", "x", "zx"]]}, 1),
-], ids=["poset", "cubes"])
+    ({"cubes": [["a", "b"], ["a+b", "c"]]}, 0),  # the vertex a+b and the edge {a, b} have distinct face names
+], ids=["poset", "cubes", "cubes-plus-label"])
 def test_type_c_check_of_a_poset_builds_no_complex(tmp_path, capsys, monkeypatch, data, code):
     from cublink.complexes import OrderedComplex
 

@@ -8,6 +8,7 @@ from cublink.cubes import (
     barycentric_cube_subdivision,
     cube_corpus,
     cube_link_reports,
+    face_label,
     gromov_link_condition,
     single_cube,
     single_square,
@@ -35,6 +36,17 @@ def test_single_cube_subdivision_counts():
 def test_empty_complex():
     X = barycentric_cube_subdivision([])
     assert X.vertices == () and X.maximal_simplices == ()
+
+
+def test_face_names_stay_distinct_when_a_label_holds_a_plus():
+    P = CubeComplex([["a", "b"], ["a+b", "c"]]).face_poset()
+    assert P.elements == ("a", "a+b", "a\\pb+", "a\\pb+c+", "b", "c")
+    assert sorted(P.covers) == [("a", "a+b"), ("a\\pb+", "a\\pb+c+"), ("b", "a+b"), ("c", "a\\pb+c+")]
+    # labels without a "+" keep their plain names; a backslash is escaped only in a face with a "+" label
+    assert face_label({"u1", "u0"}) == "u0+u1"
+    assert face_label({"x\\p"}) == "x\\p"
+    assert face_label({"x\\p", "y+"}) == "x\\\\p+y\\p+"
+    assert len({face_label(f) for f in ({"a+b"}, {"a", "b"}, {"a\\", "b"}, {"a\\pb"}, {"a\\pb+"})}) == 5
 
 
 def test_malformed_sizes_rejected():

@@ -1,5 +1,6 @@
-"""Canonical generators: counts, ranks, lattice structure, consistency."""
+"""Canonical generators: counts, ranks, lattice structure, consistency, and their search-or-filter references."""
 
+import json
 import random
 
 import pytest
@@ -18,6 +19,12 @@ from cublink.generators import (
     subspace_poset,
 )
 from cublink.poset import find_bowtie
+from oracle import (
+    reference_affine_A_patch,
+    reference_noncrossing_partitions,
+    reference_partition_lattice,
+    reference_subspace_poset,
+)
 
 
 def test_noncrossing_counts_are_catalan():
@@ -127,8 +134,9 @@ def test_parameter_guards():
     with pytest.raises(ParameterTooLarge):
         boolean_poset(11)
     assert len(boolean_poset(10)) == 1024
+    assert len(noncrossing_partitions(10)) == 16796  # the Catalan number C_10
     with pytest.raises(ParameterTooLarge):
-        noncrossing_partitions(10)
+        noncrossing_partitions(11)
     with pytest.raises(ParameterTooLarge):
         partition_lattice(9)
     with pytest.raises(ParameterTooLarge):
@@ -141,7 +149,7 @@ def test_parameter_guards():
         column_complex(2, 9)
     below = [  # a value below the range is no input at all, not one too large
         (boolean_poset, (-1,), "boolean_poset supports 0 <= n <= 10"),
-        (noncrossing_partitions, (0,), "noncrossing_partitions supports 1 <= n <= 9"),
+        (noncrossing_partitions, (0,), "noncrossing_partitions supports 1 <= n <= 10"),
         (partition_lattice, (0,), "partition_lattice supports 1 <= n <= 8"),
         (subspace_poset, (1, 2), "subspace_poset supports 2 <= q <= 3"),
         (subspace_poset, (2, 0), "subspace_poset with q = 2 supports 1 <= n <= 4"),
@@ -159,3 +167,18 @@ def test_parameter_guards():
 def test_order_complex_round_trip_consistency():
     for P in (boolean_poset(3), noncrossing_partitions(4), subspace_poset(2, 3)):
         validate(order_complex(P))
+
+
+REFERENCE_CASES = (
+    [(noncrossing_partitions, reference_noncrossing_partitions, (n,)) for n in range(1, 10)]
+    + [(partition_lattice, reference_partition_lattice, (n,)) for n in range(1, 9)]
+    + [(subspace_poset, reference_subspace_poset, (q, n)) for q, top in ((2, 4), (3, 3)) for n in range(1, top + 1)]
+    + [(affine_A_patch, reference_affine_A_patch, (n, r)) for n in range(1, 5) for r in range(4)]
+)
+
+
+@pytest.mark.parametrize("build, reference, args", REFERENCE_CASES,
+                         ids=[f"{build.__name__}{args}" for build, _, args in REFERENCE_CASES])
+def test_generator_matches_its_reference_byte_for_byte(build, reference, args):
+    # the reference finds the same family by search or by filtering a larger one
+    assert json.dumps(build(*args).to_json()) == json.dumps(reference(*args))

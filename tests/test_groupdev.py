@@ -1,6 +1,7 @@
 """Simplices of groups: condition checks, developments, and the full pipeline."""
 
 import random
+from itertools import permutations
 
 import pytest
 
@@ -101,20 +102,48 @@ def test_more_than_eight_vertices_is_too_large():
 
 
 def test_group_past_720_elements_is_too_large():
-    # S6, of 720 elements, is the largest group; S7 is refused before its product-closure test
+    # S6, of 720 elements, is the largest group; S7 is refused before its product-closure test,
+    # whether __init__ is given it whole or closure is asked to build it
     one = closure(1, [])
 
-    def simplex(degree):
-        pairs = {(0, frozenset({0, 1})): closure(degree, []), (1, frozenset({0, 1})): one}
-        return SimplexOfGroups(2, [symmetric_group(degree), one], pairs)
+    def simplex(group):
+        pairs = {(0, frozenset({0, 1})): closure(len(next(iter(group))), []), (1, frozenset({0, 1})): one}
+        return SimplexOfGroups(2, [group, one], pairs)
 
-    assert check_conditions(simplex(6)).passed
+    assert check_conditions(simplex(symmetric_group(6))).passed
     with pytest.raises(ParameterTooLarge, match=r"^face \[0\] at vertex 0 has 5040 elements, more than 720$"):
-        simplex(7)
+        simplex(frozenset(permutations(range(7))))
+    with pytest.raises(ParameterTooLarge, match="^the group has more than 720 elements$"):
+        symmetric_group(7)
+
+
+def test_group_past_720_elements_is_refused_while_it_is_closed(monkeypatch):
+    # 40 generators of degree 8 generate a group of 20,160 or 40,320 elements; the
+    # closure stops once it passes 720, after 40 products for each of at most 720
+    # elements, not 40 for each of the whole group's
+    calls = []
+
+    def counted(p, q):
+        calls.append(1)
+        return compose(p, q)
+
+    monkeypatch.setattr(groupdev, "compose", counted)
+    rng = random.Random(8)
+    gens = [rng.sample(range(8), 8) for _ in range(40)]
+    one = {"degree": 1, "generators": []}
+    data = {"n": 2, "vertex_groups": [one, {"degree": 8, "generators": gens}],
+            "face_subgroups": {"0|0,1": [], "1|0,1": []}}
+    with pytest.raises(ParameterTooLarge, match=r"^face \[1\] at vertex 1 has more than 720 elements$"):
+        SimplexOfGroups.from_json(data)
+    assert 0 < len(calls) <= 720 * 40
+    data = {"n": 2, "vertex_groups": [one, {"degree": 8, "generators": []}],
+            "face_subgroups": {"0|0,1": [], "1|0,1": gens}}
+    with pytest.raises(ParameterTooLarge, match=r"^face \[0, 1\] at vertex 1 has more than 720 elements$"):
+        SimplexOfGroups.from_json(data)
 
 
 def test_degree_past_eight_is_refused_before_any_group_is_closed(monkeypatch):
-    def no_closure(degree, generators):
+    def no_closure(degree, generators, name):
         raise AssertionError("a group was closed")
 
     monkeypatch.setattr(groupdev, "closure", no_closure)
