@@ -26,32 +26,30 @@ def _cube_dim(size):
 
 @lru_cache(maxsize=None)
 def _face_patterns(size):
-    """The faces of a cube with size vertices, as tuples of its vertex positions.
+    """The faces of a cube with size vertices, by dimension, each with its facets.
 
-    Each face lists its vertices in its own bitmask order, by dimension.
+    A face is a pair: the tuple of its vertex positions, and the indices in
+    this list of its facets, the faces of one dimension less.
     """
     dims = range(_cube_dim(size))
-    faces = []
+    index, faces = {}, []
     for kept_count in range(len(dims) + 1):
         for kept in combinations(dims, kept_count):
             fixed = [i for i in dims if i not in kept]
             for values in product((0, 1), repeat=len(fixed)):
                 base = sum(v << i for i, v in zip(fixed, values))
-                faces.append(tuple(base + sum(b << i for i, b in zip(kept, bits))
-                                   for bits in product((0, 1), repeat=kept_count)))
+                index[kept, base] = len(faces)
+                facets = tuple(index[kept[:j] + kept[j + 1:], base + (b << i)]
+                               for j, i in enumerate(kept) for b in (0, 1))
+                faces.append((tuple(base + sum(b << i for i, b in zip(kept, bits))
+                                    for bits in product((0, 1), repeat=kept_count)), facets))
     return tuple(faces)
-
-
-def _structural_faces(cube):
-    """All faces of one cube as tuples in their own bitmask order, by dimension."""
-    return [tuple(cube[i] for i in face) for face in _face_patterns(len(cube))]
 
 
 class CubeComplex:
     """Immutable cube complex with vertex-determined faces.
 
-    face_dims maps the vertex set of each face to its dimension, and
-    face_subfaces maps it to the vertex sets of its proper faces.
+    facets maps the vertex set of each face to the vertex sets of its facets.
     """
 
     def __init__(self, cubes):
@@ -60,33 +58,24 @@ class CubeComplex:
             if len(set(c)) != len(c):
                 raise MalformedCubeComplex(f"repeated vertex in cube {c}")
             _cube_dim(len(c))
-        # every face of every cube, deduplicated by vertex set; a face's dimension is
-        # log2 of its vertex count, so two faces on one vertex set differ only in their sub-faces
-        face_dims, subfaces = {}, {}
+        # every face of every cube, deduplicated by vertex set; the faces of a cube come
+        # by dimension, so a face glued two ways first shows as two different facet sets
+        facets = {}
         for c in cubes:
-            for f in _structural_faces(c):
-                key = frozenset(f)
-                proper = frozenset(frozenset(g) for g in _structural_faces(f) if len(g) < len(f))
-                if subfaces.setdefault(key, proper) != proper:
+            patterns = _face_patterns(len(c))
+            faces = [frozenset(c[i] for i in face) for face, _ in patterns]
+            for key, (_, below) in zip(faces, patterns):
+                mine = frozenset(faces[j] for j in below)
+                if facets.setdefault(key, mine) != mine:
                     raise MalformedCubeComplex(
                         f"face {sorted(map(str, key))} is glued with incompatible structure"
                     )
-                face_dims[key] = _cube_dim(len(f))
-        self.face_dims = face_dims
-        self.face_subfaces = subfaces
-
-    def vertices(self):
-        return sorted({v for f in self.face_dims if len(f) == 1 for v in f}, key=_key)
-
-    def faces_at(self, v, dim=None):
-        out = [f for f in self.face_dims if v in f and (dim is None or self.face_dims[f] == dim)]
-        return sorted(out, key=lambda f: tuple(sorted(map(_key, f))))
+        self.facets = facets
 
     def face_poset(self):
         """All faces, each named by face_label, ordered by the structural face relation."""
-        labels = {f: face_label(f) for f in self.face_dims}
-        covers = [(labels[g], labels[f]) for f, subs in self.face_subfaces.items()
-                  for g in subs if self.face_dims[g] == self.face_dims[f] - 1]
+        labels = {f: face_label(f) for f in self.facets}
+        covers = [(labels[g], labels[f]) for f, below in self.facets.items() for g in below]
         return Poset.from_covers(labels.values(), covers)
 
 
@@ -136,36 +125,43 @@ def cube_link_reports(K):
 
     The link of v has one vertex per edge at v and one simplex per corner of
     a cube at v.  It must be a simplicial complex (corners determine distinct
-    simplices) and flag (pairwise-cornered edge sets span a corner).
+    simplices) and flag (pairwise-cornered edge sets span a corner).  The
+    witness is the first two faces at v, in the order of their sorted vertex
+    labels, with the same edges at v, or else the first maximal clique of
+    edges that spans no corner, in face-label order.
     """
     K = K if isinstance(K, CubeComplex) else CubeComplex(K)
+    at = {}  # the faces at each vertex, in the order of their sorted vertex labels
+    for f in sorted(K.facets, key=lambda f: tuple(sorted(map(_key, f)))):
+        for v in f:
+            at.setdefault(v, []).append(f)
     reports = []
-    for v in K.vertices():
-        corner = {}
-        duplicate = None
-        for f in K.faces_at(v):
-            if K.face_dims[f] < 1:
-                continue
-            edges = frozenset(g for g in K.face_subfaces[f] | {f}
-                              if v in g and K.face_dims.get(g) == 1)
-            if edges in corner and corner[edges] != f:
-                duplicate = (corner[edges], f)
-                break
-            corner[edges] = f
+    for v in sorted(at, key=_key):
+        edges = {}  # the edges at v of each face at v, bottom-up from those of its facets at v
+        for f in sorted(at[v], key=len):
+            below = (edges[g] for g in K.facets[f] if v in g)
+            edges[f] = frozenset([f]) if len(f) == 2 else frozenset().union(*below)
+        corner, duplicate = {}, None
+        for f in at[v]:
+            if len(f) > 1:
+                if edges[f] in corner:
+                    duplicate = (corner[edges[f]], f)
+                    break
+                corner[edges[f]] = f
         if duplicate is not None:
             reports.append(LinkReport(v, False, False, duplicate))
             continue
-        link_vertices = sorted((f for f in K.faces_at(v, dim=1)), key=face_label)
-        adjacency = {e: set() for e in link_vertices}
-        for edges in corner:
-            for a, b in combinations(sorted(edges, key=face_label), 2):
+        edge = {face_label(f): f for f in at[v] if len(f) == 2}  # the link's vertices, by name
+        adjacency = {e: set() for e in edge}
+        for span in corner:
+            for a, b in combinations(map(face_label, span), 2):
                 adjacency[a].add(b)
                 adjacency[b].add(a)
-        adjacency = {e: frozenset(nb) for e, nb in adjacency.items()}
         flag_witness = None
-        for clique in maximal_cliques(link_vertices, adjacency):
-            if frozenset(clique) not in corner:
-                flag_witness = clique
+        for clique in maximal_cliques(edge, adjacency):
+            faces = tuple(edge[e] for e in clique)
+            if frozenset(faces) not in corner:
+                flag_witness = faces
                 break
         reports.append(LinkReport(v, True, flag_witness is None, flag_witness))
     return reports

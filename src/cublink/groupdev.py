@@ -118,7 +118,7 @@ class SimplexOfGroups:
     face_groups maps (vertex, frozenset index set) to the element set of the
     face group's image in that vertex group.  Index sets of size three or
     more default to the intersection of their pair groups when omitted.
-    The table holds n * 2^(n-1) faces and its checks compare them in pairs,
+    The table holds n * 2^(n-1) faces, compared in pairs at each vertex,
     so n is limited to 8 (1,024 faces); each group's product-closure test
     composes every pair of its elements, so a group is limited to 720
     elements, the order of the symmetric group of degree 6; from_json
@@ -169,9 +169,12 @@ class SimplexOfGroups:
                 raise NotASubgroup(f"face {sorted(I)} at vertex {i} is not product-closed")
             if not elements:
                 raise NotASubgroup(f"face {sorted(I)} at vertex {i} is empty")
+        at = [[] for _ in range(n)]  # the faces at each vertex, in table order
+        for i, I in table:
+            at[i].append(I)
         for (i, I), elements in table.items():
-            for (i2, J), bigger in table.items():
-                if i2 == i and I < J and not table[(i, J)] <= elements:
+            for J in at[i]:
+                if I < J and not table[(i, J)] <= elements:
                     raise IncompatibleInclusions(
                         f"face {sorted(J)} is not contained in face {sorted(I)} at vertex {i}"
                     )

@@ -331,39 +331,6 @@ class PLPoint:
         return cls(tuple(data["chain"]), tuple(frac(u) for u in data["coords"]))
 
 
-def _check_maximal_chain(P, chain):
-    for c in chain:
-        if c not in P:
-            raise UnknownLabel(f"unknown element {c!r} in chain")
-    for a, b in zip(chain, chain[1:]):
-        if b not in P.upper_covers(a):
-            raise ValueError(f"{a!r} is not covered by {b!r}; not a chain of covers")
-    if chain and (P.lower_covers(chain[0]) or P.upper_covers(chain[-1])):
-        raise ValueError("chain is not maximal")
-
-
-def chamber_distance(P, p, q):
-    """sup-norm distance between two points representable on a common maximal chain.
-
-    The coordinates are preserved by re-representation, so after checking that
-    a compatible chain exists the distance is the sup norm of the coordinate
-    difference.  Raises NoCommonChamber otherwise.
-    """
-    _check_maximal_chain(P, p.chain)
-    _check_maximal_chain(P, q.chain)
-    if len(p.chain) != len(q.chain):
-        raise NoCommonChamber("chains of different ranks never share a chamber")
-    wp, wq = p.weights(), q.weights()
-    for chain in P.maximal_chains():
-        if len(chain) != len(p.chain):
-            continue
-        if all(w == 0 or c == pc for w, c, pc in zip(wp, chain, p.chain)) and all(
-            w == 0 or c == qc for w, c, qc in zip(wq, chain, q.chain)
-        ):
-            return linf_norm(u - v for u, v in zip(p.coords, q.coords))
-    raise NoCommonChamber("no maximal chain carries both points")
-
-
 # -- the local product decomposition ------------------------------------------------
 
 

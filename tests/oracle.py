@@ -32,7 +32,13 @@ from math import lcm
 from typing import Callable, NamedTuple
 
 from cublink.complexes import OrderedComplex, is_local_poset, order_complex, star_poset, validate
-from cublink.cubes import CubeComplex, barycentric_cube_subdivision, cube_corpus
+from cublink.cubes import (
+    CubeComplex,
+    LinkReport,
+    barycentric_cube_subdivision,
+    cube_corpus,
+    cube_link_reports,
+)
 from cublink.errors import (
     CublinkError,
     CycleDetected,
@@ -265,8 +271,8 @@ def _face_name(names):
     return "+".join(names)
 
 
-def reference_face_poset(cubes):
-    """CubeComplex(cubes).face_poset() by its definition, or CubeComplex's error at the first failing cube or face.
+def _reference_sub_faces(cubes):
+    """Each face's vertex set mapped to those of its proper faces, or CubeComplex's error at the first failing cube or face.
 
     Corner m of a cube of 2^d corners has the bits of m as its coordinates.
     Every cube is checked for a repeated corner and a power-of-two size
@@ -288,8 +294,46 @@ def reference_face_poset(cubes):
             subs = frozenset(T for T in faces if T < S)
             if sub_faces.setdefault(S, subs) != subs:
                 raise MalformedCubeComplex(f"face {sorted(map(str, S))} is glued with incompatible structure")
+    return sub_faces
+
+
+def reference_face_poset(cubes):
+    """CubeComplex(cubes).face_poset() by its definition, or CubeComplex's error."""
+    sub_faces = _reference_sub_faces(cubes)
     label = {S: _face_name(sorted(map(str, S))) for S in sub_faces}
     return poset_json({label[S]: {label[T] for T in sub_faces[S]} for S in sorted(sub_faces, key=label.get)})
+
+
+def reference_cube_link_reports(cubes):
+    """cube_link_reports(cubes) on full sub-face sets, scanning every face for each vertex, or CubeComplex's error.
+
+    The link of v has a vertex per edge at v and a simplex per face at v,
+    spanned by the face's edges at v.  Faces are taken in the order of their
+    sorted labels: the first face whose span an earlier face already has
+    makes the link not simplicial.  Else the first maximal clique of edges,
+    each clique and the cliques in face-name order, that no face spans makes
+    it not flag.  An isolated vertex has one maximal clique, the empty one.
+    """
+    sub_faces = _reference_sub_faces(cubes)
+    reports = []
+    for v in sorted({v for S in sub_faces for v in S}, key=str):
+        at = sorted((S for S in sub_faces if v in S), key=lambda S: sorted(map(str, S)))
+        spans = {}
+        for S in at:
+            if len(S) > 1:
+                span = frozenset(T for T in sub_faces[S] | {S} if len(T) == 2 and v in T)
+                if span in spans:
+                    reports.append(LinkReport(v, False, False, (spans[span], S)))
+                    break
+                spans[span] = S
+        else:
+            adjacency = {e: {f for span in spans if e in span for f in span} - {e} for e in at if len(e) == 2}
+            name = lambda e: _face_name(sorted(map(str, e)))
+            cliques = sorted((tuple(sorted(c, key=name)) for c in _maximal_cliques(adjacency)),
+                             key=lambda c: [name(e) for e in c])
+            missing = [c for c in cliques if frozenset(c) not in spans]
+            reports.append(LinkReport(v, True, not missing, missing[0] if missing else None))
+    return reports
 
 
 # -- complexes ------------------------------------------------------------------------------------
@@ -1282,6 +1326,15 @@ def prop_face_poset(rng):
     return [next(kind for kind in ("repeated vertex", "power of two", "glued") if kind in out["message"])]
 
 
+def prop_cube_link_reports(rng):
+    """cube_link_reports(cubes): every field of every vertex's report, or the error at the first malformed cube or face."""
+    cubes = random_cubes(rng)
+    out = agree(lambda: cubes, cube_link_reports, reference_cube_link_reports, cubes)
+    if isinstance(out, dict):
+        return [out["error"]]
+    return ["simplicial" if not r.simplicial else "flag" for r in out if not r.ok] or ["pass"]
+
+
 def _poset_case(rng):
     P = random_poset(rng)
     return P, reference_closure(P.elements, P.covers), lambda: P.to_json()
@@ -1437,6 +1490,8 @@ PROPERTIES = {
         {"poset", "DuplicateLabel", "UnknownLabel", "CycleDetected"})),
     "CubeComplex.face_poset": Property(prop_face_poset, 2, frozenset(
         {"poset", "repeated vertex", "power of two", "glued"})),
+    "cube_link_reports": Property(prop_cube_link_reports, 2, frozenset(
+        {"pass", "simplicial", "flag", "MalformedCubeComplex"})),
     "find_bowtie": Property(prop_find_bowtie, 2, frozenset({"found", "none"})),
     "find_balanced_bowtie": Property(prop_find_balanced_bowtie, 2, frozenset({"found", "none", "NotGraded"})),
     "flag_condition": Property(prop_flag_condition, 2, frozenset({"up", "down", "none"})),

@@ -1,5 +1,8 @@
 """Cube complexes: subdivision combinatorics and the direct link test."""
 
+import re
+from itertools import product
+
 import pytest
 
 from cublink.complexes import validate
@@ -16,6 +19,7 @@ from cublink.cubes import (
     three_squares_corner,
 )
 from cublink.errors import MalformedCubeComplex
+from cublink.linkcheck import check_type_C
 
 
 def test_single_square_subdivision_counts():
@@ -57,9 +61,16 @@ def test_malformed_sizes_rejected():
 
 
 def test_incompatible_gluing_rejected():
-    # the same four vertices spanning squares with different diagonals
-    with pytest.raises(MalformedCubeComplex):
-        CubeComplex([("p", "q", "r", "s"), ("p", "q", "s", "r")])
+    cube = tuple(f"v{m}" for m in range(8))
+    cases = [
+        # the same four vertices spanning squares with different diagonals
+        ([("p", "q", "r", "s"), ("p", "q", "s", "r")], ["p", "q", "r", "s"]),
+        # a cube and its copy with corners 0 and 1 swapped: the lowest face glued two ways is a square
+        ([cube, ("v1", "v0") + cube[2:]], ["v0", "v1", "v2", "v3"]),
+    ]
+    for cubes, face in cases:
+        with pytest.raises(MalformedCubeComplex, match=re.escape(f"face {face} is glued with incompatible structure")):
+            CubeComplex(cubes)
 
 
 def test_gromov_positive_cases():
@@ -71,7 +82,8 @@ def test_three_squares_corner_fails_flag():
     reports = {r.vertex: r for r in cube_link_reports(three_squares_corner())}
     bad = reports["v"]
     assert bad.simplicial and not bad.flag
-    assert len(bad.witness) == 3
+    # the missing corner, its edges in face-label order whatever the hash seed
+    assert bad.witness == (frozenset({"v", "x"}), frozenset({"v", "y"}), frozenset({"v", "z"}))
     for v, r in reports.items():
         if v != "v":
             assert r.ok
@@ -87,11 +99,33 @@ def test_wedge_of_squares_passes():
     assert gromov_link_condition([("v", "a", "b", "c"), ("v", "p", "q", "r")])
 
 
+def torus_cubes(k):
+    """The cubes x + {0,1}^3 mod k of the k-fold cover of the 3-torus, k >= 3, each corner named by its digits."""
+    return [tuple("".join(str((x[i] + (m >> i & 1)) % k) for i in range(3)) for m in range(8))
+            for x in product(range(k), repeat=3)]
+
+
+def test_torus_cover_passes_and_fails_at_a_hollow_cube():
+    cubes = torus_cubes(3)
+    K = CubeComplex(cubes)
+    assert len(K.facets) == 27 + 81 + 81 + 27  # no boundary: every face lies in a cube
+    assert gromov_link_condition(K)
+    assert check_type_C(K.face_poset()).passed
+    # the cube at the origin replaced by its six squares: every corner's link is a hollow octahedron
+    origin = cubes[0]
+    squares = [tuple(origin[m] for m in range(8) if m >> i & 1 == b) for i in range(3) for b in (0, 1)]
+    hollow = cubes[1:] + squares
+    corners = sorted(origin)
+    reports = cube_link_reports(hollow)
+    assert [r.vertex for r in reports if not r.ok] == corners
+    assert all(r.simplicial for r in reports)
+    verdict = check_type_C(CubeComplex(hollow).face_poset()).to_json()
+    assert not verdict["pass"]
+    assert [(f["vertex"], f["condition"]) for f in verdict["failures"]] == [(v, "flag_up") for v in corners]
+
+
 def test_random_complexes_agree_with_subdivision_route():
     import random
-
-    from cublink.errors import MalformedCubeComplex
-    from cublink.linkcheck import check_type_C
 
     rng = random.Random(77)
     checked = 0

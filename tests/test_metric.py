@@ -17,7 +17,6 @@ from cublink.metric import (
     MeshApproximator,
     PLPoint,
     affine_simplex_coords,
-    chamber_distance,
     chamber_distance_in_complex,
     frac,
     linf_norm,
@@ -186,13 +185,17 @@ def test_plpoint_weights_convention():
     assert q.weights() == [F(1, 3), F(1, 3), F(1, 3)]
 
 
+def _chain_point_distance(P, p, q):
+    return chamber_distance_in_complex(order_complex(P), p.to_barycentric(), q.to_barycentric())
+
+
 def test_chamber_distance_between_chain_points():
     B = boolean_poset(2)
     chain = ("{}", "{1}", "{1,2}")
     p = PLPoint(chain, (F(0), F(0)))      # the top vertex
     q = PLPoint(chain, (F(1), F(1)))      # the bottom vertex
-    assert chamber_distance(B, p, q) == 1
-    assert chamber_distance(B, p, p) == 0
+    assert _chain_point_distance(B, p, q) == 1
+    assert _chain_point_distance(B, p, p) == 0
 
 
 def test_chamber_distance_uses_gluing():
@@ -201,7 +204,7 @@ def test_chamber_distance_uses_gluing():
     # the middle rank but the identification makes them share a chamber
     p = PLPoint(("{}", "{1}", "{1,2}"), (F(1, 4), F(1, 4)))
     q = PLPoint(("{}", "{2}", "{1,2}"), (F(3, 4), F(3, 4)))
-    assert chamber_distance(B, p, q) == F(1, 2)
+    assert _chain_point_distance(B, p, q) == F(1, 2)
 
 
 def test_atoms_of_square_share_no_chamber():
@@ -209,7 +212,7 @@ def test_atoms_of_square_share_no_chamber():
     a = PLPoint(("{}", "{1}", "{1,2}"), (F(0), F(1)))
     b = PLPoint(("{}", "{2}", "{1,2}"), (F(0), F(1)))
     with pytest.raises(NoCommonChamber):
-        chamber_distance(B, a, b)
+        _chain_point_distance(B, a, b)
     # the length metric still sees them at distance 1, via the diagonal
     X = order_complex(B)
     assert MeshApproximator(X, F(1, 4)).distance("{1}", "{2}") == 1
