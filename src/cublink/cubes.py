@@ -124,11 +124,13 @@ def cube_link_reports(K):
     """Check each vertex link directly on the cube complex.
 
     The link of v has one vertex per edge at v and one simplex per corner of
-    a cube at v.  It must be a simplicial complex (corners determine distinct
-    simplices) and flag (pairwise-cornered edge sets span a corner).  The
-    witness is the first two faces at v, in the order of their sorted vertex
-    labels, with the same edges at v, or else the first maximal clique of
-    edges that spans no corner, in face-label order.
+    a cube at v; v itself is the empty corner, so an isolated vertex's link
+    is the empty simplex and passes.  It must be a simplicial complex
+    (corners determine distinct simplices) and flag (pairwise-cornered edge
+    sets span a corner).  The witness is the first two faces at v, in the
+    order of their sorted vertex labels, with the same edges at v, or else
+    the first maximal clique of edges that spans no corner, in face-label
+    order.
     """
     K = K if isinstance(K, CubeComplex) else CubeComplex(K)
     at = {}  # the faces at each vertex, in the order of their sorted vertex labels
@@ -143,11 +145,10 @@ def cube_link_reports(K):
             edges[f] = frozenset([f]) if len(f) == 2 else frozenset().union(*below)
         corner, duplicate = {}, None
         for f in at[v]:
-            if len(f) > 1:
-                if edges[f] in corner:
-                    duplicate = (corner[edges[f]], f)
-                    break
-                corner[edges[f]] = f
+            if edges[f] in corner:
+                duplicate = (corner[edges[f]], f)
+                break
+            corner[edges[f]] = f
         if duplicate is not None:
             reports.append(LinkReport(v, False, False, duplicate))
             continue

@@ -19,6 +19,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 from math import comb, lcm
+from operator import sub
 
 from .complexes import order_complex
 from .errors import (
@@ -124,7 +125,7 @@ def _length(order_type, a, b):
     types, and rotating a type-A chamber's vertex order shifts D cyclically
     and by a constant, which leaves the length unchanged.
     """
-    diff = [x - y for x, y in zip(a, b)]
+    diff = list(map(sub, a, b))
     return max(map(abs, diff)) if order_type == "C" else max(diff) - min(diff)
 
 
@@ -166,22 +167,28 @@ class MeshApproximator:
 
     Nodes are the points whose barycentric weights are positive multiples of
     the mesh on a proper face of some chamber (plus all vertices); two nodes
-    sharing a chamber are joined by an edge of exact chamber length.  The
-    graph distance is an upper bound for the length metric that does not
+    sharing a chamber are joined by a path of their exact chamber length.
+    The graph distance is an upper bound for the length metric that does not
     increase when the mesh is refined by an integer factor.
 
     The graph is built once, at the first query; no query changes it.  Its
     nodes are ints and its weights the chamber lengths times m, at mesh 1/m,
-    as a node's running weight sums times m are ints.  A mesh node's first
-    query computes its distance row, which answers every later query from
-    or to that node.  A node's support is a proper face of a chamber, never
-    a whole one, so a chamber holds only the nodes on its own proper faces.
-    An off-mesh endpoint is joined, for its query only, to the nodes of the
-    chambers containing its support, and to the other endpoint if it is
-    off-mesh there; such a query keeps no row.
+    as a node's running weight sums times m are ints.  The chambers of one
+    size share a template: their nodes by vertex position, and the pairs of
+    nodes with no node of the chamber between them.  Only those pairs are
+    edges.  The chamber length is a norm distance, positive between distinct
+    nodes, so a pair with a node between its ends is a path of shorter kept
+    pairs of the same total, and no distance changes.
 
-    The build joins every pair of nodes in a chamber, so a complex and mesh
-    with more than MAX_PAIRS such pairs are refused before any node is made.
+    A mesh node's first query computes its distance row, which answers every
+    later query from or to that node.  A node's support is a proper face of
+    a chamber, never a whole one, so a chamber holds only the nodes on its
+    own proper faces.  An off-mesh endpoint is joined, for its query only, to
+    the nodes of the chambers containing its support, and to the other
+    endpoint if it is off-mesh there; such a query keeps no row.
+
+    A complex and mesh with more than MAX_PAIRS pairs of mesh nodes that
+    share a chamber are refused before any node is made.
     """
 
     MAX_PAIRS = 10**6
@@ -192,7 +199,7 @@ class MeshApproximator:
             raise ValueError("mesh must be 1/m for a positive integer m")
         m, pairs = mesh.denominator, 0
         for k, chambers in Counter(map(len, X.maximal_simplices)).items():
-            nodes = sum(comb(k, size) * comb(m - 1, size - 1) for size in range(1, max(k, 2)))  # as _chamber
+            nodes = sum(comb(k, size) * comb(m - 1, size - 1) for size in range(1, max(k, 2)))  # as _templates
             pairs += chambers * comb(nodes, 2)
         if pairs > self.MAX_PAIRS:
             raise ParameterTooLarge(f"mesh 1/{m} joins {pairs} node pairs, more than {self.MAX_PAIRS}")
@@ -200,32 +207,59 @@ class MeshApproximator:
         self.mesh = mesh
         self._rows = {}  # a mesh node's int -> {node's int: distance times m}, for each source searched
 
-    def _chamber(self, i):
-        """The mesh nodes of chamber i, each with its running weight sums times m."""
-        s, m = self.X.maximal_simplices[i], self.mesh.denominator
-        out = []
-        for size in range(1, max(len(s), 2)):  # a lone vertex is its own node
-            for face in combinations(s, size):
-                for cuts in combinations(range(1, m), size - 1):  # weights c/m, c > 0, cut at 0 < c_1 < ... < m
-                    c = {v: y - x for v, x, y in zip(face, (0,) + cuts, cuts + (m,))}
-                    out.append((frozenset((v, Fraction(w, m)) for v, w in c.items()), _sums(s, c)))
+    @cached_property
+    def _templates(self):
+        """Chamber size k -> (nodes, pairs): a k-vertex chamber's mesh nodes and the pairs kept as edges.
+
+        A node is its (vertex position, weight) pairs with its running weight
+        sums times m.  A kept pair (a, c, length times m) has no node b with
+        len(a, b) + len(b, c) = len(a, c).  a's partners are tried in order of
+        length from a, each against a's kept partners only: a witness b whose
+        own pair with a was dropped has a kept witness nearer to a.
+        """
+        m, out = self.mesh.denominator, {}
+        for k in {len(s) for s in self.X.maximal_simplices}:
+            nodes = []
+            for size in range(1, max(k, 2)):  # a lone vertex is its own node
+                for face in combinations(range(k), size):
+                    for cuts in combinations(range(1, m), size - 1):  # weights c/m, c > 0, cut at 0 < c_1 < ... < m
+                        c = [y - x for x, y in zip((0,) + cuts, cuts + (m,))]
+                        nodes.append((tuple((p, Fraction(w, m)) for p, w in zip(face, c)),
+                                      _sums(range(k), dict(zip(face, c)))))
+            length = [[0] * len(nodes) for _ in nodes]
+            for a, (_, sa) in enumerate(nodes):
+                for c in range(a + 1, len(nodes)):
+                    length[a][c] = length[c][a] = _length(self.X.order_type, sa, nodes[c][1])
+            pairs = []
+            for a, row in enumerate(length):
+                kept = []
+                for c in sorted(range(len(nodes)), key=row.__getitem__)[1:]:  # a itself comes first, at 0
+                    for b in kept:
+                        if row[b] + length[b][c] == row[c]:
+                            break
+                    else:
+                        kept.append(c)
+                        if a < c:
+                            pairs.append((a, c, row[c]))
+            out[k] = nodes, pairs
         return out
+
+    def _chamber(self, i):
+        """The mesh nodes of chamber i, each with its running weight sums times m, in its template's order."""
+        s = self.X.maximal_simplices[i]
+        return [(frozenset((s[p], w) for p, w in node), sums) for node, sums in self._templates[len(s)][0]]
 
     @cached_property
     def _graph(self):
-        """(ids, adj): the mesh nodes' ints, and per int {neighbour: least chamber length times m}."""
-        X = self.X
+        """(ids, adj): the mesh nodes' ints, and per int {neighbour: least kept chamber length times m}."""
         ids, adj = {}, []
-        for i in range(len(X.maximal_simplices)):
-            members = self._chamber(i)
-            for node, _ in members:
-                if node not in ids:
-                    ids[node] = len(adj)
-                    adj.append({})
-            for (a, sa), (b, sb) in combinations(members, 2):
-                w, a, b = _length(X.order_type, sa, sb), ids[a], ids[b]
-                if w < adj[a].get(b, w + 1):
-                    adj[a][b] = adj[b][a] = w
+        for i, s in enumerate(self.X.maximal_simplices):
+            at = [ids.setdefault(node, len(ids)) for node, _ in self._chamber(i)]  # the template's nodes as ints
+            adj.extend({} for _ in range(len(ids) - len(adj)))
+            for a, c, w in self._templates[len(s)][1]:
+                a, c = at[a], at[c]
+                if w < adj[a].get(c, w + 1):
+                    adj[a][c] = adj[c][a] = w
         return ids, adj
 
     def distance(self, p, q):
@@ -237,7 +271,7 @@ class MeshApproximator:
             if t in self._rows:
                 s, t = t, s
             if s not in self._rows:
-                self._rows[s] = _dijkstra(adj, s, 1, {})
+                self._rows[s] = _dijkstra(adj, {s: 0})
             d, scale = self._rows[s].get(t), self.mesh.denominator
         else:
             d, scale = self._off_mesh(source, target)
@@ -246,40 +280,44 @@ class MeshApproximator:
         return Fraction(d, scale)
 
     def _off_mesh(self, source, target):
-        """(distance, scale) of a query with an off-mesh endpoint: one search over the graph and its joins.
+        """(distance, scale) of a query with an off-mesh endpoint: one search, from the source's joins to the target's.
 
         The scale also clears the endpoints' weights, so the graph's edges count scale // m times.
         """
         X, (ids, adj), m = self.X, self._graph, self.mesh.denominator
-        at = {node: k for k, node in enumerate(dict.fromkeys((source, target)), len(adj)) if node not in ids}
-        fine = lcm(m, *(w.denominator for node in at for _, w in node))
-        joins, joined = {}, {}  # this query's edges; chamber -> its off-mesh endpoints with their sums
-        for node, a in at.items():
+        fine = lcm(m, *(w.denominator for node in (source, target) if node not in ids for _, w in node))
+        ends, placed, direct = [], {}, []  # each endpoint's {node's int: join length}; chamber -> off-mesh sums there
+        for node in (source, target):
+            if node in ids:
+                ends.append({ids[node]: 0})
+                continue
+            joins = {}
             for i in X.carriers(v for v, _ in node):
                 here = [int(x * fine) for x in _sums(X.maximal_simplices[i], dict(node))]
-                members = [(ids[other], [x * (fine // m) for x in sums]) for other, sums in self._chamber(i)]
-                for b, there in members + joined.get(i, []):
-                    w = _length(X.order_type, here, there)
-                    if w < joins.setdefault(a, {}).get(b, w + 1):
-                        joins[a][b] = joins.setdefault(b, {})[a] = w
-                joined.setdefault(i, []).append((a, here))
-        s, t = (ids[x] if x in ids else at[x] for x in (source, target))
-        return _dijkstra(adj, s, fine // m, joins).get(t), fine
+                for other, sums in self._chamber(i):
+                    w, b = _length(X.order_type, here, [x * (fine // m) for x in sums]), ids[other]
+                    joins[b] = min(w, joins.get(b, w))
+                if i in placed:  # the source is off-mesh in this chamber too
+                    direct.append(_length(X.order_type, here, placed[i]))
+                placed[i] = here
+            ends.append(joins)
+        best = _dijkstra(adj, ends[0], fine // m)
+        return min([best[b] + w for b, w in ends[1].items() if b in best] + direct, default=None), fine
 
 
-def _dijkstra(adj, source, ratio, joins):
-    """Int distances from source: adj's weights count ratio times, the query-only joins once."""
-    best, heap, n = {source: 0}, [(0, source)], len(adj)
+def _dijkstra(adj, starts, ratio=1):
+    """Int distances from the start nodes, each starting at its given distance; adj's weights count ratio times."""
+    best, heap = dict(starts), [(d, node) for node, d in starts.items()]
+    heapq.heapify(heap)
     while heap:
         d, node = heapq.heappop(heap)
         if d > best[node]:
             continue
-        for edges, r in ((adj[node] if node < n else {}, ratio), (joins.get(node, {}), 1)):
-            for other, w in edges.items():
-                nd = d + w * r
-                if other not in best or nd < best[other]:
-                    best[other] = nd
-                    heapq.heappush(heap, (nd, other))
+        for other, w in adj[node].items():
+            nd = d + w * ratio
+            if other not in best or nd < best[other]:
+                best[other] = nd
+                heapq.heappush(heap, (nd, other))
     return best
 
 

@@ -312,7 +312,8 @@ def reference_cube_link_reports(cubes):
     sorted labels: the first face whose span an earlier face already has
     makes the link not simplicial.  Else the first maximal clique of edges,
     each clique and the cliques in face-name order, that no face spans makes
-    it not flag.  An isolated vertex has one maximal clique, the empty one.
+    it not flag.  The vertex itself spans the empty clique, which is the one
+    maximal clique of an isolated vertex.
     """
     sub_faces = _reference_sub_faces(cubes)
     reports = []
@@ -320,12 +321,11 @@ def reference_cube_link_reports(cubes):
         at = sorted((S for S in sub_faces if v in S), key=lambda S: sorted(map(str, S)))
         spans = {}
         for S in at:
-            if len(S) > 1:
-                span = frozenset(T for T in sub_faces[S] | {S} if len(T) == 2 and v in T)
-                if span in spans:
-                    reports.append(LinkReport(v, False, False, (spans[span], S)))
-                    break
-                spans[span] = S
+            span = frozenset(T for T in sub_faces[S] | {S} if len(T) == 2 and v in T)
+            if span in spans:
+                reports.append(LinkReport(v, False, False, (spans[span], S)))
+                break
+            spans[span] = S
         else:
             adjacency = {e: {f for span in spans if e in span for f in span} - {e} for e in at if len(e) == 2}
             name = lambda e: _face_name(sorted(map(str, e)))
@@ -1273,7 +1273,8 @@ def mesh_queries(rng):
 @cache
 def mesh_complexes():
     return (affine_A_patch(2, 1), order_complex(boolean_poset(3)), order_complex(boolean_poset(2)),
-            OrderedComplex("C", ["a", "b", "p", "q"], [("a", "b"), ("p", "q")]))
+            OrderedComplex("C", ["a", "b", "p", "q"], [("a", "b"), ("p", "q")]),
+            OrderedComplex("C", ["a", "b", "c", "d", "e"], [("a", "b", "c"), ("c", "d")]))  # chambers of 3, 2, 1 vertices
 
 
 # -- properties: one per public entry point ---------------------------------------------

@@ -99,6 +99,16 @@ def test_wedge_of_squares_passes():
     assert gromov_link_condition([("v", "a", "b", "c"), ("v", "p", "q", "r")])
 
 
+@pytest.mark.parametrize("cubes", [[("a",)], single_square() + [("e",)]], ids=["vertex", "square and vertex"])
+def test_isolated_vertex_passes_as_in_type_C(cubes):
+    # an isolated vertex's link is empty: its one maximal clique, the empty one, is spanned by the vertex itself
+    reports = {r.vertex: r for r in cube_link_reports(cubes)}
+    isolated = reports[cubes[-1][0]]
+    assert isolated.ok and isolated.witness is None
+    assert all(r.ok for r in reports.values())
+    assert gromov_link_condition(cubes)
+    assert check_type_C(CubeComplex(cubes).face_poset()).passed
+
 def torus_cubes(k):
     """The cubes x + {0,1}^3 mod k of the k-fold cover of the 3-torus, k >= 3, each corner named by its digits."""
     return [tuple("".join(str((x[i] + (m >> i & 1)) % k) for i in range(3)) for m in range(8))

@@ -16,6 +16,8 @@ from cublink.generators import affine_A_patch, boolean_poset
 from cublink.metric import (
     MeshApproximator,
     PLPoint,
+    _dijkstra,
+    _length,
     affine_simplex_coords,
     chamber_distance_in_complex,
     frac,
@@ -337,9 +339,36 @@ def test_off_mesh_query_point_does_not_shortcut_later_queries():
     assert approx.distance(p, q) == 1
 
 
+def three_chamber_sizes():
+    """Chambers of 3, 2 and 1 vertices: the lone vertex e is a chamber of its own."""
+    return OrderedComplex("C", ["a", "b", "c", "d", "e"], [("a", "b", "c"), ("c", "d")])
+
+
+@pytest.mark.parametrize("X, m", [(order_complex(boolean_poset(3)), 4), (affine_A_patch(2, 1), 4),
+                                  (three_chamber_sizes(), 8)], ids=["B(3)", "patch(2,1)", "sizes 3,2,1"])
+def test_pruned_mesh_graph_keeps_every_distance(X, m):
+    # the graph joining every pair of nodes that share a chamber, by its least chamber length
+    approx = MeshApproximator(X, F(1, m))
+    ids, adj = approx._graph
+    full = [{} for _ in adj]
+    for i in range(len(X.maximal_simplices)):
+        for (a, sa), (b, sb) in combinations(approx._chamber(i), 2):
+            w, a, b = _length(X.order_type, sa, sb), ids[a], ids[b]
+            full[a][b] = full[b][a] = min(w, full[a].get(b, w))
+    assert sum(map(len, adj)) < sum(map(len, full))
+    for s in range(len(adj)):
+        assert _dijkstra(adj, {s: 0}) == _dijkstra(full, {s: 0}), s
+
+
+def test_pruned_mesh_graph_of_a_patch_keeps_1854_edges():
+    # joining every pair of nodes that share a chamber gives 12,312 edges; the rest have a node between their ends
+    _, adj = MeshApproximator(affine_A_patch(2, 3), F(1, 8))._graph
+    assert sum(map(len, adj)) // 2 == 1854
+
+
 def test_mesh_past_its_node_pair_limit_is_refused_before_the_build(monkeypatch):
-    # chambers of 3, 2 and 1 vertices; the limit counts the pairs the build would join
-    X = OrderedComplex("C", ["a", "b", "c", "d", "e"], [("a", "b", "c"), ("c", "d")])
+    # the limit counts the pairs of mesh nodes that share a chamber
+    X = three_chamber_sizes()
     approx = MeshApproximator(X, F(1, 8))
     pairs = sum(comb(len(approx._chamber(i)), 2) for i in range(3))
     monkeypatch.setattr(MeshApproximator, "MAX_PAIRS", pairs)
