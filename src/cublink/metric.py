@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
-from math import comb, lcm
+from math import comb, inf, lcm
 from operator import sub
 
 from .complexes import order_complex
@@ -47,7 +47,8 @@ def frac(x):
 
 
 def frac_str(x):
-    x = Fraction(x)
+    if not isinstance(x, Fraction):  # Fraction(x) of a Fraction is a slow copy
+        x = Fraction(x)
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
@@ -271,7 +272,7 @@ class MeshApproximator:
             if t in self._rows:
                 s, t = t, s
             if s not in self._rows:
-                self._rows[s] = _dijkstra(adj, {s: 0})
+                self._rows[s] = _dijkstra(adj, {s: 0})[0]
             d, scale = self._rows[s].get(t), self.mesh.denominator
         else:
             d, scale = self._off_mesh(source, target)
@@ -301,24 +302,34 @@ class MeshApproximator:
                     direct.append(_length(X.order_type, here, placed[i]))
                 placed[i] = here
             ends.append(joins)
-        best = _dijkstra(adj, ends[0], fine // m)
-        return min([best[b] + w for b, w in ends[1].items() if b in best] + direct, default=None), fine
+        nearest = min([*direct, _dijkstra(adj, ends[0], fine // m, ends[1])[1]])
+        return (None if nearest == inf else nearest), fine
 
 
-def _dijkstra(adj, starts, ratio=1):
-    """Int distances from the start nodes, each starting at its given distance; adj's weights count ratio times."""
-    best, heap = dict(starts), [(d, node) for node, d in starts.items()]
+def _dijkstra(adj, starts, ratio=1, ends=None):
+    """Int distances from the start nodes, each at its given distance, and the least distance plus join to an end.
+
+    adj's weights count ratio times.  Given ends, {node: join length}, the
+    search stops at the first node it settles no nearer than that least sum,
+    so only the sum is exact; without ends the distances are complete.
+    """
+    best, heap, nearest = dict(starts), [(d, node) for node, d in starts.items()], inf
     heapq.heapify(heap)
     while heap:
         d, node = heapq.heappop(heap)
         if d > best[node]:
             continue
+        if ends is not None:  # not a plain d >= inf test: comparing an int with a float slows every row
+            if d >= nearest:
+                break
+            if node in ends:
+                nearest = min(nearest, d + ends[node])
         for other, w in adj[node].items():
             nd = d + w * ratio
             if other not in best or nd < best[other]:
                 best[other] = nd
                 heapq.heappush(heap, (nd, other))
-    return best
+    return best, nearest
 
 
 # -- chain-coordinate points on poset realizations -----------------------------------

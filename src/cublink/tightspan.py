@@ -15,15 +15,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, permutations, product
+from itertools import combinations, permutations
 from math import lcm
+from operator import add
 
 from .errors import NotAMetric, TooManyPoints
 from .metric import frac, frac_str
 
 
 class FiniteMetric:
-    """A finite metric space over labeled points, with exact rational distances."""
+    """A finite metric space over labeled points, with exact rational distances.
+
+    The distances are validated, and read by tight_span and the Dress test,
+    as one int matrix: themselves times the lcm of their denominators, a
+    positive scale that keeps every comparison of sums.
+    """
 
     def __init__(self, points, dist):
         self.points = tuple(points)
@@ -33,20 +39,27 @@ class FiniteMetric:
         rows = [[frac(x) for x in row] for row in dist]
         if len(rows) != n or any(len(r) != n for r in rows):
             raise NotAMetric("distance matrix shape must match the point count")
+        scale = lcm(*(x.denominator for row in rows for x in row))
+        D = [[x.numerator * (scale // x.denominator) for x in row] for row in rows]
         for i in range(n):
-            if rows[i][i] != 0:
+            if D[i][i] != 0:
                 raise NotAMetric(f"nonzero diagonal at {self.points[i]!r}")
             for j in range(n):
-                if rows[i][j] != rows[j][i]:
+                if D[i][j] != D[j][i]:
                     raise NotAMetric("distance matrix must be symmetric")
-                if i != j and rows[i][j] <= 0:
+                if i != j and D[i][j] <= 0:
                     raise NotAMetric("distinct points need positive distance")
-        for i, j, k in product(range(n), repeat=3):
-            if rows[i][j] > rows[i][k] + rows[k][j]:
+        # D is symmetric, so (i, j, k) fails exactly when (j, i, k) does, and i == j never fails:
+        # the first failure in product order has i < j
+        for i, j in combinations(range(n), 2):
+            if D[i][j] > min(map(add, D[i], D[j])):
+                k = next(k for k in range(n) if D[i][j] > D[i][k] + D[k][j])
                 raise NotAMetric(
                     f"triangle inequality fails on ({self.points[i]}, {self.points[j]}, {self.points[k]})"
                 )
         self.dist = tuple(tuple(r) for r in rows)
+        self._ints = tuple(tuple(r) for r in D)
+        self._scale = scale
 
     def __len__(self):
         return len(self.points)
@@ -206,8 +219,8 @@ def tight_span(metric):
         raise TooManyPoints("the hull enumeration is limited to 7 points")
     if n == 0:
         return TightSpan(metric, (), (), -1)
-    scale = lcm(*(x.denominator for row in metric.dist for x in row)) if n > 1 else 1
-    D2 = [[int(2 * scale * x) for x in row] for row in metric.dist]
+    scale = metric._scale
+    D2 = [[2 * x for x in row] for row in metric._ints]
 
     vertices = _hull_vertices(D2)
     # close the vertex tightness graphs under intersection: each bounded face
@@ -256,10 +269,13 @@ def dress_dimension_test(metric, n):
     size = 2 * (n + 1)
     if n < 1:
         raise ValueError("the dimension parameter must be at least 1")
-    d = metric.dist
+    if len(metric) < size:
+        return True  # vacuously, and without listing the size! permutations
+    d = metric._ints  # a positive scale keeps which sum is largest
+    derangements = [image for image in permutations(range(size)) if all(k != w for k, w in enumerate(image))]
     for subset in combinations(range(len(metric)), size):
-        sums = [sum(d[z][w] for z, w in zip(subset, image))
-                for image in permutations(subset) if all(z != w for z, w in zip(subset, image))]
+        rows = [[d[z][w] for w in subset] for z in subset]
+        sums = [sum(row[w] for row, w in zip(rows, image)) for image in derangements]
         if sums.count(max(sums)) == 1:
             return False
     return True
@@ -287,14 +303,9 @@ def tree_metric(rng, leaves):
             v = parents[v]
         return out
 
-    dist = [[Fraction(0)] * size for _ in range(size)]
-    for a in range(size):
-        pa = path_to_root(a)
-        for b in range(a + 1, size):
-            pb = path_to_root(b)
-            meet = min((k for k in pa if k in pb), key=lambda k: pa[k])
-            d = pa[meet] + pb[meet]
-            dist[a][b] = dist[b][a] = Fraction(d)
+    paths = [path_to_root(v) for v in range(size)]
+    # the least sum over common ancestors is at the lowest one, as weights are positive
+    dist = [[min(pa[k] + pb[k] for k in pa if k in pb) for pb in paths] for pa in paths]
     return FiniteMetric([f"t{v}" for v in range(size)], dist)
 
 
@@ -320,4 +331,4 @@ def random_metric(rng, size, max_entry=9):
             for j in range(size):
                 if d[i][k] + d[k][j] < d[i][j]:
                     d[i][j] = d[k][j] + d[i][k]
-    return FiniteMetric([f"p{i}" for i in range(size)], [[Fraction(x) for x in row] for row in d])
+    return FiniteMetric([f"p{i}" for i in range(size)], d)

@@ -79,7 +79,15 @@ from cublink.groupdev import (
     symmetric_group,
 )
 from cublink.linkcheck import Failure, Verdict, check_garside, check_type_A, check_type_C, garside_quotient
-from cublink.metric import MeshApproximator, affine_simplex_coords, linf_norm, orthoscheme_coords, polyhedral_norm
+from cublink.metric import (
+    MeshApproximator,
+    affine_simplex_coords,
+    frac,
+    frac_str,
+    linf_norm,
+    orthoscheme_coords,
+    polyhedral_norm,
+)
 from cublink.poset import Bowtie, Poset, find_balanced_bowtie, find_bowtie, flag_condition, with_bounds
 from cublink.selftest import metric_corpus
 from cublink.tightspan import (
@@ -681,6 +689,29 @@ def _first_unfactorized(i, walk, group, G):
 
 
 # -- injective hulls -----------------------------------------------------------------------------
+
+
+def reference_finite_metric(points, dist):
+    """FiniteMetric's checks on Fraction entries, every triangle in product order: the distance rows, or its error."""
+    points = tuple(points)
+    n = len(points)
+    if len(set(points)) != n:
+        raise NotAMetric("point labels must be unique")
+    rows = [[frac(x) for x in row] for row in dist]
+    if len(rows) != n or any(len(r) != n for r in rows):
+        raise NotAMetric("distance matrix shape must match the point count")
+    for i in range(n):
+        if rows[i][i] != 0:
+            raise NotAMetric(f"nonzero diagonal at {points[i]!r}")
+        for j in range(n):
+            if rows[i][j] != rows[j][i]:
+                raise NotAMetric("distance matrix must be symmetric")
+            if i != j and rows[i][j] <= 0:
+                raise NotAMetric("distinct points need positive distance")
+    for i, j, k in product(range(n), repeat=3):
+        if rows[i][j] > rows[i][k] + rows[k][j]:
+            raise NotAMetric(f"triangle inequality fails on ({points[i]}, {points[j]}, {points[k]})")
+    return rows
 
 
 def _odd_cycles(kappa):
@@ -1447,6 +1478,62 @@ def corpus_metrics():
     return metric_corpus()
 
 
+METRIC_FAULTS = {"nonzero diagonal": "diagonal", "symmetric": "asymmetric", "positive distance": "nonpositive",
+                 "triangle": "triangle", "shape": "ragged", "unique": "label"}
+
+
+def prop_finite_metric(rng):
+    """FiniteMetric: its distances and JSON, or its error, on metrics with mixed denominators and at times one fault.
+
+    A star metric, (i, j) -> f(i) + f(j) off the diagonal with f >= 0 drawn over
+    several denominators, is added at times; a sum of metrics is a metric.
+    Some entries are passed as ints or strings.  The fault is one of a nonzero
+    diagonal entry, one changed entry of a pair, a zero or negative pair, a
+    pair longer than a path through a third point, a ragged matrix, a repeated
+    label or an entry that is not an exact rational.
+    """
+    M = random_metric_of_size(rng, rng.randint(1, 7))
+    points, dist, n = list(M.points), [list(row) for row in M.dist], len(M)
+    if rng.random() < 0.5:
+        f = [F(rng.randint(0, 6), rng.choice((1, 2, 3, 5, 7))) for _ in points]
+        dist = [[x + f[i] + f[j] if i != j else x for j, x in enumerate(row)] for i, row in enumerate(dist)]
+    i, j, k = rng.sample(range(n), 3) if n >= 3 else (0, max(n - 1, 0), 0)
+    fault = rng.choice(("none", "none", "diagonal", "asymmetric", "nonpositive", "triangle", "ragged", "label",
+                        "entry"))
+    if fault == "diagonal" and n:
+        dist[i][i] = F(rng.choice((1, -1)) * rng.randint(1, 5), rng.randint(1, 4))
+    elif fault == "asymmetric" and n >= 2:
+        dist[i][j] += F(rng.choice((1, -1)), rng.randint(2, 6))
+    elif fault == "nonpositive" and n >= 2:
+        dist[i][j] = dist[j][i] = -F(rng.randint(0, 3), rng.randint(1, 3))
+    elif fault == "triangle" and n >= 3:
+        dist[i][j] = dist[j][i] = dist[i][k] + dist[k][j] + F(1, rng.randint(1, 6))
+    elif fault == "ragged" and n:  # a row too long, or a row short
+        if rng.random() < 0.5:
+            dist[i].append(1)
+        else:
+            dist.pop()
+    elif fault == "label" and n >= 2:
+        points[j] = points[i]
+    elif fault == "entry" and n:
+        dist[i][j] = rng.choice((0.5, "1/0", True, None))
+    forms = lambda x: (x, frac_str(x), int(x)) if x.denominator == 1 else (x, frac_str(x))
+    dist = [[rng.choice(forms(x)) if isinstance(x, F) else x for x in row] for row in dist]
+
+    def run(points, dist):
+        M = FiniteMetric(points, dist)
+        return [M.dist, M.to_json()]
+
+    def reference(points, dist):
+        rows = reference_finite_metric(points, dist)
+        return [rows, {"points": [str(p) for p in points], "dist": [[frac_str(x) for x in row] for row in rows]}]
+
+    out = agree(lambda: [points, dist], run, reference, points, dist)
+    if isinstance(out, dict):
+        return [next((tag for part, tag in METRIC_FAULTS.items() if part in out["message"]), out["error"])]
+    return ["metric"]
+
+
 def prop_tight_span(rng):
     # the reference sweeps n^n self-maps, seconds for seven points, so those are rare; eight are refused
     size = 7 if rng.random() < 0.01 else rng.choice((0, 1, 2, 3, 4, 4, 5, 5, 5, 6, 6, 8))
@@ -1509,6 +1596,7 @@ PROPERTIES = {
         {"quotient", "GarsideCheckFailed", "NotAutomorphism"})),
     "check_conditions": Property(prop_check_conditions, 4, frozenset(
         {"pass", "intersection", "product", "factorization", "NotASubgroup", "IncompatibleInclusions"})),
+    "FiniteMetric": Property(prop_finite_metric, 1, frozenset({"metric", "ValueError", *METRIC_FAULTS.values()})),
     "tight_span": Property(prop_tight_span, 20, frozenset({"dimension 1", "dimension 2", "TooManyPoints"})),
     "dress_dimension_test": Property(prop_dress_dimension_test, 2, frozenset({"true", "false", "ValueError"})),
     "MeshApproximator.distance": Property(prop_mesh_distance, 40, frozenset({"distance", "Disconnected"})),

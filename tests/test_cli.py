@@ -1,5 +1,6 @@
 """CLI surface: exit codes, JSON schemas, piping, determinism."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -59,6 +60,26 @@ def test_tightspan_two_points(tmp_path):
     payload = json.loads(out)
     assert payload["dimension"] == 1
     assert payload["dress"] is True
+
+
+# a random 6-point metric plus a star metric, over denominators 2 to 35
+MIXED_SIX = {"points": ["p0", "p1", "p2", "p3", "p4", "p5"], "dist": [
+    ["0", "53/6", "19/2", "89/10", "121/14", "41/4"], ["53/6", "0", "13/3", "56/15", "136/21", "85/12"],
+    ["19/2", "13/3", "0", "17/5", "15/7", "19/4"], ["89/10", "56/15", "17/5", "0", "194/35", "83/20"],
+    ["121/14", "136/21", "15/7", "194/35", "0", "81/28"], ["41/4", "85/12", "19/4", "83/20", "81/28", "0"]]}
+
+
+def test_tightspan_dress_stdout_on_mixed_denominators_is_pinned(tmp_path, capsys):
+    # the hull's 22 vertices and 69 faces, each vertex a row of halves over the common denominator
+    path = tmp_path / "six.json"
+    path.write_text(json.dumps(MIXED_SIX))
+    assert main(["tightspan", str(path), "--dress", "2"]) == 0
+    out = capsys.readouterr().out
+    payload = json.loads(out)
+    assert [payload["dimension"], payload["dress"]] == [3, False]
+    assert [len(payload["vertices"]), len(payload["faces"])] == [22, 69]
+    digest = "88770861a84900e714f9f090aaa6e1bc565129468a176f93db1b42b4e4b4c0b0"
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_garside_check_on_generated_column(tmp_path):
@@ -379,6 +400,10 @@ def test_oversized_input_is_refused_before_it_is_built(tmp_path, capsys, argv, d
      {"error": "NotAMetric", "detail": "distinct points need positive distance"}),
     (["tightspan"], {"points": ["x", "y"], "dist": [[0, 1], [2, 0]]},
      {"error": "NotAMetric", "detail": "distance matrix must be symmetric"}),
+    (["tightspan"], {"points": ["a", "b", "c"], "dist": [[0, "1/2", "1/3"], ["1/2", 0, 2], ["1/3", 2, 0]]},
+     {"error": "NotAMetric", "detail": "triangle inequality fails on (b, c, a)"}),
+    (["tightspan"], {"points": ["x", "y"], "dist": [[0, "1/3"], ["1/3", "1/5"]]},
+     {"error": "NotAMetric", "detail": "nonzero diagonal at 'y'"}),
     (["check", "--type", "C"], {"type": "C", "vertices": ["a", "b"], "maximal_simplices": [["a", "a", "b"]]},
      {"error": "input", "detail": "repeated vertex in simplex ('a', 'a', 'b')"}),
     (["check", "--type", "C"], {"type": "C", "vertices": ["a", "b"], "maximal_simplices": [["a", "z"]]},
@@ -392,6 +417,7 @@ def test_oversized_input_is_refused_before_it_is_built(tmp_path, capsys, argv, d
      {"error": "input", "detail": "a simplex of groups needs at least 2 vertices"}),
 ], ids=["weights-sum-to-half", "negative-weight", "support-spans-no-simplex", "mesh-2/3", "decreasing-coords",
         "too-few-coords", "coord-past-one", "repeated-point", "ragged-matrix", "zero-distance", "asymmetric-matrix",
+        "mixed-denominator-triangle", "nonzero-diagonal",
         "repeated-simplex-vertex", "undeclared-vertex", "type-B", "not-a-permutation", "one-vertex"])
 def test_input_error_exits_two_with_its_error_object(tmp_path, capsys, argv, data, error):
     path = tmp_path / "input.json"

@@ -106,6 +106,7 @@ def test_dress_vacuous_for_small_spaces():
     M = FiniteMetric(["x", "y", "z"], [[0, 2, 2], [2, 0, 2], [2, 2, 0]])
     assert dress_dimension_test(M, 2)  # no subset of size 6 exists
     assert dress_dimension_test(M, 1)
+    assert dress_dimension_test(M, 50)  # at once: nothing of size 102 is enumerated
 
 
 def test_uniform_cube_vertex_metric_passes_at_cube_dimension():
