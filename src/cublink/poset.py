@@ -5,10 +5,10 @@ immutable; every query is pure.  Elements are opaque hashable labels.
 All deterministic orderings use the string form of labels, so results are
 reproducible regardless of label types.  The order is kept as int bitmasks
 over the elements in that order, so meets, bowties and the flag condition
-are mask ANDs, not walks over an eager frozenset closure.  A poset with no
-bowtie is, unless it is wide, certified from its cover pairs alone; the
-sweep over its down-sets runs on the other posets and names the witness
-of a bowtie.
+are mask ANDs, not walks over an eager frozenset closure.  The covers are
+derived once, in the pass that builds the masks.  A poset with no bowtie
+is, unless it is wide, certified from its cover pairs alone; the sweep
+over its down-sets runs on the other posets and names a bowtie.
 """
 
 from __future__ import annotations
@@ -54,17 +54,17 @@ class Poset:
 
     Index i stands for ``elements[i]``, in label order.  ``_down[i]`` and
     ``_up[i]`` are the masks of the elements strictly below and above i;
-    the order is kept only there, and set-valued queries and the covers are
-    read from them on demand.
+    the order is kept only there.  ``_lower[i]`` and ``_upper[i]`` list the
+    lower and upper covers of i, ascending, built with the masks.
     """
 
-    __slots__ = ("elements", "_index", "_down", "_up", "_heights")
+    __slots__ = ("elements", "_index", "_down", "_up", "_heights", "_lower", "_upper")
 
-    def __init__(self, elements, down, up, heights):
-        """Elements in label order; the strict down- and up-masks and the heights as lists by index."""
+    def __init__(self, elements, down, up, heights, lower, upper):
+        """Elements in label order; the strict down- and up-masks, the heights and the covers as lists by index."""
         self.elements = tuple(elements)
         self._index = {x: i for i, x in enumerate(self.elements)}
-        self._down, self._up, self._heights = down, up, heights
+        self._down, self._up, self._heights, self._lower, self._upper = down, up, heights, lower, upper
 
     # -- construction -------------------------------------------------
 
@@ -103,22 +103,37 @@ class Poset:
 
     @classmethod
     def _from_index_pairs(cls, elements, pairs):
-        """Build a poset from distinct labels in label order and (lower, upper) index pairs."""
+        """Build a poset from distinct labels in label order and distinct (lower, upper) index pairs.
+
+        Everything below i is at or below a predecessor, so i covers the predecessors below no other.
+        """
         succ, pred = [[] for _ in elements], [[] for _ in elements]
         for lo, hi in pairs:
             succ[lo].append(hi)
             pred[hi].append(lo)
 
         order = _topological_order(elements, succ, pred)
-        down, up, heights = [0] * len(elements), [0] * len(elements), [0] * len(elements)
+        n = len(elements)
+        down, up, heights, lower, upper = [0] * n, [0] * n, [0] * n, [[] for _ in elements], [[] for _ in elements]
         for i in order:
+            below = preds = h = 0
             for lo in pred[i]:
-                down[i] |= down[lo] | 1 << lo
-                heights[i] = max(heights[i], heights[lo] + 1)
+                below |= down[lo]
+                preds |= 1 << lo
+                if heights[lo] >= h:
+                    h = heights[lo] + 1
+            heights[i], down[i] = h, below | preds
+            for lo in pred[i]:
+                if not below >> lo & 1:
+                    lower[i].append(lo)
+            lower[i].sort()
+        for hi, covered in enumerate(lower):  # by index, so each list of upper covers ascends
+            for lo in covered:
+                upper[lo].append(hi)
         for i in reversed(order):
-            for hi in succ[i]:
+            for hi in upper[i]:
                 up[i] |= up[hi] | 1 << hi
-        return cls(elements, down, up, heights)
+        return cls(elements, down, up, heights, lower, upper)
 
     # -- basic queries -------------------------------------------------
 
@@ -139,10 +154,9 @@ class Poset:
 
     @property
     def covers(self):
-        """The cover pairs (lower, upper): each element over the maximal elements below it."""
+        """The cover pairs (lower, upper) of the Hasse diagram."""
         el = self.elements
-        return frozenset((el[lo], el[hi])
-                         for hi, below in enumerate(self._down) for lo in _maximal_in(self, below))
+        return frozenset((el[lo], el[hi]) for hi, covered in enumerate(self._lower) for lo in covered)
 
     def lt(self, x, y):
         i, j = self._index_of(x), self._index_of(y)
@@ -167,10 +181,10 @@ class Poset:
         return self._labels(self._up[i] | 1 << i)
 
     def upper_covers(self, x):
-        return tuple(self.elements[j] for j in _minimal_in(self, self._up[self._index_of(x)]))
+        return tuple(self.elements[j] for j in self._upper[self._index_of(x)])
 
     def lower_covers(self, x):
-        return tuple(self.elements[j] for j in _maximal_in(self, self._down[self._index_of(x)]))
+        return tuple(self.elements[j] for j in self._lower[self._index_of(x)])
 
     def minimal_elements(self):
         return tuple(x for x, below in zip(self.elements, self._down) if not below)
@@ -216,26 +230,19 @@ class Poset:
         """True iff, for every x < y, all maximal chains from x to y have equal length.
 
         Maximal chains between comparable elements are exactly the cover
-        paths between them, so this checks that longest and shortest cover
-        paths agree from every source.
+        paths between them.  So, from every source x, each y above x (taken
+        after everything below it) must be one step beyond all its lower
+        covers reached from x, which then lie at one distance from x.
         """
         order = sorted(range(len(self)), key=lambda v: self._down[v].bit_count())
-        down_covers = [_maximal_in(self, below) for below in self._down]
         for x, above in enumerate(self._up):
-            longest = {x: 0}
-            shortest = {x: 0}
+            dist = {x: 0}
             for y in order:
-                if not above >> y & 1:
-                    continue
-                lo = hi = None
-                for z in down_covers[y]:
-                    if z in longest:
-                        hi = longest[z] + 1 if hi is None else max(hi, longest[z] + 1)
-                        lo = shortest[z] + 1 if lo is None else min(lo, shortest[z] + 1)
-                longest[y] = hi
-                shortest[y] = lo
-                if hi != lo:
-                    return False
+                if above >> y & 1:
+                    steps = {dist[z] for z in self._lower[y] if z in dist}
+                    if len(steps) > 1:
+                        return False
+                    dist[y] = steps.pop() + 1
         return True
 
     def heights(self):
@@ -258,8 +265,7 @@ class Poset:
 
     def maximal_chains(self):
         """All maximal chains, bottom-up, in deterministic order."""
-        chains = []
-        up_covers = [_minimal_in(self, above) for above in self._up]
+        chains, up_covers = [], self._upper
         for m in (i for i, below in enumerate(self._down) if not below):
             # depth-first with an explicit stack of cover iterators, so long
             # chains do not hit the recursion limit
@@ -392,7 +398,7 @@ def _may_have_bowtie(P):
     one element, is left to the sweep.
     """
     down = P._down
-    groups = [[i for i, above in enumerate(P._up) if not above], *(_maximal_in(P, below) for below in down)]
+    groups = [[i for i, above in enumerate(P._up) if not above], *P._lower]
     if sum(len(g) * (len(g) - 1) for g in groups) > 2 * sum(below.bit_count() for below in down):
         return True
     closed = [below | 1 << i for i, below in enumerate(down)]
@@ -410,9 +416,8 @@ def _bowtie_tops(P):
     """
     if not _may_have_bowtie(P):
         return []
-    h, down, up = P._heights, P._down, P._up
+    h, down, up, upper = P._heights, P._down, P._up, P._upper
     full = (1 << len(P)) - 1
-    upper = [None] * len(P)  # each element's upper covers, computed once its reach is first non-empty
     tops = []
     for c, below in enumerate(down):
         incomparable = full >> (c + 1) << (c + 1) & ~(below | up[c])
@@ -422,8 +427,6 @@ def _bowtie_tops(P):
         for m in _bits(below):
             reach = up[m] & incomparable
             if reach:
-                if upper[m] is None:
-                    upper[m] = _minimal_in(P, up[m])
                 for u in upper[m]:
                     if below >> u & 1:
                         reach &= ~up[u]
@@ -475,10 +478,9 @@ def find_balanced_bowtie(P):
     return None
 
 
-def with_bounds(P, bottom="_bot", top="_top"):
-    """Adjoin a fresh global minimum and maximum."""
-    bottom = _fresh_label(P, bottom)
-    top = _fresh_label(P, top)
+def with_bounds(P):
+    """Adjoin a fresh global minimum and maximum, labelled "_bot" and "_top" (prefixed with "_" until new)."""
+    bottom, top = _fresh_label(P, "_bot"), _fresh_label(P, "_top")
     elements = [bottom, *P.elements, top]
     pairs = list(P.covers)
     pairs += [(bottom, x) for x in P.minimal_elements()]
@@ -488,8 +490,7 @@ def with_bounds(P, bottom="_bot", top="_top"):
     return Poset.from_covers(elements, pairs)
 
 
-def _fresh_label(P, base):
-    label = base
+def _fresh_label(P, label):
     while label in P:
         label = "_" + label
     return label

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import chain
 
 from .cubes import CubeComplex, cube_corpus, gromov_link_condition
 from .generators import (
@@ -64,13 +65,7 @@ def suite_bowtie_lattice():
     """Adjoining bounds yields a lattice exactly when no balanced bowtie exists."""
     rng = random.Random(100)
     checked = 0
-    for P in canonical_graded_posets():
-        report = bowtie_lattice_consistency(P)
-        checked += 1
-        if not report.agree:
-            return SuiteResult("bowtie_lattice", checked, False, P.to_json())
-    for _ in range(500):
-        P = random_ranked_poset(rng, max_elements=12)
+    for P in chain(canonical_graded_posets(), (random_ranked_poset(rng, max_elements=12) for _ in range(500))):
         report = bowtie_lattice_consistency(P)
         checked += 1
         if not report.agree:
@@ -108,13 +103,17 @@ def suite_gromov_agreement():
     return SuiteResult("gromov_agreement", checked, True)
 
 
-def metric_corpus(seed=2025, trees=60, rectangles=20, randoms=120, six_point=40):
-    rng = random.Random(seed)
+# The metric corpus's seed and its count of each kind of metric.
+CORPUS_SEED, TREES, RECTANGLES, RANDOMS, SIX_POINT = 2025, 60, 20, 120, 40
+
+
+def metric_corpus():
+    rng = random.Random(CORPUS_SEED)
     corpus = []
-    for _ in range(trees):
+    for _ in range(TREES):
         corpus.append(tree_metric(rng, rng.randint(4, 6)))
     made = 0
-    while made < rectangles:
+    while made < RECTANGLES:
         u, v = rng.randint(1, 4), rng.randint(1, 4)
         w1 = rng.randint(1, 4)
         w2 = rng.randint(w1, w1 + min(u, v))
@@ -123,9 +122,9 @@ def metric_corpus(seed=2025, trees=60, rectangles=20, randoms=120, six_point=40)
         except Exception:
             continue
         made += 1
-    for _ in range(randoms):
+    for _ in range(RANDOMS):
         corpus.append(random_metric(rng, rng.randint(4, 5)))
-    for _ in range(six_point):
+    for _ in range(SIX_POINT):
         corpus.append(random_metric(rng, 6))
     return corpus
 

@@ -146,7 +146,7 @@ def test_criterion_5_flat_metric_convergence():
 
 def test_criterion_6_hull_dimension_cross_validation():
     started = time.time()
-    corpus = metric_corpus(seed=2025, trees=60, rectangles=20, randoms=120, six_point=40)
+    corpus = metric_corpus()
     assert len(corpus) >= 200
     assert all(len(M) <= 6 for M in corpus)
     for M in corpus:

@@ -2,6 +2,7 @@
 
 import json
 import random
+from math import comb
 
 import pytest
 
@@ -29,7 +30,9 @@ from oracle import (
 
 def test_noncrossing_counts_are_catalan():
     for n, catalan in ((1, 1), (2, 2), (3, 5), (4, 14), (5, 42), (9, 4862)):
-        assert len(noncrossing_partitions(n)) == catalan
+        NC = noncrossing_partitions(n)
+        assert len(NC) == catalan
+        assert len(NC.covers) == (comb(2 * n, n - 2) if n >= 2 else 0)
 
 
 def test_noncrossing_rank_and_lattice():
@@ -134,7 +137,8 @@ def test_parameter_guards():
     with pytest.raises(ParameterTooLarge):
         boolean_poset(11)
     assert len(boolean_poset(10)) == 1024
-    assert len(noncrossing_partitions(10)) == 16796  # the Catalan number C_10
+    NC = noncrossing_partitions(10)
+    assert len(NC) == 16796 and len(NC.covers) == 125970  # the Catalan number C_10 and C(20, 8)
     with pytest.raises(ParameterTooLarge):
         noncrossing_partitions(11)
     with pytest.raises(ParameterTooLarge):

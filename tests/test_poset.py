@@ -71,6 +71,42 @@ def test_unknown_label_rejected():
         Poset.from_covers(["a"], [("a", "zz")])
 
 
+def reference_covers(P):
+    """The cover pairs read off the order: x < y with nothing between them."""
+    return {(x, y) for x in P.elements for y in P.elements
+            if P.lt(x, y) and not any(P.lt(x, z) and P.lt(z, y) for z in P.elements)}
+
+
+def reference_chains(P, covers):
+    """The maximal chains, bottom-up, extending each by its upper covers in label order."""
+    def extend(chain):
+        nxt = sorted((y for x, y in covers if x == chain[-1]), key=str)
+        if not nxt:
+            yield tuple(chain)
+        for y in nxt:
+            yield from extend(chain + [y])
+    return [c for m in P.minimal_elements() for c in extend([m])]
+
+
+@pytest.mark.parametrize("build", [lambda: boolean_poset(3), lambda: noncrossing_partitions(4)], ids=["B3", "NC4"])
+def test_cover_queries_read_the_covers_built_with_the_order(monkeypatch, build):
+    P = build()
+
+    def unused(P, mask):
+        raise AssertionError("a cover query walked the masks")
+
+    monkeypatch.setattr(poset_module, "_maximal_in", unused)
+    monkeypatch.setattr(poset_module, "_minimal_in", unused)
+    covers = reference_covers(P)
+    assert P.to_json() == {"elements": [str(x) for x in P.elements], "covers": sorted([a, b] for a, b in covers)}
+    for x in P.elements:
+        assert P.lower_covers(x) == tuple(sorted((a for a, b in covers if b == x), key=str))
+        assert P.upper_covers(x) == tuple(sorted((b for a, b in covers if a == x), key=str))
+    assert P.is_graded()
+    assert P.maximal_chains() == reference_chains(P, covers)
+    assert find_bowtie(P) is None
+
+
 # -- meets and joins ---------------------------------------------------------
 
 
@@ -367,8 +403,8 @@ def test_completion_order_embeds_input():
     for _ in range(60):
         P = random_ranked_poset(rng, max_elements=10)
         if P.minimum() is None:
-            P = with_bounds(P, top="_unused")
-            P = P.restrict([x for x in P.elements if x != "_unused"])
+            P = with_bounds(P)
+            P = P.restrict([x for x in P.elements if x != "_top"])
         out = grade_completion(P)
         assert out.is_graded()
         for x, y in combinations(P.elements, 2):
