@@ -76,6 +76,8 @@ def _check_shape(value, shape, where="input"):
             if type(v) is not dict:
                 raise ValueError(f"{where} holds {v!r}, which is no object")
             for key, item in shape.items():
+                if key != "*" and key not in v:
+                    raise ValueError(f"{where if v is value else f'an object in {where}'} lacks key {key!r}")
                 for k in v if key == "*" else [key]:
                     _check_shape(v[k], item, f"{where}[{k!r}]")
     elif shape is not None and not _LEAVES[shape].issuperset(map(type, values)):
@@ -102,7 +104,7 @@ def _read_structure(data):
     """The complex of a complex input; the poset of a poset input, or the face poset of a cube complex."""
     _check_shape(data, {})
     if "maximal_simplices" in data:
-        _check_shape(data, {"vertices": ["label"], "maximal_simplices": [["label"]]})
+        _check_shape(data, {"type": None, "vertices": ["label"], "maximal_simplices": [["label"]]})
         X = OrderedComplex.from_json(data)
         _checked_labels(X.vertices)  # once built, so a repeated label is reported as such
         return X

@@ -181,12 +181,13 @@ class MeshApproximator:
     nodes, so a pair with a node between its ends is a path of shorter kept
     pairs of the same total, and no distance changes.
 
-    A mesh node's first query computes its distance row, which answers every
-    later query from or to that node.  A node's support is a proper face of
-    a chamber, never a whole one, so a chamber holds only the nodes on its
-    own proper faces.  An off-mesh endpoint is joined, for its query only, to
-    the nodes of the chambers containing its support, and to the other
-    endpoint if it is off-mesh there; such a query keeps no row.
+    A mesh node's first query computes its distance row (a list by node int,
+    None where unreached), which answers every later query from or to that
+    node.  A node's support is a proper face of a chamber, never a whole one,
+    so a chamber holds only the nodes on its own proper faces.  An off-mesh
+    endpoint is joined, for its query only, to the nodes of the chambers
+    containing its support, and to the other endpoint if it is off-mesh
+    there; such a query keeps no row.
 
     A complex and mesh with more than MAX_PAIRS pairs of mesh nodes that
     share a chamber are refused before any node is made.
@@ -206,7 +207,7 @@ class MeshApproximator:
             raise ParameterTooLarge(f"mesh 1/{m} joins {pairs} node pairs, more than {self.MAX_PAIRS}")
         self.X = X
         self.mesh = mesh
-        self._rows = {}  # a mesh node's int -> {node's int: distance times m}, for each source searched
+        self._rows = {}  # a mesh node's int -> its row of distances times m, for each source searched
 
     @cached_property
     def _templates(self):
@@ -252,7 +253,7 @@ class MeshApproximator:
 
     @cached_property
     def _graph(self):
-        """(ids, adj): the mesh nodes' ints, and per int {neighbour: least kept chamber length times m}."""
+        """(ids, adj): the mesh nodes' ints, and per int its (neighbour, least kept chamber length times m) pairs."""
         ids, adj = {}, []
         for i, s in enumerate(self.X.maximal_simplices):
             at = [ids.setdefault(node, len(ids)) for node, _ in self._chamber(i)]  # the template's nodes as ints
@@ -261,7 +262,7 @@ class MeshApproximator:
                 a, c = at[a], at[c]
                 if w < adj[a].get(c, w + 1):
                     adj[a][c] = adj[c][a] = w
-        return ids, adj
+        return ids, [tuple(pairs.items()) for pairs in adj]
 
     def distance(self, p, q):
         p, q = as_point(self.X, p), as_point(self.X, q)
@@ -273,7 +274,7 @@ class MeshApproximator:
                 s, t = t, s
             if s not in self._rows:
                 self._rows[s] = _dijkstra(adj, {s: 0})[0]
-            d, scale = self._rows[s].get(t), self.mesh.denominator
+            d, scale = self._rows[s][t], self.mesh.denominator
         else:
             d, scale = self._off_mesh(source, target)
         if d is None:
@@ -309,26 +310,33 @@ class MeshApproximator:
 def _dijkstra(adj, starts, ratio=1, ends=None):
     """Int distances from the start nodes, each at its given distance, and the least distance plus join to an end.
 
-    adj's weights count ratio times.  Given ends, {node: join length}, the
-    search stops at the first node it settles no nearer than that least sum,
-    so only the sum is exact; without ends the distances are complete.
+    adj holds each node int's (neighbour, weight) pairs, the weights counting
+    ratio times; the distances are a list by node int, None where unreached,
+    settled one distance at a time.  Given ends, {node: join length}, the
+    search stops at the first distance no nearer than that least sum, so
+    only the sum is exact; without ends the distances are complete.
     """
-    best, heap, nearest = dict(starts), [(d, node) for node, d in starts.items()], inf
-    heapq.heapify(heap)
-    while heap:
-        d, node = heapq.heappop(heap)
-        if d > best[node]:
-            continue
-        if ends is not None:  # not a plain d >= inf test: comparing an int with a float slows every row
-            if d >= nearest:
-                break
-            if node in ends:
+    best, frontier, nearest = [None] * len(adj), {}, inf
+    for node, d in starts.items():
+        best[node] = d
+        frontier.setdefault(d, []).append(node)
+    heap = sorted(frontier)  # a sorted list is a heap
+    while heap and heap[0] < nearest:
+        d = heapq.heappop(heap)
+        for node in frontier.pop(d):
+            if best[node] != d:  # reached nearer after it joined this distance
+                continue
+            if ends is not None and node in ends:
                 nearest = min(nearest, d + ends[node])
-        for other, w in adj[node].items():
-            nd = d + w * ratio
-            if other not in best or nd < best[other]:
-                best[other] = nd
-                heapq.heappush(heap, (nd, other))
+            for other, w in adj[node]:
+                nd = d + w * ratio
+                b = best[other]
+                if b is None or nd < b:
+                    best[other] = nd
+                    if nd not in frontier:
+                        frontier[nd] = []
+                        heapq.heappush(heap, nd)
+                    frontier[nd].append(other)
     return best, nearest
 
 

@@ -1286,8 +1286,9 @@ def mesh_queries(rng):
             face = face[:mesh.denominator]
             cuts = [0, *sorted(rng.sample(range(1, mesh.denominator), len(face) - 1)), mesh.denominator]
             weights = [b - a for a, b in zip(cuts, cuts[1:])]
-        else:
-            weights = [rng.randint(1, 6) for _ in face]
+        else:  # a quarter with weights up to 60, so the search runs at ratio fine/m in the tens
+            top = 60 if rng.random() < 0.25 else 6
+            weights = [rng.randint(1, top) for _ in face]
         return {v: F(w, sum(weights)) for v, w in zip(face, weights)}
 
     queries = []

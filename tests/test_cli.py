@@ -415,10 +415,26 @@ def test_oversized_input_is_refused_before_it_is_built(tmp_path, capsys, argv, d
      {"error": "input", "detail": "(0, 0) is not a permutation of degree 2"}),
     (["groupdev"], {"n": 1, "vertex_groups": [ONE], "face_subgroups": {}},
      {"error": "input", "detail": "a simplex of groups needs at least 2 vertices"}),
+    (["check", "--type", "C"], {"type": "C", "maximal_simplices": [["a", "b"]]},
+     {"error": "input", "detail": "input lacks key 'vertices'"}),
+    (["check", "--type", "A"], {"vertices": ["a", "b"], "maximal_simplices": [["a", "b"]]},
+     {"error": "input", "detail": "input lacks key 'type'"}),
+    (["check", "--type", "C"], {"covers": [["a", "b"]]},
+     {"error": "input", "detail": "input lacks key 'elements'"}),
+    (["tightspan"], {"points": ["x", "y"]},
+     {"error": "input", "detail": "input lacks key 'dist'"}),
+    (["groupdev"], {"n": 2, "face_subgroups": {}},
+     {"error": "input", "detail": "input lacks key 'vertex_groups'"}),
+    (["groupdev"], {"n": 2, "vertex_groups": [ONE, {"degree": 1}], "face_subgroups": {}},
+     {"error": "input", "detail": "an object in input['vertex_groups'] lacks key 'generators'"}),
+    (["dist", "--from", json.dumps({"chain": ["0", "a", "1"]}), "--to", "b"], SQUARE,
+     {"error": "input", "detail": "a point lacks key 'coords'"}),
 ], ids=["weights-sum-to-half", "negative-weight", "support-spans-no-simplex", "mesh-2/3", "decreasing-coords",
         "too-few-coords", "coord-past-one", "repeated-point", "ragged-matrix", "zero-distance", "asymmetric-matrix",
         "mixed-denominator-triangle", "nonzero-diagonal",
-        "repeated-simplex-vertex", "undeclared-vertex", "type-B", "not-a-permutation", "one-vertex"])
+        "repeated-simplex-vertex", "undeclared-vertex", "type-B", "not-a-permutation", "one-vertex",
+        "complex-lacks-vertices", "complex-lacks-type", "poset-lacks-elements", "metric-lacks-dist",
+        "groupdev-lacks-vertex-groups", "groupdev-lacks-generators", "chain-point-lacks-coords"])
 def test_input_error_exits_two_with_its_error_object(tmp_path, capsys, argv, data, error):
     path = tmp_path / "input.json"
     path.write_text(json.dumps(data))

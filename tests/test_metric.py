@@ -1,10 +1,11 @@
 """Norms, chamber distances, mesh approximation, product decomposition."""
 
 import copy
+import heapq
 import random
 from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import comb, inf
 
 import pytest
 from hypothesis import given, settings
@@ -355,9 +356,51 @@ def test_pruned_mesh_graph_keeps_every_distance(X, m):
         for (a, sa), (b, sb) in combinations(approx._chamber(i), 2):
             w, a, b = _length(X.order_type, sa, sb), ids[a], ids[b]
             full[a][b] = full[b][a] = min(w, full[a].get(b, w))
+    full = [tuple(pairs.items()) for pairs in full]  # in the graph's form: (neighbour, weight) pairs per node int
     assert sum(map(len, adj)) < sum(map(len, full))
     for s in range(len(adj)):
         assert _dijkstra(adj, {s: 0}) == _dijkstra(full, {s: 0}), s
+
+
+def textbook_dijkstra(adj, starts, ratio, ends):
+    """Every node's distance (None where unreached), one (d, node) heap entry per relaxation, and the least end sum."""
+    best, heap, settled = dict(starts), [(d, node) for node, d in starts.items()], set()
+    heapq.heapify(heap)
+    while heap:
+        d, node = heapq.heappop(heap)
+        if node in settled:
+            continue
+        settled.add(node)
+        for other, w in adj[node]:
+            if other not in best or d + w * ratio < best[other]:
+                best[other] = d + w * ratio
+                heapq.heappush(heap, (best[other], other))
+    row = [best.get(node) for node in range(len(adj))]
+    return row, min((row[node] + j for node, j in ends.items() if row[node] is not None), default=inf)
+
+
+def test_bucketed_search_matches_a_textbook_dijkstra():
+    # seeded graphs with weights 1-7 on part of their nodes, so that some nodes are unreached
+    seen = set()
+    for seed in range(100):
+        rng = random.Random(f"dijkstra:{seed}")
+        n = rng.randint(2, 40)
+        part = rng.sample(range(n), rng.randint(2, n))
+        adj = [{} for _ in range(n)]
+        for _ in range(rng.randint(0, 3 * n)):
+            a, b = rng.sample(part, 2)
+            adj[a][b] = adj[b][a] = rng.randint(1, 7)
+        adj = [tuple(pairs.items()) for pairs in adj]
+        starts = {node: rng.randint(0, 30) for node in rng.sample(range(n), rng.randint(1, min(n, 4)))}
+        ends = {node: rng.choice((0, rng.randint(1, 20))) for node in rng.sample(range(n), rng.randint(1, n))}
+        for ratio in range(1, 8):
+            row, nearest = textbook_dijkstra(adj, starts, ratio, ends)
+            assert _dijkstra(adj, starts, ratio) == (row, inf), (seed, ratio)
+            assert _dijkstra(adj, starts, ratio, ends)[1] == nearest, (seed, ratio)
+        seen.update(tag for tag, hit in [("unreached", None in row), ("zero join", 0 in ends.values()),
+                                         ("several nonzero starts", sum(map(bool, starts.values())) > 1),
+                                         ("no end reached", nearest == inf)] if hit)
+    assert seen >= {"unreached", "several nonzero starts", "zero join", "no end reached"}
 
 
 def test_pruned_mesh_graph_of_a_patch_keeps_1854_edges():
