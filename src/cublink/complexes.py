@@ -9,7 +9,7 @@ per-vertex operations are pure.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, groupby
+from itertools import combinations, groupby, pairwise
 
 from .errors import CycleDetected, DuplicateLabel, InconsistentOrder, NotFlag, NotLocalPoset, UnknownLabel
 from .poset import Poset, _bits, _key
@@ -43,12 +43,22 @@ def _clique_masks(adjacency):
             if not excluded:
                 cliques.append(clique)
             continue
-        pivot = max(_bits(candidates | excluded), key=lambda v: (adjacency[v] & candidates).bit_count())
-        for v in _bits(candidates & ~adjacency[pivot]):
-            bit = 1 << v
+        rest, most = candidates | excluded, -1  # the pivot is the lowest of the most
+        while rest:
+            bit = rest & -rest
+            v = bit.bit_length() - 1
+            k = (adjacency[v] & candidates).bit_count()
+            if k > most:
+                most, pivot = k, v
+            rest ^= bit
+        rest = candidates & ~adjacency[pivot]
+        while rest:
+            bit = rest & -rest
+            v = bit.bit_length() - 1
             stack.append((clique | bit, candidates & adjacency[v], excluded & adjacency[v]))
             candidates ^= bit
             excluded |= bit
+            rest ^= bit
     return cliques
 
 
@@ -94,24 +104,34 @@ class OrderedComplex:
                 raise DuplicateLabel(f"vertex labels {a!r} and {b!r} print the same")
         self._index = index = {v: i for i, v in enumerate(self.vertices)}
 
-        cleaned = {}  # vertex set -> index tuple, the first simplex on it
+        width = (len(self.vertices) + 7) // 8
+        cleaned = {}  # vertex mask's bytes (int masks' hashes collide, see validate) -> the first (index tuple, mask) on it
         for s in maximal_simplices:
             s = tuple(s)
-            if len(set(s)) != len(s):
-                raise ValueError(f"repeated vertex in simplex {s}")
             try:
                 t = tuple(map(index.__getitem__, s))
             except KeyError as err:
+                if len(set(s)) != len(s):
+                    raise ValueError(f"repeated vertex in simplex {s}") from None
                 raise UnknownLabel(f"simplex uses undeclared vertex {err.args[0]!r}") from None
+            mask = 0
+            for v in t:
+                mask |= 1 << v
+            if mask.bit_count() != len(t):
+                raise ValueError(f"repeated vertex in simplex {s}")
             if t:
-                cleaned.setdefault(frozenset(t), t)
+                if self.order_type == "A":  # index order is label order, so rotate to the least index
+                    k = t.index((mask & -mask).bit_length() - 1)
+                    t = t[k:] + t[:k]
+                cleaned.setdefault(mask.to_bytes(width, "little"), (t, mask))
         # keep only inclusion-maximal simplices, longest first; only a longer
         # simplex can contain s, and it goes through every vertex of s, so the
         # shortest list of kept longer simplices through a vertex of s suffices
         kept = []
         through = [[] for _ in self.vertices]
-        for _, group in groupby(sorted(cleaned.values(), key=len, reverse=True), key=len):
-            fresh = [(t, sum(1 << v for v in t)) for t in group]
+        by_size = sorted(cleaned.values(), key=lambda tm: len(tm[0]), reverse=True)
+        for _, group in groupby(by_size, key=lambda tm: len(tm[0])):
+            fresh = list(group)
             if kept:
                 fresh = [(t, mask) for t, mask in fresh
                          if not any(m & mask == mask for m in min((through[v] for v in t), key=len))]
@@ -120,12 +140,10 @@ class OrderedComplex:
                 for v in t:
                     through[v].append(mask)
         kept += [((v,), 1 << v) for v in range(len(self.vertices)) if not through[v]]  # bare vertices
-        if self.order_type == "A":  # index order is label order, so rotate to the least index
-            kept = [(t[t.index(min(t)):] + t[:t.index(min(t))], mask) for t, mask in kept]
         kept.sort()
         self._chambers = tuple(t for t, _ in kept)
         self._chamber_masks = tuple(mask for _, mask in kept)
-        self.maximal_simplices = tuple(tuple(self.vertices[v] for v in t) for t in self._chambers)
+        self.maximal_simplices = tuple(tuple(map(self.vertices.__getitem__, t)) for t in self._chambers)
         incident = [[] for _ in self.vertices]
         adjacency = [0] * len(self.vertices)
         for c, (t, mask) in enumerate(kept):
@@ -295,14 +313,6 @@ def _shrink_to_minimal_nonface(X, clique):
 # -- star posets ---------------------------------------------------------------
 
 
-def _chains_at(X, i):
-    """Each chamber through vertex i as indices, read from i: type A rotates it to start at i."""
-    for c in X._incident[i]:
-        s = X._chambers[c]
-        k = s.index(i) if X.order_type == "A" else 0
-        yield s[k:] + s[:k]
-
-
 def _relation_cycle(succ):
     """A directed cycle, as a list of indices, of the relation with successor masks succ, or None.
 
@@ -369,25 +379,37 @@ def star_poset(X, x):
 
     The star is x with its neighbours, indexed locally in label order.  Each
     chamber through x, read from x, is a chain of the relation, so its
-    consecutive pairs suffice.  The closure is a partial order exactly when
-    the relation is acyclic; each chamber orders its vertices totally, so a
-    cycle is stitched from several chambers (say a cone over an oriented rim
-    cycle).  On one, raises NotLocalPoset with the first cycle _relation_cycle
-    finds among all pairs of each chain.  In type A, x precedes its whole
-    star, so the search from x visits the rest as the loop over roots would
-    and x changes no witness.
+    consecutive pairs suffice: in type A those are the chamber's cyclic
+    steps but the one into x.  They are gathered as pairs of the complex's
+    indices, and each distinct pair is mapped once to local indices, into
+    the predecessor lists Poset._from_preds closes.  The closure is a
+    partial order exactly when the relation is acyclic; each chamber orders
+    its vertices totally, so a cycle is stitched from several chambers (say
+    a cone over an oriented rim cycle).  On one, raises NotLocalPoset with
+    the first cycle _relation_cycle finds among all pairs of each chain.  In
+    type A, x precedes its whole star, so the search from x visits the rest
+    as the loop over roots would and x changes no witness.
     """
     i = X._index_of(x)
     star = list(_bits(X._adjacency[i] | 1 << i))
-    local = {v: k for k, v in enumerate(star)}
-    labels = [X.vertices[v] for v in star]
-    pairs = {(local[a], local[b]) for s in _chains_at(X, i) for a, b in zip(s, s[1:])}
+    local = dict(zip(star, range(len(star))))
+    cyclic, chambers = X.order_type == "A", list(map(X._chambers.__getitem__, X._incident[i]))
+    pairs = set().union(*map(pairwise, chambers))
+    if cyclic:
+        pairs.update([(s[-1], s[0]) for s in chambers])
+    preds = [[] for _ in star]
+    for a, b in pairs:
+        preds[local[b]].append(local[a])
+    if cyclic:  # read from x, a chamber has no pair into x
+        preds[local[i]] = []
+    labels = list(map(X.vertices.__getitem__, star))
     try:
-        poset = Poset._from_index_pairs(labels, pairs)
+        poset = Poset._from_preds(labels, preds)
     except CycleDetected:
         succ = [0] * len(star)
-        for s in _chains_at(X, i):
-            for a, b in combinations(s, 2):
+        for s in chambers:
+            k = s.index(i) if cyclic else 0
+            for a, b in combinations(s[k:] + s[:k], 2):
                 succ[local[a]] |= 1 << local[b]
         raise NotLocalPoset(x, tuple(labels[k] for k in _relation_cycle(succ))) from None
     return StarPoset(x, X.order_type, poset)

@@ -253,21 +253,22 @@ class MeshApproximator:
 
     @cached_property
     def _graph(self):
-        """(ids, adj): the mesh nodes' ints, and per int its (neighbour, least kept chamber length times m) pairs."""
-        ids, adj = {}, []
+        """(ids, adj, at): the mesh nodes' ints, per int its (neighbour, least kept chamber length times m) pairs, per chamber its nodes' ints."""
+        ids, adj, ats = {}, [], []
         for i, s in enumerate(self.X.maximal_simplices):
-            at = [ids.setdefault(node, len(ids)) for node, _ in self._chamber(i)]  # the template's nodes as ints
+            at = [ids.setdefault(node, len(ids)) for node, _ in self._chamber(i)]
+            ats.append(at)
             adj.extend({} for _ in range(len(ids) - len(adj)))
             for a, c, w in self._templates[len(s)][1]:
                 a, c = at[a], at[c]
                 if w < adj[a].get(c, w + 1):
                     adj[a][c] = adj[c][a] = w
-        return ids, [tuple(pairs.items()) for pairs in adj]
+        return ids, [tuple(pairs.items()) for pairs in adj], ats
 
     def distance(self, p, q):
         p, q = as_point(self.X, p), as_point(self.X, q)
         source, target = frozenset(p.items()), frozenset(q.items())
-        ids, adj = self._graph
+        ids, adj, _ = self._graph
         if source in ids and target in ids:
             s, t = ids[source], ids[target]
             if t in self._rows:
@@ -286,7 +287,7 @@ class MeshApproximator:
 
         The scale also clears the endpoints' weights, so the graph's edges count scale // m times.
         """
-        X, (ids, adj), m = self.X, self._graph, self.mesh.denominator
+        X, (ids, adj, ats), m = self.X, self._graph, self.mesh.denominator
         fine = lcm(m, *(w.denominator for node in (source, target) if node not in ids for _, w in node))
         ends, placed, direct = [], {}, []  # each endpoint's {node's int: join length}; chamber -> off-mesh sums there
         for node in (source, target):
@@ -295,9 +296,10 @@ class MeshApproximator:
                 continue
             joins = {}
             for i in X.carriers(v for v, _ in node):
-                here = [int(x * fine) for x in _sums(X.maximal_simplices[i], dict(node))]
-                for other, sums in self._chamber(i):
-                    w, b = _length(X.order_type, here, [x * (fine // m) for x in sums]), ids[other]
+                s = X.maximal_simplices[i]
+                here = [int(x * fine) for x in _sums(s, dict(node))]
+                for b, (_, sums) in zip(ats[i], self._templates[len(s)][0]):
+                    w = _length(X.order_type, here, [x * (fine // m) for x in sums])
                     joins[b] = min(w, joins.get(b, w))
                 if i in placed:  # the source is off-mesh in this chamber too
                     direct.append(_length(X.order_type, here, placed[i]))

@@ -63,7 +63,7 @@ class Poset:
     def __init__(self, elements, down, up, heights, lower, upper):
         """Elements in label order; the strict down- and up-masks, the heights and the covers as lists by index."""
         self.elements = tuple(elements)
-        self._index = {x: i for i, x in enumerate(self.elements)}
+        self._index = dict(zip(self.elements, range(len(self.elements))))
         self._down, self._up, self._heights, self._lower, self._upper = down, up, heights, lower, upper
 
     # -- construction -------------------------------------------------
@@ -103,30 +103,48 @@ class Poset:
 
     @classmethod
     def _from_index_pairs(cls, elements, pairs):
-        """Build a poset from distinct labels in label order and distinct (lower, upper) index pairs.
-
-        Everything below i is at or below a predecessor, so i covers the predecessors below no other.
-        """
-        succ, pred = [[] for _ in elements], [[] for _ in elements]
+        """Build a poset from distinct labels in label order and distinct (lower, upper) index pairs."""
+        preds = [[] for _ in elements]
         for lo, hi in pairs:
-            succ[lo].append(hi)
-            pred[hi].append(lo)
+            preds[hi].append(lo)
+        return cls._from_preds(elements, preds)
 
-        order = _topological_order(elements, succ, pred)
+    @classmethod
+    def _from_preds(cls, elements, preds):
+        """Build a poset from distinct labels in label order and, by index, the list of each one's distinct predecessors.
+
+        The indices are taken each after all its predecessors, the list its
+        own work queue; CycleDetected names the elements left over.
+        Everything below i is at or below a predecessor, so i covers the
+        predecessors below no other.
+        """
         n = len(elements)
-        down, up, heights, lower, upper = [0] * n, [0] * n, [0] * n, [[] for _ in elements], [[] for _ in elements]
+        down, up, heights, lower, upper = [0] * n, [0] * n, [0] * n, [None] * n, [[] for _ in elements]
+        succ, indeg = [[] for _ in elements], list(map(len, preds))
+        for hi, below in enumerate(preds):
+            for lo in below:
+                succ[lo].append(hi)
+        order = [i for i, d in enumerate(indeg) if not d]
         for i in order:
-            below = preds = h = 0
-            for lo in pred[i]:
+            below = mask = h = 0
+            for lo in preds[i]:
                 below |= down[lo]
-                preds |= 1 << lo
+                mask |= 1 << lo
                 if heights[lo] >= h:
                     h = heights[lo] + 1
-            heights[i], down[i] = h, below | preds
-            for lo in pred[i]:
+            heights[i], down[i] = h, below | mask
+            lower[i] = covered = []
+            for lo in preds[i]:
                 if not below >> lo & 1:
-                    lower[i].append(lo)
-            lower[i].sort()
+                    covered.append(lo)
+            covered.sort()
+            for j in succ[i]:
+                indeg[j] -= 1
+                if not indeg[j]:
+                    order.append(j)
+        if len(order) != n:
+            stuck = [x for x, d in zip(elements, indeg) if d > 0]
+            raise CycleDetected(f"cover pairs contain a cycle through {stuck[:4]}")
         for hi, covered in enumerate(lower):  # by index, so each list of upper covers ascends
             for lo in covered:
                 upper[lo].append(hi)
@@ -300,21 +318,6 @@ def poset_from_json(data):
     return Poset.from_covers(data["elements"], [tuple(p) for p in data["covers"]])
 
 
-def _topological_order(elements, succ, pred):
-    """Indices with each after all its predecessors; the list is its own work queue."""
-    indeg = [len(p) for p in pred]
-    order = [i for i, d in enumerate(indeg) if d == 0]
-    for i in order:
-        for j in succ[i]:
-            indeg[j] -= 1
-            if indeg[j] == 0:
-                order.append(j)
-    if len(order) != len(elements):
-        stuck = [x for x, d in zip(elements, indeg) if d > 0]
-        raise CycleDetected(f"cover pairs contain a cycle through {stuck[:4]}")
-    return order
-
-
 def _bits(mask):
     """The indices of the set bits of a mask, ascending (so in label order)."""
     while mask:
@@ -398,8 +401,8 @@ def _may_have_bowtie(P):
     one element, is left to the sweep.
     """
     down = P._down
-    groups = [[i for i, above in enumerate(P._up) if not above], *P._lower]
-    if sum(len(g) * (len(g) - 1) for g in groups) > 2 * sum(below.bit_count() for below in down):
+    groups = [g for g in ([i for i, above in enumerate(P._up) if not above], *P._lower) if len(g) > 1]
+    if sum(len(g) * (len(g) - 1) for g in groups) > 2 * sum(map(int.bit_count, down)):
         return True
     closed = [below | 1 << i for i, below in enumerate(down)]
     principal = set(closed)

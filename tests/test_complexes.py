@@ -1,11 +1,13 @@
 """Ordered complexes: validation, star relations, star posets, realizations."""
 
 import random
+from itertools import combinations
 
 import pytest
 
 from cublink.complexes import (
     OrderedComplex,
+    _clique_masks,
     canonical_rotation,
     is_local_poset,
     maximal_cliques,
@@ -84,6 +86,31 @@ def test_maximal_cliques_of_a_large_complete_graph():
     adjacency = {v: everyone - {v} for v in vertices}
     [clique] = maximal_cliques(vertices, adjacency)
     assert sorted(clique) == list(vertices)
+
+
+def test_cliques_of_the_complete_5_partite_graph_k33333():
+    # one vertex from each of the five parts: 3^5 maximal cliques of five vertices each
+    part = [v // 3 for v in range(15)]
+    adjacency = [sum(1 << w for w in range(15) if part[w] != part[v]) for v in range(15)]
+    cliques = _clique_masks(adjacency)
+    assert len(cliques) == len(set(cliques)) == 3 ** 5
+    assert all(c.bit_count() == 5 and len({part[v] for v in range(15) if c >> v & 1}) == 5 for c in cliques)
+
+
+def test_cliques_match_a_brute_force_subset_enumeration():
+    for seed in range(40):
+        rng = random.Random(f"cliques:{seed}")
+        n, p = rng.randint(1, 11), rng.random()
+        adjacency = [0] * n
+        for a, b in combinations(range(n), 2):
+            if rng.random() < p:
+                adjacency[a] |= 1 << b
+                adjacency[b] |= 1 << a
+        cliques = [m for m in range(1, 1 << n)
+                   if all((adjacency[v] | 1 << v) & m == m for v in range(n) if m >> v & 1)]
+        maximal = {m for m in cliques if not any(c != m and c & m == m for c in cliques)}
+        found = _clique_masks(adjacency)
+        assert len(found) == len(maximal) and set(found) == maximal, seed
 
 
 def test_reduction_drops_duplicates_and_faces():

@@ -67,6 +67,22 @@ def test_validation_rejects_non_subgroup():
         SimplexOfGroups(2, [c2, one2], {(0, frozenset({0, 1})): frozenset(), (1, frozenset({0, 1})): one2})
 
 
+def test_validation_rejects_a_face_that_is_inverse_closed_but_not_product_closed():
+    # {id, (0 1), (1 2)} holds each element's inverse, but (0 1)(1 2) is a 3-cycle outside it
+    s3 = symmetric_group(3)
+    face = frozenset({(0, 1, 2), (1, 0, 2), (0, 2, 1)})
+    one = closure(1, [])
+    with pytest.raises(NotASubgroup, match=r"^face \[0, 1\] at vertex 0 is not product-closed$"):
+        SimplexOfGroups(2, [s3, one], {(0, frozenset({0, 1})): face, (1, frozenset({0, 1})): one})
+
+
+def test_closure_of_every_element_of_s4_is_s4():
+    # the JSON form lists every element as a generator; those already in the group are passed over
+    S4 = symmetric_group(4)
+    assert closure(4, sorted(S4)) == S4
+    assert closure(4, sorted(S4, reverse=True)) == S4
+
+
 def test_validation_rejects_non_monotone():
     s3 = symmetric_group(3)
     refl = closure(3, [(1, 0, 2)])

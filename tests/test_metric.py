@@ -350,7 +350,7 @@ def three_chamber_sizes():
 def test_pruned_mesh_graph_keeps_every_distance(X, m):
     # the graph joining every pair of nodes that share a chamber, by its least chamber length
     approx = MeshApproximator(X, F(1, m))
-    ids, adj = approx._graph
+    ids, adj, _ = approx._graph
     full = [{} for _ in adj]
     for i in range(len(X.maximal_simplices)):
         for (a, sa), (b, sb) in combinations(approx._chamber(i), 2):
@@ -405,7 +405,7 @@ def test_bucketed_search_matches_a_textbook_dijkstra():
 
 def test_pruned_mesh_graph_of_a_patch_keeps_1854_edges():
     # joining every pair of nodes that share a chamber gives 12,312 edges; the rest have a node between their ends
-    _, adj = MeshApproximator(affine_A_patch(2, 3), F(1, 8))._graph
+    _, adj, _ = MeshApproximator(affine_A_patch(2, 3), F(1, 8))._graph
     assert sum(map(len, adj)) // 2 == 1854
 
 
@@ -425,7 +425,7 @@ def test_off_mesh_query_leaves_the_graph_unchanged():
     X = affine_A_patch(2, 1)
     approx = MeshApproximator(X, F(1, 4))
     approx.distance(X.vertices[0], X.vertices[1])
-    graph = approx._graph  # (node ids, adjacency)
+    graph = approx._graph  # (node ids, adjacency, each chamber's node ids)
     before, rows = copy.deepcopy(graph), copy.deepcopy(approx._rows)
     s = X.maximal_simplices[0]
     inside = ({s[0]: F(1, 3), s[1]: F(1, 3), s[2]: F(1, 3)},
