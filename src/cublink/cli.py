@@ -111,14 +111,14 @@ def _read_structure(data):
     if "covers" in data:
         _check_shape(data, {"elements": ["label"], "covers": [["label"]]})
         P = poset_from_json(data)
+        _checked_labels(P.elements)
     elif "cubes" in data:
         _check_shape(data, {"cubes": [["label"]]})
         cubes = [tuple(c) for c in data["cubes"]]
-        _checked_labels([x for c in cubes for x in c])
+        _checked_labels([x for c in cubes for x in c])  # face_label names each face by a distinct string
         P = CubeComplex(cubes).face_poset()
     else:
         raise UsageError("input is neither a complex, a poset, nor a cube complex")
-    _checked_labels(P.elements)
     return P
 
 

@@ -81,12 +81,14 @@ class OrderedComplex:
     yields an equivalent complex).
 
     Index i stands for ``vertices[i]``, in label order.  ``_chambers[c]`` is
-    ``maximal_simplices[c]`` as a tuple of indices and ``_chamber_masks[c]``
+    the c-th maximal simplex as a tuple of indices and ``_chamber_masks[c]``
     its vertex mask; ``_incident[i]`` lists the chambers through i and
-    ``_adjacency[i]`` is the mask of i's neighbours.
+    ``_adjacency[i]`` is the mask of i's neighbours.  The link checks read
+    only these, so ``maximal_simplices``, the chambers as label tuples, is
+    built on its first read.
     """
 
-    __slots__ = ("order_type", "vertices", "maximal_simplices", "_index", "_chambers",
+    __slots__ = ("order_type", "vertices", "_simplices", "_index", "_chambers",
                  "_chamber_masks", "_incident", "_adjacency")
 
     def __init__(self, order_type, vertices, maximal_simplices):
@@ -130,20 +132,24 @@ class OrderedComplex:
         kept = []
         through = [[] for _ in self.vertices]
         by_size = sorted(cleaned.values(), key=lambda tm: len(tm[0]), reverse=True)
-        for _, group in groupby(by_size, key=lambda tm: len(tm[0])):
-            fresh = list(group)
+        groups = [list(group) for _, group in groupby(by_size, key=lambda tm: len(tm[0]))]
+        for k, fresh in enumerate(groups):
             if kept:
                 fresh = [(t, mask) for t, mask in fresh
                          if not any(m & mask == mask for m in min((through[v] for v in t), key=len))]
             kept += fresh
-            for t, mask in fresh:
-                for v in t:
-                    through[v].append(mask)
-        kept += [((v,), 1 << v) for v in range(len(self.vertices)) if not through[v]]  # bare vertices
+            if k + 1 < len(groups):  # no shorter simplex is left to filter after the last size
+                for t, mask in fresh:
+                    for v in t:
+                        through[v].append(mask)
+        covered = 0
+        for _, mask in kept:
+            covered |= mask
+        kept += [((v,), 1 << v) for v in range(len(self.vertices)) if not covered >> v & 1]  # bare vertices
         kept.sort()
         self._chambers = tuple(t for t, _ in kept)
         self._chamber_masks = tuple(mask for _, mask in kept)
-        self.maximal_simplices = tuple(tuple(map(self.vertices.__getitem__, t)) for t in self._chambers)
+        self._simplices = None
         incident = [[] for _ in self.vertices]
         adjacency = [0] * len(self.vertices)
         for c, (t, mask) in enumerate(kept):
@@ -152,6 +158,13 @@ class OrderedComplex:
                 adjacency[v] |= mask
         self._incident = tuple(map(tuple, incident))
         self._adjacency = tuple(m & ~(1 << v) for v, m in enumerate(adjacency))
+
+    @property
+    def maximal_simplices(self):
+        """The chambers as label tuples, built on first read; the link checks read only _chambers."""
+        if self._simplices is None:
+            self._simplices = tuple(tuple(map(self.vertices.__getitem__, t)) for t in self._chambers)
+        return self._simplices
 
     def __eq__(self, other):
         return (
@@ -377,20 +390,38 @@ def star_poset(X, x):
     pairs involving x itself use the edge {x, y}, so St+(x) and St-(x) lie in
     the same relation.
 
-    The star is x with its neighbours, indexed locally in label order.  Each
-    chamber through x, read from x, is a chain of the relation, so its
-    consecutive pairs suffice: in type A those are the chamber's cyclic
-    steps but the one into x.  They are gathered as pairs of the complex's
-    indices, and each distinct pair is mapped once to local indices, into
-    the predecessor lists Poset._from_preds closes.  The closure is a
-    partial order exactly when the relation is acyclic; each chamber orders
-    its vertices totally, so a cycle is stitched from several chambers (say
-    a cone over an oriented rim cycle).  On one, raises NotLocalPoset with
-    the first cycle _relation_cycle finds among all pairs of each chain.  In
-    type A, x precedes its whole star, so the search from x visits the rest
-    as the loop over roots would and x changes no witness.
+    Poset._from_preds closes the relation _star_preds gathers.  The
+    closure is a partial order exactly when the relation is acyclic; each
+    chamber orders its vertices totally, so a cycle is stitched from
+    several chambers (say a cone over an oriented rim cycle).  On one,
+    raises NotLocalPoset with the first cycle _relation_cycle finds among
+    all pairs of each chain.  In type A, x precedes its whole star, so the
+    search from x visits the rest as the loop over roots would and x
+    changes no witness.  check_type_A builds only the stars that may fail.
     """
     i = X._index_of(x)
+    star, preds = _star_preds(X, i)
+    labels = list(map(X.vertices.__getitem__, star))
+    try:
+        poset = Poset._from_preds(labels, preds)
+    except CycleDetected:
+        local, succ = dict(zip(star, range(len(star)))), [0] * len(star)
+        for s in map(X._chambers.__getitem__, X._incident[i]):
+            k = s.index(i) if X.order_type == "A" else 0
+            for a, b in combinations(s[k:] + s[:k], 2):
+                succ[local[a]] |= 1 << local[b]
+        raise NotLocalPoset(x, tuple(labels[k] for k in _relation_cycle(succ))) from None
+    return StarPoset(x, X.order_type, poset)
+
+
+def _star_preds(X, i):
+    """The star of the vertex with index i as X's indices, ascending, and by local index each one's distinct predecessors.
+
+    Each chamber through the vertex, read from it, is a chain of the star
+    relation, so its consecutive pairs suffice: in type A, its cyclic steps
+    but the one into the vertex.  Each distinct pair of X's indices is
+    mapped once to local indices.
+    """
     star = list(_bits(X._adjacency[i] | 1 << i))
     local = dict(zip(star, range(len(star))))
     cyclic, chambers = X.order_type == "A", list(map(X._chambers.__getitem__, X._incident[i]))
@@ -400,19 +431,9 @@ def star_poset(X, x):
     preds = [[] for _ in star]
     for a, b in pairs:
         preds[local[b]].append(local[a])
-    if cyclic:  # read from x, a chamber has no pair into x
+    if cyclic:  # read from the vertex, a chamber has no pair into it
         preds[local[i]] = []
-    labels = list(map(X.vertices.__getitem__, star))
-    try:
-        poset = Poset._from_preds(labels, preds)
-    except CycleDetected:
-        succ = [0] * len(star)
-        for s in chambers:
-            k = s.index(i) if cyclic else 0
-            for a, b in combinations(s[k:] + s[:k], 2):
-                succ[local[a]] |= 1 << local[b]
-        raise NotLocalPoset(x, tuple(labels[k] for k in _relation_cycle(succ))) from None
-    return StarPoset(x, X.order_type, poset)
+    return star, preds
 
 
 # -- realizations of posets ---------------------------------------------------------

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .complexes import OrderedComplex, _check_flag, canonical_rotation, is_local_poset, star_poset, validate
+from .complexes import OrderedComplex, _check_flag, _star_preds, canonical_rotation, is_local_poset, star_poset, validate
 from .errors import (
     CublinkError,
     CycleDetected,
@@ -21,8 +21,8 @@ from .errors import (
     NotLocalPoset,
     PreconditionFailed,
 )
-from .poset import Poset, _bits, _bowtie_tops, _flag_violations, _key, _maximal_in, _restriction
-from .poset import find_bowtie, flag_condition
+from .poset import Poset, _bits, _bowtie_tops, _closure, _flag_violations, _key, _maximal_in, _may_have_bowtie
+from .poset import _restriction, find_bowtie, flag_condition
 
 
 @dataclass(frozen=True)
@@ -84,17 +84,13 @@ def _validated(X):
         raise PreconditionFailed(err) from err
 
 
-def _star_posets(X):
-    """Each vertex with its star poset; a relation cycle is a precondition failure.
-
-    The vertices go in label order, so the first cycle is is_local_poset's.
-    """
-    for x in X.vertices:
-        try:
-            yield x, star_poset(X, x).poset
-        except NotLocalPoset as err:
-            _validated(X)
-            raise PreconditionFailed(err) from err
+def _star(X, x):
+    """The star poset of x; a relation cycle is a precondition failure."""
+    try:
+        return star_poset(X, x).poset
+    except NotLocalPoset as err:
+        _validated(X)
+        raise PreconditionFailed(err) from err
 
 
 def check_type_A(X):
@@ -105,11 +101,20 @@ def check_type_A(X):
     and each star relation acyclic; validate's orientation pass runs only
     when the flag check fails or a star relation closes a cycle, as every
     clash does (see _checked).
+
+    Each star is decided from the masks and lower covers of its relation's
+    closure, which _may_have_bowtie reads, and only a star that may have a
+    bowtie, or whose relation has a cycle, is built by star_poset: for its
+    witness or its NotLocalPoset.  The vertices go in label order, so the
+    first cycle is is_local_poset's, and it outranks every bowtie.
     """
     _checked(X, "A")
     failures = []
-    for x, P in _star_posets(X):
-        bowtie = find_bowtie(P)
+    for i, x in enumerate(X.vertices):
+        order, down, lower = _closure(_star_preds(X, i)[1])
+        if len(order) == len(down) and not _may_have_bowtie(down, lower):
+            continue
+        bowtie = find_bowtie(_star(X, x))
         if bowtie is not None:
             failures.append(Failure(x, "lattice", bowtie))
     return Verdict(not failures, "locally_CUB_certified", tuple(failures))
@@ -139,7 +144,7 @@ def check_type_C(X):
                  for i in _bits(_failing_stars(X)))
     else:
         _checked(X, "C")
-        stars = _star_posets(X)
+        stars = ((x, _star(X, x)) for x in X.vertices)
     failures = []
     for x, P in stars:
         bowtie = find_bowtie(P)

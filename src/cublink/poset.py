@@ -55,7 +55,9 @@ class Poset:
     Index i stands for ``elements[i]``, in label order.  ``_down[i]`` and
     ``_up[i]`` are the masks of the elements strictly below and above i;
     the order is kept only there.  ``_lower[i]`` and ``_upper[i]`` list the
-    lower and upper covers of i, ascending, built with the masks.
+    lower and upper covers of i, ascending, built with the masks.  A check
+    that reads only the down-masks and lower covers takes them from
+    _closure and builds no Poset (see check_type_A).
     """
 
     __slots__ = ("elements", "_index", "_down", "_up", "_heights", "_lower", "_upper")
@@ -113,41 +115,24 @@ class Poset:
     def _from_preds(cls, elements, preds):
         """Build a poset from distinct labels in label order and, by index, the list of each one's distinct predecessors.
 
-        The indices are taken each after all its predecessors, the list its
-        own work queue; CycleDetected names the elements left over.
-        Everything below i is at or below a predecessor, so i covers the
-        predecessors below no other.
+        On top of _closure: the heights, read off the lower covers, the
+        upper covers and the up-masks.  CycleDetected names the elements
+        _closure leaves out.
         """
-        n = len(elements)
-        down, up, heights, lower, upper = [0] * n, [0] * n, [0] * n, [None] * n, [[] for _ in elements]
-        succ, indeg = [[] for _ in elements], list(map(len, preds))
-        for hi, below in enumerate(preds):
-            for lo in below:
-                succ[lo].append(hi)
-        order = [i for i, d in enumerate(indeg) if not d]
+        order, down, lower = _closure(preds)
+        if len(order) < len(elements):
+            stuck = [x for x, covered in zip(elements, lower) if covered is None]
+            raise CycleDetected(f"cover pairs contain a cycle through {stuck[:4]}")
+        up, heights, upper = [0] * len(elements), [0] * len(elements), [[] for _ in elements]
         for i in order:
-            below = mask = h = 0
-            for lo in preds[i]:
-                below |= down[lo]
-                mask |= 1 << lo
+            h = 0
+            for lo in lower[i]:
+                upper[lo].append(i)
                 if heights[lo] >= h:
                     h = heights[lo] + 1
-            heights[i], down[i] = h, below | mask
-            lower[i] = covered = []
-            for lo in preds[i]:
-                if not below >> lo & 1:
-                    covered.append(lo)
-            covered.sort()
-            for j in succ[i]:
-                indeg[j] -= 1
-                if not indeg[j]:
-                    order.append(j)
-        if len(order) != n:
-            stuck = [x for x, d in zip(elements, indeg) if d > 0]
-            raise CycleDetected(f"cover pairs contain a cycle through {stuck[:4]}")
-        for hi, covered in enumerate(lower):  # by index, so each list of upper covers ascends
-            for lo in covered:
-                upper[lo].append(hi)
+            heights[i] = h
+        for covers in upper:  # filled in Kahn's order, so sorted to ascend
+            covers.sort()
         for i in reversed(order):
             for hi in upper[i]:
                 up[i] |= up[hi] | 1 << hi
@@ -326,6 +311,39 @@ def _bits(mask):
         mask ^= low
 
 
+def _closure(preds):
+    """Kahn's order of the relation given by each index's distinct predecessors, and the strict down-masks and lower covers of its closure.
+
+    Each index is taken after all its predecessors, the order its own work
+    queue; an index on or above a cycle is never taken and keeps lower
+    covers None.  Everything below i is at or below a predecessor, so i
+    covers, ascending, the predecessors below no other.
+    """
+    n = len(preds)
+    down, lower = [0] * n, [None] * n
+    succ, indeg = [[] for _ in preds], list(map(len, preds))
+    for hi, below in enumerate(preds):
+        for lo in below:
+            succ[lo].append(hi)
+    order = [i for i, d in enumerate(indeg) if not d]
+    for i in order:
+        below = mask = 0
+        for lo in preds[i]:
+            below |= down[lo]
+            mask |= 1 << lo
+        down[i] = below | mask
+        lower[i] = covered = []
+        for lo in preds[i]:
+            if not below >> lo & 1:
+                covered.append(lo)
+        covered.sort()
+        for j in succ[i]:
+            indeg[j] -= 1
+            if not indeg[j]:
+                order.append(j)
+    return order, down, lower
+
+
 def _restriction(P, mask):
     """The induced sub-poset on the elements of a mask; P itself when the mask holds them all.
 
@@ -365,8 +383,11 @@ def _minimal_in(P, mask):
 # -- bowties -------------------------------------------------------------
 
 
-def _may_have_bowtie(P):
-    """False when no pair of P has two or more maximal common lower bounds, read off its co-covered pairs.
+def _may_have_bowtie(down, lower):
+    """False when no pair of a poset P, given by the down-masks and lower covers of _closure, has two or more maximal common lower bounds.
+
+    It reads P's co-covered pairs; the maximal elements are those no
+    element covers.
 
     Let Q be P with a fresh 0̂ and 1̂ adjoined.  A pair of P has a meet in Q
     iff its common lower bounds in P are none (the meet is 0̂) or have a
@@ -400,8 +421,8 @@ def _may_have_bowtie(P):
     comparable pairs, such as a wide one with many minimal elements under
     one element, is left to the sweep.
     """
-    down = P._down
-    groups = [g for g in ([i for i, above in enumerate(P._up) if not above], *P._lower) if len(g) > 1]
+    covered = set().union(*lower)
+    groups = [g for g in ([i for i in range(len(down)) if i not in covered], *lower) if len(g) > 1]
     if sum(len(g) * (len(g) - 1) for g in groups) > 2 * sum(map(int.bit_count, down)):
         return True
     closed = [below | 1 << i for i, below in enumerate(down)]
@@ -417,7 +438,7 @@ def _bowtie_tops(P):
     above m, after c and incomparable to it, that lie above no upper cover
     of m below c; so c's partners are the d that two such m reach.
     """
-    if not _may_have_bowtie(P):
+    if not _may_have_bowtie(P._down, P._lower):
         return []
     h, down, up, upper = P._heights, P._down, P._up, P._upper
     full = (1 << len(P)) - 1
@@ -586,17 +607,20 @@ def _flag_violations(P, direction, within):
         for t in _bits(tops[i]):
             c |= holders[t]
         compat[i] = c & within
+    goods = {}  # shared maximal elements -> the elements under one of them
     for a in _bits(within):
         for b in _bits(compat[a] >> (a + 1) << (a + 1)):
             cand = compat[a] & compat[b] >> (b + 1) << (b + 1)
             if not cand:
                 continue
-            good = 0
-            for t in _bits(tops[a] & tops[b]):
-                good |= holders[t]
-                if not cand & ~good:
-                    break
-            else:
+            shared = tops[a] & tops[b]
+            good = goods.get(shared)
+            if good is None:
+                good = 0
+                for t in _bits(shared):
+                    good |= holders[t]
+                goods[shared] = good
+            if cand & ~good:
                 yield a, b, cand & ~good
 
 

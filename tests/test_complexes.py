@@ -155,6 +155,24 @@ def test_reduction_keeps_one_of_rotated_type_a_duplicates():
     assert X.maximal_simplices == (("a", "b", "c"), ("b", "d"))
 
 
+def test_mixed_sizes_and_bare_vertices_keep_their_simplices_and_json():
+    # a rotated duplicate, an edge and a vertex inside a triangle, an edge
+    # and a vertex of their own, and two vertices in no simplex
+    X = OrderedComplex("A", list("abcdefghxyz"),
+                       [("c", "a", "b", "d"), ("b", "d", "c", "a"), ("e", "f"), ("d", "e", "g"), ("g", "d"),
+                        ("f",), ("h", "x")])
+    assert X.maximal_simplices == (("a", "b", "d", "c"), ("d", "e", "g"), ("e", "f"), ("h", "x"), ("y",), ("z",))
+    assert X.maximal_simplices is X.maximal_simplices  # built once, on first read
+    with pytest.raises(AttributeError):
+        X.maximal_simplices = ()
+    assert X.to_json() == {
+        "type": "A",
+        "vertices": ["a", "b", "c", "d", "e", "f", "g", "h", "x", "y", "z"],
+        "maximal_simplices": [["a", "b", "d", "c"], ["d", "e", "g"], ["e", "f"], ["h", "x"], ["y"], ["z"]],
+    }
+    assert OrderedComplex.from_json(X.to_json()) == X and hash(OrderedComplex.from_json(X.to_json())) == hash(X)
+
+
 def test_isolated_vertex_is_a_zero_simplex():
     X = OrderedComplex("C", ["a", "b", "z"], [("a", "b")])
     assert X.maximal_simplices == (("a", "b"), ("z",))

@@ -83,6 +83,17 @@ def test_closure_of_every_element_of_s4_is_s4():
     assert closure(4, sorted(S4, reverse=True)) == S4
 
 
+def test_product_of_subgroups_matches_the_naive_product():
+    # set stabilisers of seeded subsets in S5 and S6, and their pairwise products
+    rng = random.Random(5)
+    for degree in (5, 6):
+        G = symmetric_group(degree)
+        groups = [set_stabilizer(G, rng.sample(range(degree), rng.randint(0, degree))) for _ in range(6)]
+        for A in groups:
+            for B in groups:
+                assert groupdev._product(A, B) == {compose(a, b) for a in A for b in B}
+
+
 def test_validation_rejects_non_monotone():
     s3 = symmetric_group(3)
     refl = closure(3, [(1, 0, 2)])

@@ -20,7 +20,7 @@ from cublink.generators import (
 )
 from cublink import linkcheck
 from cublink.linkcheck import _failing_stars, check_garside, check_type_A, check_type_C, garside_quotient
-from cublink.poset import Poset, _bits, with_bounds
+from cublink.poset import Poset, _bits, find_bowtie, with_bounds
 from oracle import bowtie_star_complex, random_poset
 
 
@@ -117,6 +117,63 @@ def test_later_relation_cycle_outranks_earlier_failures():
         assert isinstance(cause, NotLocalPoset)
         assert (cause.vertex, cause.cycle) == is_local_poset(X)
         assert cause.vertex == center
+
+
+def built_stars(monkeypatch):
+    """The centres of the star posets the checkers build, in call order."""
+    calls, build = [], linkcheck.star_poset
+    monkeypatch.setattr(linkcheck, "star_poset", lambda X, x: calls.append(x) or build(X, x))
+    return calls
+
+
+def test_type_a_star_relation_that_is_not_transitive_closes_to_a_lattice(monkeypatch):
+    # at x the chambers give a, b < m < c, d, but none holds a and c: only
+    # the closure orders them, and in it c and d meet at m, a and b at x
+    X = OrderedComplex("A", ["x", "a", "b", "m", "c", "d"],
+                       [("x", "a", "m"), ("x", "b", "m"), ("x", "m", "c"), ("x", "m", "d")])
+    assert not X.has_simplex({"a", "c"}) and star_poset(X, "x").poset.lt("a", "c")
+    assert star_poset(X, "x").poset.meet("c", "d") == "m"
+    calls = built_stars(monkeypatch)
+    assert check_type_A(X).passed and calls == []
+    assert check_type_A(affine_A_patch(3, 2)).passed and calls == []
+
+
+def test_type_a_bowtie_that_appears_only_in_the_closure(monkeypatch):
+    # at x the chambers give a < m < c, b < c, a < d and b < d: a < c only
+    # through m, which lies under c alone, so a, b < c, d is a bowtie; read
+    # off the relation's own pairs, c and d would share only b
+    X = OrderedComplex("A", ["x", "a", "b", "m", "c", "d"],
+                       [("x", "a", "m"), ("x", "m", "c"), ("x", "b", "c"), ("x", "a", "d"), ("x", "b", "d")])
+    assert not X.has_simplex({"a", "c"})
+    calls = built_stars(monkeypatch)
+    verdict = check_type_A(X)
+    assert calls == ["x"]  # only the failing star is built
+    assert [(f.vertex, f.condition) for f in verdict.failures] == [("x", "lattice")]
+    assert verdict.failures[0].witness == find_bowtie(star_poset(X, "x").poset)
+    assert verdict.failures[0].witness.as_tuple() == ("a", "b", "c", "d")
+
+
+def test_type_a_relation_cycle_after_a_bowtie_keeps_its_error(monkeypatch, tmp_path, capsys):
+    # x (a bowtie) comes before z (a cone over an oriented 4-cycle) in label order
+    X = union("A", bowtie_star_complex(), OrderedComplex("A", ["z", "r0", "r1", "r2", "r3"], CONE_A))
+    calls = built_stars(monkeypatch)
+    with pytest.raises(PreconditionFailed) as info:
+        check_type_A(X)
+    assert calls == ["x", "z"]
+    assert str(info.value) == "precondition failed: star relation at z not transitive on ('r0', 'r1', 'r2', 'r3')"
+    assert (info.value.cause.vertex, info.value.cause.cycle) == ("z", ("r0", "r1", "r2", "r3"))
+    path = tmp_path / "bowtie_and_cone.json"
+    path.write_text(json.dumps(X.to_json()))
+    assert main(["check", "--type", "A", str(path)]) == 1
+    assert json.loads(capsys.readouterr().out) == {
+        "certificate": None,
+        "failures": [{
+            "condition": "precondition",
+            "detail": {"cycle": ["r0", "r1", "r2", "r3"], "vertex": "z"},
+            "witness": "star relation at z not transitive on ('r0', 'r1', 'r2', 'r3')",
+        }],
+        "pass": False,
+    }
 
 
 # -- precondition precedence: the orientation pass runs only on a failure ----------------------------

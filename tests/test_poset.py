@@ -209,7 +209,7 @@ def test_chain_has_no_bowtie():
 def sweep_tops(P, monkeypatch):
     """The bowtie tops of the down-set sweep alone, with the cover-pair certificate taken out."""
     with monkeypatch.context() as m:
-        m.setattr(poset_module, "_may_have_bowtie", lambda P: True)
+        m.setattr(poset_module, "_may_have_bowtie", lambda down, lower: True)
         return poset_module._bowtie_tops(P)
 
 
@@ -225,7 +225,7 @@ def test_bowtie_seen_only_by_the_pair_of_maximal_elements(monkeypatch):
     # only the maximal pair (e, f) fails, yet the witness stays (a, b, c, d)
     P = Poset.from_covers("abcdef", [("a", "c"), ("a", "d"), ("b", "c"), ("b", "d"), ("c", "e"), ("d", "f")])
     assert pairs_without_meet(P) == [("e", "f")]
-    assert poset_module._may_have_bowtie(P)
+    assert poset_module._may_have_bowtie(P._down, P._lower)
     assert find_bowtie(P).as_tuple() == ("a", "b", "c", "d")
     assert poset_module._bowtie_tops(P) == sweep_tops(P, monkeypatch)
 
@@ -237,7 +237,7 @@ def test_bowtie_seen_only_by_the_pair_of_maximal_elements(monkeypatch):
 def test_co_covered_elements_with_no_common_lower_bound(monkeypatch, covers):
     P = Poset.from_covers({x for pair in covers for x in pair}, covers)
     assert P.minimum() is None and len(P.lower_covers("t")) == 2
-    assert not poset_module._may_have_bowtie(P)
+    assert not poset_module._may_have_bowtie(P._down, P._lower)
     assert find_bowtie(P) is None and sweep_tops(P, monkeypatch) == []
 
 
@@ -253,9 +253,51 @@ def test_masks_that_hash_alike_keep_the_verdict(monkeypatch, between):
         covers = [("e00", "e50"), ("e61", "e50"), ("e50", "e98"), ("e50", "e99")]
     rest = [x for x in labels if x not in ("e00", "e50", "e61", "e98", "e99")]
     P = Poset.from_covers(labels, covers + list(zip(rest, rest[1:])))
-    assert poset_module._may_have_bowtie(P) is not between
+    assert poset_module._may_have_bowtie(P._down, P._lower) is not between
     assert poset_module._bowtie_tops(P) == sweep_tops(P, monkeypatch)
     assert (find_bowtie(P) is None) is between
+
+
+def test_closure_matches_a_reachability_reference_and_from_preds():
+    # seeded predecessor lists, acyclic or with back edges: the down-masks
+    # and lower covers of _closure are those of the relation's reachability
+    # and of Poset._from_preds, and on a cycle exactly the elements on or
+    # above one are left out, which CycleDetected names
+    rng = random.Random(29)
+    for trial in range(300):
+        n = rng.randint(0, 12)
+        rank = rng.sample(range(n), n)
+        pairs = {(a, b) for a in range(n) for b in range(n) if rank[a] < rank[b] and rng.random() < 0.3}
+        if trial % 3 == 0 and pairs:
+            a, b = rng.choice(sorted(pairs))
+            pairs.add((b, a))
+        preds = [[] for _ in range(n)]
+        for a, b in sorted(pairs, key=lambda p: rng.random()):
+            preds[b].append(a)
+        below = [set(p) for p in preds]
+        changed = True
+        while changed:
+            changed = False
+            for i in range(n):
+                more = set().union(*(below[j] for j in below[i])) - below[i]
+                if more:
+                    below[i] |= more
+                    changed = True
+        stuck = {i for i in range(n) if any(j in below[j] for j in below[i] | {i})}
+        order, down, lower = poset_module._closure(preds)
+        assert sorted(order) == sorted(set(range(n)) - stuck)
+        assert all(set(preds[i]) <= set(order[:k]) for k, i in enumerate(order))
+        labels = [f"e{i:02d}" for i in range(n)]
+        if stuck:
+            assert [i for i in range(n) if lower[i] is None] == sorted(stuck)
+            with pytest.raises(CycleDetected) as info:
+                Poset._from_preds(labels, preds)
+            assert str(info.value) == f"cover pairs contain a cycle through {[labels[i] for i in sorted(stuck)][:4]}"
+            continue
+        assert down == [sum(1 << j for j in below[i]) for i in range(n)]
+        assert lower == [sorted(j for j in below[i] if not any(j in below[k] for k in below[i])) for i in range(n)]
+        P = Poset._from_preds(labels, preds)
+        assert (P._down, P._lower) == (down, lower)
 
 
 def test_wide_posets_stay_fast():
@@ -266,7 +308,7 @@ def test_wide_posets_stay_fast():
     hub = Poset.from_covers(lows + ["w"] + tops, [(m, "w") for m in lows] + [("w", t) for t in tops])
     # a fan: its lower covers' pairs far outnumber its comparable pairs
     fan = Poset.from_covers(lows + ["w"], [(m, "w") for m in lows])
-    assert poset_module._may_have_bowtie(fan)  # left to the sweep
+    assert poset_module._may_have_bowtie(fan._down, fan._lower)  # left to the sweep
     start = time.perf_counter()
     assert find_bowtie(hub) is None and find_bowtie(fan) is None
     assert time.perf_counter() - start < 1.0
