@@ -148,6 +148,9 @@ def cmd_check(args):
         if not isinstance(phi, dict):
             raise UsageError("--phi must be a JSON object mapping vertices to vertices")
         _check_shape(list(phi.values()), ["label"], "--phi")
+        # JSON keys are strings, so each side names a vertex by its printed form (and JSON true never names 1)
+        printed = {str(v): v for v in X.vertices}
+        phi = {printed.get(x, x): printed.get(str(y), str(y)) for x, y in phi.items()}
         verdict = check_garside(X, phi, assume_simply_connected=args.assume_simply_connected)
     return _emit(verdict.to_json(), 0 if verdict.passed else 1)
 

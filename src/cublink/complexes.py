@@ -11,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, groupby, pairwise
 
-from .errors import CycleDetected, DuplicateLabel, InconsistentOrder, NotFlag, NotLocalPoset, UnknownLabel
-from .poset import Poset, _bits, _key
+from .errors import CycleDetected, InconsistentOrder, NotFlag, NotLocalPoset, UnknownLabel
+from .poset import Poset, _bits, _key, _label_order
 
 
 def canonical_rotation(t):
@@ -95,16 +95,8 @@ class OrderedComplex:
         if order_type not in ("A", "C"):
             raise ValueError("order_type must be 'A' or 'C'")
         self.order_type = order_type
-        seen = set()
-        for v in vertices:
-            if v in seen:
-                raise DuplicateLabel(f"duplicate vertex label {v!r}")
-            seen.add(v)
-        self.vertices = tuple(sorted(seen, key=_key))
-        for a, b in zip(self.vertices, self.vertices[1:]):
-            if _key(a) == _key(b):
-                raise DuplicateLabel(f"vertex labels {a!r} and {b!r} print the same")
-        self._index = index = {v: i for i, v in enumerate(self.vertices)}
+        self.vertices, self._index = _label_order(vertices, "vertex")
+        index = self._index
 
         width = (len(self.vertices) + 7) // 8
         cleaned = {}  # vertex mask's bytes (int masks' hashes collide, see validate) -> the first (index tuple, mask) on it
@@ -297,7 +289,7 @@ def _check_flag(X):
     nonfaces = [c for c in _clique_masks(X._adjacency) if c.to_bytes(width, "little") not in chambers]
     if nonfaces:
         clique = min(nonfaces, key=lambda c: tuple(_bits(c)))
-        raise NotFlag(_shrink_to_minimal_nonface(X, set(X._labels(clique))))
+        raise NotFlag(_shrink_to_minimal_nonface(X, clique))
 
 
 def _triangle(a, b, c, n):
@@ -311,16 +303,16 @@ def _triangle(a, b, c, n):
 
 
 def _shrink_to_minimal_nonface(X, clique):
-    changed = True
-    while changed:
-        changed = False
-        for v in sorted(clique, key=_key):
-            smaller = clique - {v}
-            if len(smaller) >= 2 and not X.has_simplex(smaller):
-                clique = smaller
-                changed = True
-                break
-    return frozenset(clique)
+    """A minimal nonface, as labels, inside a clique mask that is no face.
+
+    One pass in label order drops each vertex that leaves a nonface of two or
+    more vertices; a kept vertex stays kept, as each subset of a face is a face.
+    """
+    for v in _bits(clique):
+        smaller = clique ^ 1 << v
+        if smaller.bit_count() >= 2 and not any(m & smaller == smaller for m in X._chamber_masks):
+            clique = smaller
+    return X._labels(clique)
 
 
 # -- star posets ---------------------------------------------------------------

@@ -33,10 +33,7 @@ class Failure:
 
     def to_json(self):
         w = self.witness
-        if hasattr(w, "to_json"):
-            w = w.to_json()
-        elif isinstance(w, (tuple, list, frozenset, set)):
-            w = sorted(map(str, w)) if isinstance(w, (frozenset, set)) else [str(x) for x in w]
+        w = w.to_json() if hasattr(w, "to_json") else [str(x) for x in w]
         return {"vertex": str(self.vertex), "condition": self.condition, "witness": w}
 
 
@@ -213,9 +210,12 @@ def _global_order(X):
     the cycle: the first star relation with one gives NotLocalPoset, and if
     none has one the cycle is reported as CycleDetected.
     """
-    pairs = {(a, b) for s in X._chambers for a, b in zip(s, s[1:])}
+    preds = [set() for _ in X.vertices]
+    for s in X._chambers:
+        for a, b in zip(s, s[1:]):
+            preds[b].add(a)
     try:
-        return Poset._from_index_pairs(X.vertices, pairs)
+        return Poset._from_preds(X.vertices, preds)
     except CycleDetected as err:
         _validated(X)
         violation = is_local_poset(X)

@@ -29,6 +29,25 @@ def _key(label):
     return str(label)
 
 
+def _label_order(labels, kind):
+    """The labels in label order, and the index of each there; kind names them in errors.
+
+    Raises DuplicateLabel on a repeated label, and on two labels that print
+    the same, as outputs name labels by their string form.  The sort is
+    stable, so such a pair is named in input order.
+    """
+    ordered, seen = list(labels), set()
+    for x in ordered:
+        if x in seen:
+            raise DuplicateLabel(f"duplicate {kind} label {x!r}")
+        seen.add(x)
+    ordered.sort(key=_key)
+    for a, b in zip(ordered, ordered[1:]):
+        if _key(a) == _key(b):
+            raise DuplicateLabel(f"{kind} labels {a!r} and {b!r} print the same")
+    return tuple(ordered), dict(zip(ordered, range(len(ordered))))
+
+
 @dataclass(frozen=True)
 class Bowtie:
     """Four elements a, b < c, d with nothing between the pairs.
@@ -81,18 +100,8 @@ class Poset:
         if two labels are equal or print the same (outputs name labels by
         their string form).
         """
-        elements = list(elements)
-        seen = set()
-        for x in elements:
-            if x in seen:
-                raise DuplicateLabel(f"duplicate element label {x!r}")
-            seen.add(x)
-        elements.sort(key=_key)
-        for a, b in zip(elements, elements[1:]):
-            if _key(a) == _key(b):
-                raise DuplicateLabel(f"element labels {a!r} and {b!r} print the same")
-        index = {x: i for i, x in enumerate(elements)}
-        pairs = set()
+        elements, index = _label_order(elements, "element")
+        preds = [set() for _ in elements]
         for lo, hi in cover_pairs:
             if lo not in index:
                 raise UnknownLabel(f"unknown label {lo!r} in cover pair")
@@ -100,20 +109,12 @@ class Poset:
                 raise UnknownLabel(f"unknown label {hi!r} in cover pair")
             if lo == hi:
                 raise CycleDetected(f"self-loop on {lo!r}")
-            pairs.add((index[lo], index[hi]))
-        return cls._from_index_pairs(elements, pairs)
-
-    @classmethod
-    def _from_index_pairs(cls, elements, pairs):
-        """Build a poset from distinct labels in label order and distinct (lower, upper) index pairs."""
-        preds = [[] for _ in elements]
-        for lo, hi in pairs:
-            preds[hi].append(lo)
+            preds[index[hi]].add(index[lo])
         return cls._from_preds(elements, preds)
 
     @classmethod
     def _from_preds(cls, elements, preds):
-        """Build a poset from distinct labels in label order and, by index, the list of each one's distinct predecessors.
+        """Build a poset from distinct labels in label order and, by index, each one's distinct predecessors.
 
         On top of _closure: the heights, read off the lower covers, the
         upper covers and the up-masks.  CycleDetected names the elements
@@ -354,8 +355,8 @@ def _restriction(P, mask):
         return P
     kept = list(_bits(mask))
     local = {i: k for k, i in enumerate(kept)}
-    pairs = [(local[lo], k) for k, hi in enumerate(kept) for lo in _maximal_in(P, P._down[hi] & mask)]
-    return Poset._from_index_pairs([P.elements[i] for i in kept], pairs)
+    preds = [[local[lo] for lo in _maximal_in(P, P._down[hi] & mask)] for hi in kept]
+    return Poset._from_preds([P.elements[i] for i in kept], preds)
 
 
 def _maximal_in(P, mask):

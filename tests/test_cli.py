@@ -9,7 +9,9 @@ import pytest
 
 from cublink import cli
 from cublink.cli import main
+from cublink.complexes import OrderedComplex
 from cublink.generators import boolean_poset
+from cublink.linkcheck import check_garside
 
 
 def run_cli(args, stdin=None):
@@ -95,6 +97,21 @@ def test_garside_check_on_generated_column(tmp_path):
     assert code == 0
     verdict = json.loads(verdict_out)
     assert verdict["pass"] and verdict["certificate"] == "CUB_and_injective_certified"
+
+
+@pytest.mark.parametrize("phi, ints", [
+    ({"0": 1, "1": "2", "2": 3}, {0: 1, 1: 2, 2: 3}),
+    ({"0": 2}, {0: 2}),
+], ids=["shift", "no-column"])
+def test_garside_phi_names_integer_labels_by_their_printed_form(tmp_path, capsys, phi, ints):
+    # JSON object keys are always strings, so "0" must name the vertex 0
+    path, phi_path = tmp_path / "path.json", tmp_path / "phi.json"
+    X = OrderedComplex("C", [0, 1, 2, 3], [(0, 1), (1, 2), (2, 3)])
+    path.write_text(json.dumps({"type": "C", "vertices": [0, 1, 2, 3], "maximal_simplices": [[0, 1], [1, 2], [2, 3]]}))
+    phi_path.write_text(json.dumps(phi))
+    verdict = check_garside(X, ints)
+    assert main(["check", "--type", "garside", "--phi", str(phi_path), str(path)]) == (0 if verdict.passed else 1)
+    assert json.loads(capsys.readouterr().out) == verdict.to_json()
 
 
 def test_dist_between_square_corners():

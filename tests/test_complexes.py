@@ -1,6 +1,9 @@
 """Ordered complexes: validation, star relations, star posets, realizations."""
 
+import os
 import random
+import subprocess
+import sys
 from itertools import combinations
 
 import pytest
@@ -223,6 +226,25 @@ def test_canonical_rotation_matches_all_rotations_with_repeats():
 def test_labels_that_print_the_same_are_duplicates():
     with pytest.raises(DuplicateLabel):
         OrderedComplex("C", [1, "1", "b"], [(1, "b"), ("1", "b")])
+
+
+PRINT_COLLISIONS = """
+from cublink.complexes import OrderedComplex
+from cublink.errors import DuplicateLabel
+from cublink.poset import Poset
+for build in (lambda: OrderedComplex("A", ["1", 1, "a"], [["a"]]), lambda: Poset.from_covers(["1", 1, "a"], [])):
+    try:
+        build()
+    except DuplicateLabel as err:
+        print(err)
+"""
+
+
+def test_a_print_collision_is_named_in_input_order_under_every_hash_seed():
+    # a set of labels iterates in an order that the hash seed picks, so the label check sorts the input list
+    outputs = {subprocess.run([sys.executable, "-c", PRINT_COLLISIONS], env={**os.environ, "PYTHONHASHSEED": str(seed)},
+                              capture_output=True, text=True, check=True).stdout for seed in range(9)}
+    assert outputs == {"vertex labels '1' and 1 print the same\nelement labels '1' and 1 print the same\n"}
 
 
 def test_rotating_a_stored_tuple_gives_equal_complex():
