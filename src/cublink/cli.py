@@ -17,7 +17,7 @@ from itertools import chain
 
 from .complexes import OrderedComplex, order_complex
 from .cubes import CubeComplex, barycentric_cube_subdivision  # noqa: F401  (perfbench/spans.py wraps it here)
-from .errors import CublinkError, InconsistentOrder, NotFlag, NotLocalPoset, PreconditionFailed
+from .errors import CublinkError, InconsistentOrder, NotFlag, NotLocalPoset, ParameterTooLarge, PreconditionFailed
 from .generators import (
     affine_A_patch,
     boolean_poset,
@@ -52,9 +52,17 @@ def _read_input(path):
             return json.load(fh)
     except (OSError, json.JSONDecodeError) as err:
         raise UsageError(f"cannot read input: {err}") from err
+    except RecursionError:  # the decoder recurses once per level of nesting
+        raise ParameterTooLarge("input nests arrays or objects too deeply to read") from None
 
 
 _LEAVES = {"label": {str, int, float, bool, type(None)}, "integer": {int}}  # the type of True is bool, not int
+
+
+def _echo(value):
+    """The repr of a value a shape error names, cut after 200 characters: an input may be megabytes."""
+    text = repr(value)
+    return text if len(text) <= 200 else text[:200] + "..."
 
 
 def _check_shape(value, shape, where="input"):
@@ -69,12 +77,13 @@ def _check_shape(value, shape, where="input"):
     values = [value]
     while isinstance(shape, list):
         if not {list}.issuperset(map(type, values)):
-            raise ValueError(f"{where} holds {next(v for v in values if type(v) is not list)!r}, which is no array")
+            bad = next(v for v in values if type(v) is not list)
+            raise ValueError(f"{where} holds {_echo(bad)}, which is no array")
         values, shape = list(chain.from_iterable(values)), shape[0]
     if isinstance(shape, dict):
         for v in values:
             if type(v) is not dict:
-                raise ValueError(f"{where} holds {v!r}, which is no object")
+                raise ValueError(f"{where} holds {_echo(v)}, which is no object")
             for key, item in shape.items():
                 if key != "*" and key not in v:
                     raise ValueError(f"{where if v is value else f'an object in {where}'} lacks key {key!r}")
@@ -82,7 +91,7 @@ def _check_shape(value, shape, where="input"):
                     _check_shape(v[k], item, f"{where}[{k!r}]")
     elif shape is not None and not _LEAVES[shape].issuperset(map(type, values)):
         bad = next(v for v in values if type(v) not in _LEAVES[shape])
-        raise ValueError(f"{where} holds {bad!r}, which is no {shape}")
+        raise ValueError(f"{where} holds {_echo(bad)}, which is no {shape}")
 
 
 def _checked_labels(labels):
@@ -191,6 +200,8 @@ def _parse_point(raw, X):
         spec = json.loads(raw)
     except json.JSONDecodeError:
         spec = raw
+    except RecursionError:
+        raise ParameterTooLarge("a point nests arrays or objects too deeply to read") from None
     if isinstance(spec, str):
         return printed.get(spec, spec)
     if isinstance(spec, dict) and "weights" in spec:

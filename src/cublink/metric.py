@@ -145,7 +145,7 @@ def as_point(X, point):
             raise UnknownLabel(f"support {sorted(map(str, weights))} spans no simplex")
         return weights
     if point in X._index:
-        return {point: Fraction(1)}
+        return {point: 1}  # equal to Fraction(1) and hashed alike, but in C: a mesh query hashes it to find its node
     raise UnknownLabel(f"unknown vertex {point!r}")
 
 
@@ -181,13 +181,16 @@ class MeshApproximator:
     nodes, so a pair with a node between its ends is a path of shorter kept
     pairs of the same total, and no distance changes.
 
-    A mesh node's first query computes its distance row (a list by node int,
-    None where unreached), which answers every later query from or to that
-    node.  A node's support is a proper face of a chamber, never a whole one,
-    so a chamber holds only the nodes on its own proper faces.  An off-mesh
+    A query between two mesh nodes is answered by a search from one of
+    them that stays open between queries and is settled only until the
+    other's distance is final: the source's search if it has settled the
+    target, else the target's if it has settled the source, else the
+    source's, else the target's, else a new one from the source.
+    A node's support is a proper face of a chamber, never a whole one, so a
+    chamber holds only the nodes on its own proper faces.  An off-mesh
     endpoint is joined, for its query only, to the nodes of the chambers
     containing its support, and to the other endpoint if it is off-mesh
-    there; such a query keeps no row.
+    there; such a query keeps no search.
 
     A complex and mesh with more than MAX_PAIRS pairs of mesh nodes that
     share a chamber are refused before any node is made.
@@ -207,7 +210,7 @@ class MeshApproximator:
             raise ParameterTooLarge(f"mesh 1/{m} joins {pairs} node pairs, more than {self.MAX_PAIRS}")
         self.X = X
         self.mesh = mesh
-        self._rows = {}  # a mesh node's int -> its row of distances times m, for each source searched
+        self._searches = {}  # a mesh node's int -> its open search (_search), distances times m
 
     @cached_property
     def _templates(self):
@@ -271,21 +274,29 @@ class MeshApproximator:
         ids, adj, _ = self._graph
         if source in ids and target in ids:
             s, t = ids[source], ids[target]
-            if t in self._rows:
+            if t in self._searches and not self._settled(s, t) and (s not in self._searches or self._settled(t, s)):
                 s, t = t, s
-            if s not in self._rows:
-                self._rows[s] = _dijkstra(adj, {s: 0})[0]
-            d, scale = self._rows[s][t], self.mesh.denominator
+            if s not in self._searches:
+                self._searches[s] = _search(adj, {s: 0})
+            d, scale = _dijkstra(adj, self._searches[s], 1, {t: 0})[1], self.mesh.denominator
         else:
             d, scale = self._off_mesh(source, target)
-        if d is None:
+        if d == inf:
             raise Disconnected("no path between the query points")
         return Fraction(d, scale)
+
+    def _settled(self, s, t):
+        """Whether s's open search has settled t: t is no farther than every open distance, or nothing is open."""
+        if s not in self._searches:
+            return False
+        best, _, heap = self._searches[s]
+        return not heap or best[t] is not None and best[t] <= heap[0]
 
     def _off_mesh(self, source, target):
         """(distance, scale) of a query with an off-mesh endpoint: one search, from the source's joins to the target's.
 
-        The scale also clears the endpoints' weights, so the graph's edges count scale // m times.
+        The scale also clears the endpoints' weights, so the graph's edges count scale // m times.  The distance is inf
+        where no path joins the endpoints.
         """
         X, (ids, adj, ats), m = self.X, self._graph, self.mesh.denominator
         fine = lcm(m, *(w.denominator for node in (source, target) if node not in ids for _, w in node))
@@ -305,36 +316,45 @@ class MeshApproximator:
                     direct.append(_length(X.order_type, here, placed[i]))
                 placed[i] = here
             ends.append(joins)
-        nearest = min([*direct, _dijkstra(adj, ends[0], fine // m, ends[1])[1]])
-        return (None if nearest == inf else nearest), fine
+        return min([*direct, _dijkstra(adj, _search(adj, ends[0]), fine // m, ends[1])[1]]), fine
 
 
-def _dijkstra(adj, starts, ratio=1, ends=None):
-    """Int distances from the start nodes, each at its given distance, and the least distance plus join to an end.
-
-    adj holds each node int's (neighbour, weight) pairs, the weights counting
-    ratio times; the distances are a list by node int, None where unreached,
-    settled one distance at a time.  Given ends, {node: join length}, the
-    search stops at the first distance no nearer than that least sum, so
-    only the sum is exact; without ends the distances are complete.
-    """
-    best, frontier, nearest = [None] * len(adj), {}, inf
+def _search(adj, starts):
+    """A new open search from the start nodes, each at its given distance, for _dijkstra to settle."""
+    best, frontier = [None] * len(adj), {}
     for node, d in starts.items():
         best[node] = d
         frontier.setdefault(d, []).append(node)
-    heap = sorted(frontier)  # a sorted list is a heap
+    return best, frontier, sorted(frontier)  # a sorted list is a heap
+
+
+def _dijkstra(adj, search, ratio=1, ends=None):
+    """Settle an open search in place, one distance at a time: (its distances, the least distance plus join to an end).
+
+    adj holds each node int's (neighbour, weight) pairs, the weights counting
+    ratio times.  The search is (best, frontier, heap): each node int's
+    distance, None where unreached; the open buckets, distance -> the nodes
+    that joined it; and their distances.  A distance no farther than every
+    open one is final, as any other path runs through an open node.  Given
+    ends, {node: join length}, the search stops at the first open distance
+    no nearer than the least sum over the ends reached, so only that sum is
+    exact, and a later call resumes the search; without ends every distance
+    is complete.
+    """
+    best, frontier, heap = search
+    nearest = min((best[e] + j for e, j in ends.items() if best[e] is not None), default=inf) if ends else inf
     while heap and heap[0] < nearest:
         d = heapq.heappop(heap)
         for node in frontier.pop(d):
             if best[node] != d:  # reached nearer after it joined this distance
                 continue
-            if ends is not None and node in ends:
-                nearest = min(nearest, d + ends[node])
             for other, w in adj[node]:
                 nd = d + w * ratio
                 b = best[other]
                 if b is None or nd < b:
                     best[other] = nd
+                    if ends is not None and other in ends:
+                        nearest = min(nearest, nd + ends[other])
                     if nd not in frontier:
                         frontier[nd] = []
                         heapq.heappush(heap, nd)

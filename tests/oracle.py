@@ -1275,7 +1275,12 @@ def random_metric_of_size(rng, size):
 
 
 def mesh_queries(rng):
-    """A small complex, a mesh and three queries: vertices, points on or off the mesh, two in one chamber, or p == q."""
+    """A small complex, a mesh and four queries.
+
+    A query joins two vertices, points on or off the mesh, two points of one
+    chamber, or a point to itself; or it takes an earlier query's endpoint
+    again, with a vertex or a mesh node, so that an open search resumes.
+    """
     X = rng.choice(mesh_complexes())
     mesh = F(1, rng.choice((2, 3, 4) if len(X.vertices) < 8 else (2, 3)))
 
@@ -1292,11 +1297,14 @@ def mesh_queries(rng):
         return {v: F(w, sum(weights)) for v, w in zip(face, weights)}
 
     queries = []
-    for kind in (rng.randrange(5) for _ in range(3)):
+    for kind in (rng.randrange(6) for _ in range(4)):
         if kind == 0:
             queries.append(rng.sample(X.vertices, 2))
         elif kind == 4:
             queries.append([point(rng.random() < 0.5)] * 2)
+        elif kind == 5 and queries:
+            pair = [rng.choice(rng.choice(queries)), rng.choice(X.vertices) if rng.random() < 0.5 else point(True)]
+            queries.append(pair[::rng.choice((1, -1))])
         else:
             queries.append([point(kind != 3), point(kind == 1)])
     return X, mesh, queries
@@ -1560,7 +1568,7 @@ def prop_dress_dimension_test(rng):
 
 
 def prop_mesh_distance(rng):
-    """Three queries to one MeshApproximator, so a query that changed its graph would show in a later one."""
+    """Four queries to one MeshApproximator, so that a changed graph or a search left wrong shows in a later query."""
     X, mesh, queries = mesh_queries(rng)
     approx = MeshApproximator(X, mesh)
     out = [agree(lambda: [X.to_json(), str(mesh), p, q], approx.distance,

@@ -1,6 +1,7 @@
 """CLI surface: exit codes, JSON schemas, piping, determinism."""
 
 import hashlib
+import io
 import json
 import subprocess
 import sys
@@ -457,6 +458,51 @@ def test_input_error_exits_two_with_its_error_object(tmp_path, capsys, argv, dat
     path.write_text(json.dumps(data))
     assert main([*argv, str(path)]) == 2
     assert json.loads(capsys.readouterr().out) == error
+
+
+TOO_DEEP = {"error": "ParameterTooLarge", "detail": "input nests arrays or objects too deeply to read"}
+
+
+@pytest.mark.parametrize("argv", [["check", "--type", "C"], ["tightspan"], ["groupdev"],
+                                  ["dist", "--from", "a", "--to", "b"]], ids=["check", "tightspan", "groupdev", "dist"])
+def test_deeply_nested_input_is_too_large(tmp_path, capsys, monkeypatch, argv):
+    # the JSON decoder recurses once per level of nesting; at depth 900 the input is read and refused for its shape
+    path = tmp_path / "input.json"
+    for depth in (1000, 100_000):
+        path.write_text("[" * depth + "]" * depth)
+        assert main([*argv, str(path)]) == 2
+        assert json.loads(capsys.readouterr().out) == TOO_DEEP
+        monkeypatch.setattr(sys, "stdin", io.StringIO(path.read_text()))
+        assert main([*argv, "-"]) == 2
+        assert json.loads(capsys.readouterr().out) == TOO_DEEP
+    path.write_text("[" * 900 + "]" * 900)
+    assert main([*argv, str(path)]) == 2
+    assert json.loads(capsys.readouterr().out) == {"error": "input",
+                                                   "detail": f"input holds {'[' * 200}..., which is no object"}
+
+
+def test_deeply_nested_phi_or_point_is_too_large(tmp_path, capsys):
+    square, phi = tmp_path / "square.json", tmp_path / "phi.json"
+    square.write_text(json.dumps(SQUARE))
+    for depth in (1000, 100_000):
+        phi.write_text("[" * depth + "]" * depth)
+        assert main(["check", "--type", "garside", "--phi", str(phi), str(square)]) == 2
+        assert json.loads(capsys.readouterr().out) == TOO_DEEP
+    assert main(["dist", "--from", "[" * 1000 + "]" * 1000, "--to", "a", str(square)]) == 2
+    assert json.loads(capsys.readouterr().out) == {
+        "error": "ParameterTooLarge", "detail": "a point nests arrays or objects too deeply to read"}
+
+
+def test_shape_error_quotes_a_bounded_part_of_a_large_input(tmp_path, capsys):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps([1] * 200_000))
+    assert main(["check", "--type", "C", str(path)]) == 2
+    out = capsys.readouterr().out
+    assert json.loads(out) == {"error": "input", "detail": f"input holds {repr([1] * 67)[:200]}..., which is no object"}
+    assert len(out) < 300
+    path.write_text(json.dumps([1] * 66))  # its repr is 198 characters, quoted whole
+    assert main(["check", "--type", "C", str(path)]) == 2
+    assert json.loads(capsys.readouterr().out)["detail"] == f"input holds {[1] * 66!r}, which is no object"
 
 
 def test_output_is_byte_deterministic():

@@ -19,6 +19,7 @@ from cublink.metric import (
     PLPoint,
     _dijkstra,
     _length,
+    _search,
     affine_simplex_coords,
     chamber_distance_in_complex,
     frac,
@@ -266,7 +267,7 @@ def test_disconnected_components_raise():
     X = OrderedComplex("C", ["a", "b", "p", "q"], [("a", "b"), ("p", "q")])
     with pytest.raises(Disconnected):
         MeshApproximator(X, F(1, 2)).distance("a", "q")
-    # once the rows of a and p are cached, either endpoint's row must answer
+    # the searches from a and p run out inside their own components; either must answer a query across them
     approx = MeshApproximator(X, F(1, 2))
     assert approx.distance("a", "b") == approx.distance("p", "q") == 1
     for p, q in (("a", "q"), ("q", "a"), ("b", "p"), ("p", "b"), ({"a": F(1, 2), "b": F(1, 2)}, "q")):
@@ -298,8 +299,8 @@ def test_refinement_does_not_widen_the_gap_to_the_flat_norm():
 
 
 @pytest.mark.parametrize("X", [affine_A_patch(2, 2), order_complex(boolean_poset(3))], ids=["patch(2,2)", "B(3)"])
-def test_cached_rows_change_no_answer(X):
-    # one approximator answers mesh queries from its cached rows, in both
+def test_open_searches_change_no_answer(X):
+    # one approximator answers mesh queries from its open searches, in both
     # orders and with off-mesh queries between them, as a fresh one does
     rng = random.Random(f"cached rows:{X.order_type}")
     mesh = F(1, 3)
@@ -316,7 +317,78 @@ def test_cached_rows_change_no_answer(X):
     approx = MeshApproximator(X, mesh)
     for p, q in queries:
         assert approx.distance(p, q) == MeshApproximator(X, mesh).distance(p, q), (p, q)
-    assert approx._rows
+    assert approx._searches
+
+
+def b3_beside_an_edge():
+    """The order complex of B(3) and, apart from it, an edge: a query from one to the other is Disconnected."""
+    X = order_complex(boolean_poset(3))
+    return OrderedComplex("C", [*X.vertices, "p", "q"], [*X.maximal_simplices, ("p", "q")])
+
+
+def interleaved_queries(rng, row):
+    """Seeded queries between mesh node ints, most of them from a few reused sources to nearby targets.
+
+    row(s) is the complete distance row of s.  Among the queries: p == q; a
+    run from the last query's source to the other nodes at its target's
+    distance, then to nodes up to twice as far, where a search that stops
+    before its target's distance is final could read a longer path; a pair
+    turned round after its target's own shorter query, so that the target's
+    open search has not settled the source; and targets the source does not
+    reach, where there are any.
+    """
+    nodes = range(len(row(0)))
+    sources, out = rng.sample(nodes, 5), []
+    near = lambda s: sorted((x for x in nodes if row(s)[x] is not None), key=row(s).__getitem__)[1:40]
+    while len(out) < 60:
+        kind, s = rng.randrange(6), rng.choice(sources)
+        if kind == 0:
+            out.append((s, s))
+        elif kind == 1 and out:
+            s, t = out[-1]
+            d = row(s)[t]
+            past = [x for x in nodes if d is not None and row(s)[x] is not None and d < row(s)[x] <= 2 * d]
+            out.extend((s, x) for x in nodes if x != t and row(s)[x] == d)
+            out.extend((s, x) for x in sorted(rng.sample(past, min(8, len(past))), key=row(s).__getitem__))
+        elif kind == 2:
+            t = rng.choice(near(s))
+            out.extend([(s, t), (t, rng.choice([x for x in near(t) if row(t)[x] < row(t)[s]] or [t])), (t, s)])
+        else:
+            far = [x for x in nodes if row(s)[x] is None] if kind == 5 else []
+            out.append((s, rng.choice(far or (near(s) if kind == 3 else nodes))))
+    return out
+
+
+@pytest.mark.parametrize("X, m, cases", [(affine_A_patch(2, 3), 16, {"target reached, not final"}),
+                                         (b3_beside_an_edge(), 4, {"after Disconnected"})],
+                         ids=["patch(2,3) at 1/16", "B(3) beside an edge at 1/4"])
+def test_resumed_searches_match_fresh_rows(X, m, cases):
+    # one approximator's searches stop and resume between its queries; each answer must be
+    # the target's distance in a fresh complete search from the query's source
+    ids, adj, _ = MeshApproximator(X, F(1, m))._graph
+    points, rows, seen = [dict(node) for node in ids], {}, set()  # ids lists the nodes in the order of their ints
+
+    def row(s):
+        if s not in rows:
+            rows[s] = _dijkstra(adj, _search(adj, {s: 0}))[0]
+        return rows[s]
+
+    for seed in range(4):
+        approx, disconnected = MeshApproximator(X, F(1, m)), False
+        for s, t in interleaved_queries(random.Random(f"resumed:{seed}"), row):
+            best, _, heap = approx._searches.get(s, ([None] * len(adj), {}, []))  # s's open search, if any
+            seen.update(tag for tag, hit in [
+                ("p == q", s == t), ("after Disconnected", disconnected),
+                ("target at the least open distance", heap and best[t] == heap[0]),
+                ("target reached, not final", best[t] is not None and best[t] > row(s)[t]),
+                ("other endpoint's search", approx._settled(t, s) and not approx._settled(s, t))] if hit)
+            disconnected = row(s)[t] is None
+            if disconnected:
+                with pytest.raises(Disconnected):
+                    approx.distance(points[s], points[t])
+            else:
+                assert approx.distance(points[s], points[t]) == F(row(s)[t], m), (seed, s, t)
+    assert seen == {"p == q", "target at the least open distance", "other endpoint's search", *cases}
 
 
 def test_patch_distance_matches_polyhedral_norm():
@@ -359,7 +431,7 @@ def test_pruned_mesh_graph_keeps_every_distance(X, m):
     full = [tuple(pairs.items()) for pairs in full]  # in the graph's form: (neighbour, weight) pairs per node int
     assert sum(map(len, adj)) < sum(map(len, full))
     for s in range(len(adj)):
-        assert _dijkstra(adj, {s: 0}) == _dijkstra(full, {s: 0}), s
+        assert _dijkstra(adj, _search(adj, {s: 0})) == _dijkstra(full, _search(full, {s: 0})), s
 
 
 def textbook_dijkstra(adj, starts, ratio, ends):
@@ -395,8 +467,8 @@ def test_bucketed_search_matches_a_textbook_dijkstra():
         ends = {node: rng.choice((0, rng.randint(1, 20))) for node in rng.sample(range(n), rng.randint(1, n))}
         for ratio in range(1, 8):
             row, nearest = textbook_dijkstra(adj, starts, ratio, ends)
-            assert _dijkstra(adj, starts, ratio) == (row, inf), (seed, ratio)
-            assert _dijkstra(adj, starts, ratio, ends)[1] == nearest, (seed, ratio)
+            assert _dijkstra(adj, _search(adj, starts), ratio) == (row, inf), (seed, ratio)
+            assert _dijkstra(adj, _search(adj, starts), ratio, ends)[1] == nearest, (seed, ratio)
         seen.update(tag for tag, hit in [("unreached", None in row), ("zero join", 0 in ends.values()),
                                          ("several nonzero starts", sum(map(bool, starts.values())) > 1),
                                          ("no end reached", nearest == inf)] if hit)
@@ -426,7 +498,7 @@ def test_off_mesh_query_leaves_the_graph_unchanged():
     approx = MeshApproximator(X, F(1, 4))
     approx.distance(X.vertices[0], X.vertices[1])
     graph = approx._graph  # (node ids, adjacency, each chamber's node ids)
-    before, rows = copy.deepcopy(graph), copy.deepcopy(approx._rows)
+    before, searches = copy.deepcopy(graph), copy.deepcopy(approx._searches)
     s = X.maximal_simplices[0]
     inside = ({s[0]: F(1, 3), s[1]: F(1, 3), s[2]: F(1, 3)},
               {s[0]: F(1, 2), s[1]: F(1, 3), s[2]: F(1, 6)})
@@ -435,7 +507,7 @@ def test_off_mesh_query_leaves_the_graph_unchanged():
         approx.distance(p, q)
         assert approx._graph is graph
         assert graph == before
-        assert approx._rows == rows
+        assert approx._searches == searches
 
 
 # -- the product decomposition -----------------------------------------------------
