@@ -62,17 +62,6 @@ def _clique_masks(adjacency):
     return cliques
 
 
-def maximal_cliques(vertices, adjacency):
-    """Maximal cliques of a graph given by label adjacency, in deterministic order.
-
-    Each clique is a tuple in label order, and the cliques are sorted.
-    """
-    labels = sorted(set(vertices), key=_key)
-    index = {v: i for i, v in enumerate(labels)}
-    masks = [sum(1 << index[w] for w in adjacency[v] if w in index) for v in labels]
-    return [tuple(labels[i] for i in c) for c in sorted(tuple(_bits(m)) for m in _clique_masks(masks))]
-
-
 class OrderedComplex:
     """Finite simplicial complex whose simplices carry vertex orders.
 
@@ -209,15 +198,6 @@ class OrderedComplex:
         """The edges as label pairs, in label order."""
         return [frozenset((self.vertices[i], self.vertices[j]))
                 for i, m in enumerate(self._adjacency) for j in _bits(m >> i + 1 << i + 1)]
-
-    def induced_tuple(self, vertex_set):
-        """The order the complex induces on a face, from its first carrier simplex."""
-        vs = frozenset(vertex_set)
-        i = self.carrier(vs)
-        if i is None:
-            raise UnknownLabel(f"{sorted(map(str, vs))} is not a face")
-        t = tuple(v for v in self.maximal_simplices[i] if v in vs)
-        return canonical_rotation(t) if self.order_type == "A" else t
 
     def to_json(self):
         return {

@@ -12,9 +12,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
 
-from .complexes import maximal_cliques, order_complex
+from .complexes import _clique_masks, order_complex
 from .errors import MalformedCubeComplex
-from .poset import Poset, _key
+from .poset import Poset, _bits, _label_order
 
 
 def _cube_dim(size):
@@ -49,7 +49,11 @@ def _face_patterns(size):
 class CubeComplex:
     """Immutable cube complex with vertex-determined faces.
 
-    facets maps the vertex set of each face to the vertex sets of its facets.
+    Index i stands for ``vertices[i]``, in label order, and a face is the
+    ascending tuple of its corners' indices.  facets maps each face to the
+    set of its facets.  Faces are keyed by these tuples, not by index
+    masks: an int hashes modulo 2**61 - 1, so the masks of faces whose
+    indices agree modulo 61 collide.
     """
 
     def __init__(self, cubes):
@@ -58,25 +62,36 @@ class CubeComplex:
             if len(set(c)) != len(c):
                 raise MalformedCubeComplex(f"repeated vertex in cube {c}")
             _cube_dim(len(c))
-        # every face of every cube, deduplicated by vertex set; the faces of a cube come
+        # corners repeat across cubes; face_label names faces by their corners' string forms
+        self.vertices, index = _label_order(dict.fromkeys(x for c in cubes for x in c), "vertex")
+        # every face of every cube, deduplicated by its corners; the faces of a cube come
         # by dimension, so a face glued two ways first shows as two different facet sets
         facets = {}
         for c in cubes:
             patterns = _face_patterns(len(c))
-            faces = [frozenset(c[i] for i in face) for face, _ in patterns]
+            idx = [index[x] for x in c]
+            faces = [tuple(sorted([idx[i] for i in face])) for face, _ in patterns]
             for key, (_, below) in zip(faces, patterns):
                 mine = frozenset(faces[j] for j in below)
                 if facets.setdefault(key, mine) != mine:
                     raise MalformedCubeComplex(
-                        f"face {sorted(map(str, key))} is glued with incompatible structure"
+                        f"face {[str(x) for x in self._corners(key)]} is glued with incompatible structure"
                     )
         self.facets = facets
 
+    def _corners(self, face):
+        """The corners of a face, in label order."""
+        return [self.vertices[i] for i in face]
+
     def face_poset(self):
         """All faces, each named by face_label, ordered by the structural face relation."""
-        labels = {f: face_label(f) for f in self.facets}
-        covers = [(labels[g], labels[f]) for f, below in self.facets.items() for g in below]
-        return Poset.from_covers(labels.values(), covers)
+        # the corners print distinctly, so the names do too, and sorted they are the label order
+        faces = list(self.facets)
+        names = [face_label(self._corners(f)) for f in faces]
+        order = sorted(range(len(faces)), key=names.__getitem__)
+        position = {faces[k]: p for p, k in enumerate(order)}
+        preds = [[position[g] for g in self.facets[faces[k]]] for k in order]
+        return Poset._from_preds([names[k] for k in order], preds)
 
 
 def face_label(face_set):
@@ -133,38 +148,40 @@ def cube_link_reports(K):
     order.
     """
     K = K if isinstance(K, CubeComplex) else CubeComplex(K)
-    at = {}  # the faces at each vertex, in the order of their sorted vertex labels
-    for f in sorted(K.facets, key=lambda f: tuple(sorted(map(_key, f)))):
+    at = [[] for _ in K.vertices]  # the faces at each vertex, in the order of their sorted vertex labels
+    for f in sorted(K.facets):
         for v in f:
-            at.setdefault(v, []).append(f)
+            at[v].append(f)
+    name = {f: face_label(K._corners(f)) for f in K.facets if len(f) == 2}
     reports = []
-    for v in sorted(at, key=_key):
-        edges = {}  # the edges at v of each face at v, bottom-up from those of its facets at v
-        for f in sorted(at[v], key=len):
-            below = (edges[g] for g in K.facets[f] if v in g)
-            edges[f] = frozenset([f]) if len(f) == 2 else frozenset().union(*below)
+    for v, faces in enumerate(at):
+        edges = sorted((f for f in faces if len(f) == 2), key=name.__getitem__)  # the link's vertices
+        span = {e: 1 << k for k, e in enumerate(edges)}  # the edges at v of each face at v, as a mask over edges
+        for f in sorted(faces, key=len):  # bottom-up from those of its facets at v
+            if f not in span:
+                span[f] = 0
+                for g in K.facets[f]:
+                    if v in g:
+                        span[f] |= span[g]
         corner, duplicate = {}, None
-        for f in at[v]:
-            if edges[f] in corner:
-                duplicate = (corner[edges[f]], f)
+        for f in faces:
+            if span[f] in corner:
+                duplicate = (corner[span[f]], f)
                 break
-            corner[edges[f]] = f
+            corner[span[f]] = f
         if duplicate is not None:
-            reports.append(LinkReport(v, False, False, duplicate))
+            reports.append(LinkReport(K.vertices[v], False, False, tuple(frozenset(K._corners(f)) for f in duplicate)))
             continue
-        edge = {face_label(f): f for f in at[v] if len(f) == 2}  # the link's vertices, by name
-        adjacency = {e: set() for e in edge}
-        for span in corner:
-            for a, b in combinations(map(face_label, span), 2):
-                adjacency[a].add(b)
-                adjacency[b].add(a)
+        adjacency = [0] * len(edges)
+        for s in corner:
+            for k in _bits(s):
+                adjacency[k] |= s
+        missing = [c for c in _clique_masks([m & ~(1 << k) for k, m in enumerate(adjacency)]) if c not in corner]
         flag_witness = None
-        for clique in maximal_cliques(edge, adjacency):
-            faces = tuple(edge[e] for e in clique)
-            if frozenset(faces) not in corner:
-                flag_witness = faces
-                break
-        reports.append(LinkReport(v, True, flag_witness is None, flag_witness))
+        if missing:
+            clique = min(missing, key=lambda c: tuple(_bits(c)))
+            flag_witness = tuple(frozenset(K._corners(edges[k])) for k in _bits(clique))
+        reports.append(LinkReport(K.vertices[v], True, flag_witness is None, flag_witness))
     return reports
 
 

@@ -16,9 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, islice
 
-from .complexes import OrderedComplex, maximal_cliques
+from .complexes import OrderedComplex, _clique_masks
 from .errors import IncompatibleInclusions, NotASubgroup, ParameterTooLarge, UnknownLabel
-from .poset import _key
+from .poset import _bits
 
 # permutations are tuples in one-line notation over 0..degree-1
 
@@ -350,34 +350,26 @@ def local_development(S, i):
 
     Vertices are the base vertex plus the left cosets of each pair group;
     two cosets are adjacent when they intersect, and the cyclic order runs
-    along the walk order of the types at i.
+    along the walk order of the types at i.  Index 0 is the base and the
+    cosets follow by walk position; the cosets of one position are
+    disjoint, so a clique holds at most one of them and its indices ascend
+    in its cyclic order.  The vertices through one element, the base and
+    one coset per position, are pairwise adjacent, and every adjacent pair
+    is such a pair.
     """
-    base = "G"
     G = S.vertex_groups[i]
-    walk = S.walk(i)
-    position = {base: 0}
-    vertices = [base]
-    membership = {}
-    for pos, j in enumerate(walk, start=1):
+    vertices, through = ["G"], {g: 1 for g in G}  # the base, and the mask of the vertices through each element
+    for j in S.walk(i):
         for rep, coset in left_cosets(G, S.group(i, {i, j})).items():
-            label = f"{j}:{_perm_label(rep)}"
-            vertices.append(label)
-            position[label] = pos
-            membership[label] = coset
-    adjacency = {v: set() for v in vertices}
-    labels = list(membership)
-    for a, b in combinations(labels, 2):
-        if position[a] != position[b] and membership[a] & membership[b]:
-            adjacency[a].add(b)
-            adjacency[b].add(a)
-    for v in labels:
-        adjacency[base].add(v)
-        adjacency[v].add(base)
-    adjacency = {v: frozenset(nb) for v, nb in adjacency.items()}
-    sims = []
-    for clique in maximal_cliques(vertices, adjacency):
-        sims.append(tuple(sorted(clique, key=lambda v: (position[v], _key(v)))))
-    return OrderedComplex("A", vertices, sims)
+            for g in coset:
+                through[g] |= 1 << len(vertices)
+            vertices.append(f"{j}:{_perm_label(rep)}")
+    adjacency = [0] * len(vertices)
+    for mask in through.values():
+        for k in _bits(mask):
+            adjacency[k] |= mask
+    cliques = _clique_masks([m & ~(1 << k) for k, m in enumerate(adjacency)])
+    return OrderedComplex("A", vertices, [tuple(map(vertices.__getitem__, _bits(c))) for c in cliques])
 
 
 # -- canonical examples ----------------------------------------------------------------

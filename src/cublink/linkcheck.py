@@ -9,7 +9,7 @@ not recomputed here.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, pairwise
 
 from .complexes import OrderedComplex, _check_flag, _star_preds, canonical_rotation, is_local_poset, star_poset, validate
 from .errors import (
@@ -234,20 +234,24 @@ def _garside(X, phi):
     images = list(phi.values())
     if len(set(images)) != len(images):
         raise NotAutomorphism("phi is not injective on vertices")
-    for s in X.maximal_simplices:
-        inside = [v for v in s if v in phi]
+    # X is flag, so an image spans a simplex iff it is a clique; every chamber, its carrier too,
+    # is a chain of P (indexed as X), so the image keeps its preimage's order iff each image is below the next
+    to = {X._index[x]: X._index[y] for x, y in phi.items()}
+    closed = [m | 1 << i for i, m in enumerate(X._adjacency)]
+    for s in X._chambers:
+        inside = [v for v in s if v in to]
         if len(inside) < 2:
             continue
-        image = [phi[v] for v in inside]
-        if not X.has_simplex(image):
-            raise NotAutomorphism(f"phi does not map simplex {inside} to a simplex")
-        if X.induced_tuple(image) != tuple(image):
-            raise NotAutomorphism(f"phi reverses the order on {inside}")
+        image = [to[v] for v in inside]
+        mask = sum(1 << j for j in image)
+        if any(mask & ~closed[j] for j in image):
+            raise NotAutomorphism(f"phi does not map simplex {[X.vertices[v] for v in inside]} to a simplex")
+        if any(not P._down[b] >> a & 1 for a, b in pairwise(image)):
+            raise NotAutomorphism(f"phi reverses the order on {[X.vertices[v] for v in inside]}")
 
     # X is flag, so f plus phi(min f) is a simplex iff phi(min f) is in f or adjacent to all
     # of it; a face is one index tuple in every chamber that holds it, as chambers are ordered
-    closed = [m | 1 << i for i, m in enumerate(X._adjacency)]
-    reach = {X._index[x]: closed[X._index[y]] for x, y in phi.items()}
+    reach = {i: closed[j] for i, j in to.items()}
     el = X.vertices
     failures = []
     seen = set()

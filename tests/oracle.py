@@ -688,6 +688,28 @@ def _first_unfactorized(i, walk, group, G):
     return None
 
 
+def reference_local_development(S, i):
+    """The coset complex at i: cosets as sets, joined when they meet at different walk positions, and the base "G".
+
+    Each maximal clique of the coset graph is read in (walk position, printed label) order.
+    """
+    G, members, position = S.vertex_groups[i], {}, {"G": 0}
+    for pos, j in enumerate([(i + t) % S.n for t in range(1, S.n)], start=1):
+        H = S.face_groups[(i, frozenset({i, j}))]
+        for g in G:
+            coset = frozenset(_compose(g, h) for h in H)
+            label = f"{j}:{_perm_label(min(coset))}"
+            members[label], position[label] = coset, pos
+    adjacency = {v: {"G"} for v in members}
+    adjacency["G"] = set(members)
+    for a, b in combinations(members, 2):
+        if position[a] != position[b] and members[a] & members[b]:
+            adjacency[a].add(b)
+            adjacency[b].add(a)
+    cliques = [sorted(c, key=lambda v: (position[v], str(v))) for c in _maximal_cliques(adjacency)]
+    return OrderedComplex("A", list(position), cliques)
+
+
 # -- injective hulls -----------------------------------------------------------------------------
 
 
@@ -1462,6 +1484,21 @@ def prop_check_conditions(rng):
     return agree_on_simplex((n, vertex_groups, face_groups))
 
 
+def prop_local_development(rng):
+    """local_development at every vertex of a simplex drawn as for check_conditions.
+
+    An input SimplexOfGroups refuses is tagged "refused"; check_conditions compares the refusals.
+    """
+    spec = random_simplex_input(rng)
+    try:
+        S = SimplexOfGroups(*spec)
+    except CublinkError:
+        return ["refused"]
+    out = [agree(lambda: [repr(spec), i], local_development, reference_local_development, S, i) for i in range(S.n)]
+    full = all(len(s) == S.n for X in out for s in X["maximal_simplices"])
+    return ["full chambers" if full else "short chambers"]
+
+
 def agree_on_simplex(spec):
     """The tags of SimplexOfGroups(*spec) and its conditions, which must equal the exhaustive references'."""
     def table_json(table):
@@ -1605,6 +1642,7 @@ PROPERTIES = {
         {"quotient", "GarsideCheckFailed", "NotAutomorphism"})),
     "check_conditions": Property(prop_check_conditions, 4, frozenset(
         {"pass", "intersection", "product", "factorization", "NotASubgroup", "IncompatibleInclusions"})),
+    "local_development": Property(prop_local_development, 4, frozenset({"full chambers", "short chambers"})),
     "FiniteMetric": Property(prop_finite_metric, 1, frozenset({"metric", "ValueError", *METRIC_FAULTS.values()})),
     "tight_span": Property(prop_tight_span, 20, frozenset({"dimension 1", "dimension 2", "TooManyPoints"})),
     "dress_dimension_test": Property(prop_dress_dimension_test, 2, frozenset({"true", "false", "ValueError"})),

@@ -115,6 +115,21 @@ def test_garside_phi_names_integer_labels_by_their_printed_form(tmp_path, capsys
     assert json.loads(capsys.readouterr().out) == verdict.to_json()
 
 
+@pytest.mark.parametrize("phi, detail", [
+    ({"a": "z"}, "phi maps through unknown vertex at 'a'"),
+    ({"a": "c", "b": "c"}, "phi is not injective on vertices"),
+    ({"a": "c", "b": "a"}, "phi does not map simplex ['a', 'b'] to a simplex"),
+    ({"a": "b", "b": "a"}, "phi reverses the order on ['a', 'b']"),
+], ids=["unknown-vertex", "not-injective", "simplex-to-nonface", "reversed-edge"])
+def test_garside_phi_that_is_no_automorphism_is_an_input_error(tmp_path, capsys, phi, detail):
+    path, phi_path = tmp_path / "path.json", tmp_path / "phi.json"
+    path.write_text(json.dumps({"type": "C", "vertices": ["a", "b", "c"],
+                                "maximal_simplices": [["a", "b"], ["b", "c"]]}))
+    phi_path.write_text(json.dumps(phi))
+    assert main(["check", "--type", "garside", "--phi", str(phi_path), str(path)]) == 2
+    assert json.loads(capsys.readouterr().out) == {"error": "NotAutomorphism", "detail": detail}
+
+
 def test_dist_between_square_corners():
     code, out = run_cli(["generate", "boolean", "--n", "2"])
     assert code == 0

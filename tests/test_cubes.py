@@ -1,10 +1,12 @@
 """Cube complexes: subdivision combinatorics and the direct link test."""
 
+import json
 import re
 from itertools import product
 
 import pytest
 
+from cublink.cli import main
 from cublink.complexes import validate
 from cublink.cubes import (
     CubeComplex,
@@ -18,7 +20,7 @@ from cublink.cubes import (
     squares_sharing_two_edges,
     three_squares_corner,
 )
-from cublink.errors import MalformedCubeComplex
+from cublink.errors import DuplicateLabel, MalformedCubeComplex
 from cublink.linkcheck import check_type_C
 
 
@@ -51,6 +53,16 @@ def test_face_names_stay_distinct_when_a_label_holds_a_plus():
     assert face_label({"x\\p"}) == "x\\p"
     assert face_label({"x\\p", "y+"}) == "x\\\\p+y\\p+"
     assert len({face_label(f) for f in ({"a+b"}, {"a", "b"}, {"a\\", "b"}, {"a\\pb"}, {"a\\pb+"})}) == 5
+
+
+def test_corners_that_print_the_same_are_refused_when_the_complex_is_built(tmp_path, capsys):
+    # face_label names faces by their corners' string forms, so the corners are ordered and checked up front
+    with pytest.raises(DuplicateLabel, match=re.escape("vertex labels 1 and '1' print the same")):
+        CubeComplex([(1, "1")])
+    path = tmp_path / "cubes.json"
+    path.write_text(json.dumps({"cubes": [[1, "1"]]}))
+    assert main(["check", "--type", "C", str(path)]) == 2
+    assert json.loads(capsys.readouterr().out) == {"error": "input", "detail": "labels 1 and '1' print the same"}
 
 
 def test_malformed_sizes_rejected():
