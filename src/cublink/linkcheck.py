@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations, pairwise
 
-from .complexes import OrderedComplex, _check_flag, _star_preds, canonical_rotation, is_local_poset, star_poset, validate
+from .complexes import OrderedComplex, _check_flag, _star_preds, is_local_poset, star_poset, validate
 from .errors import (
     CublinkError,
     CycleDetected,
@@ -331,4 +331,4 @@ def garside_quotient(X, phi):
         interval = _restriction(P, (P._up[i] | 1 << i) & P._down[j])
         simplices += (tuple(orbit[v] for v in chain) for chain in interval.maximal_chains())
     vertices = sorted(set(orbit.values()), key=_key)
-    return OrderedComplex("A", vertices, [canonical_rotation(s) for s in simplices])
+    return OrderedComplex("A", vertices, simplices)  # which rotates each chamber to start at its least label

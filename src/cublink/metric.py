@@ -181,11 +181,11 @@ class MeshApproximator:
     nodes, so a pair with a node between its ends is a path of shorter kept
     pairs of the same total, and no distance changes.
 
-    A query between two mesh nodes is answered by a search from one of
-    them that stays open between queries and is settled only until the
-    other's distance is final: the source's search if it has settled the
-    target, else the target's if it has settled the source, else the
-    source's, else the target's, else a new one from the source.
+    Each mesh node that ends a query keeps its search open between
+    queries.  A query between two mesh nodes reads its distance from either
+    end's search if that search has made it final; else it opens whichever
+    end's search is missing, and the two settle toward each other until the
+    shortest path between the ends is known (_dijkstra).
     A node's support is a proper face of a chamber, never a whole one, so a
     chamber holds only the nodes on its own proper faces.  An off-mesh
     endpoint is joined, for its query only, to the nodes of the chambers
@@ -274,23 +274,25 @@ class MeshApproximator:
         ids, adj, _ = self._graph
         if source in ids and target in ids:
             s, t = ids[source], ids[target]
-            if t in self._searches and not self._settled(s, t) and (s not in self._searches or self._settled(t, s)):
-                s, t = t, s
-            if s not in self._searches:
-                self._searches[s] = _search(adj, {s: 0})
-            d, scale = _dijkstra(adj, self._searches[s], 1, {t: 0})[1], self.mesh.denominator
+            d, scale = self._final(s, t), self.mesh.denominator
+            if d is None:
+                for a in {s, t} - self._searches.keys():
+                    self._searches[a] = _search(adj, {a: 0})
+                d = _dijkstra(adj, self._searches[s], 1, self._searches[t])
         else:
             d, scale = self._off_mesh(source, target)
         if d == inf:
             raise Disconnected("no path between the query points")
         return Fraction(d, scale)
 
-    def _settled(self, s, t):
-        """Whether s's open search has settled t: t is no farther than every open distance, or nothing is open."""
-        if s not in self._searches:
-            return False
-        best, _, heap = self._searches[s]
-        return not heap or best[t] is not None and best[t] <= heap[0]
+    def _final(self, s, t):
+        """The distance between s and t if either one's open search has made it final (inf if unreached), else None."""
+        for a, b in ((s, t), (t, s)):
+            if a in self._searches:
+                best, _, heap = self._searches[a]
+                if not heap or best[b] is not None and best[b] <= heap[0]:
+                    return inf if best[b] is None else best[b]
+        return None
 
     def _off_mesh(self, source, target):
         """(distance, scale) of a query with an off-mesh endpoint: one search, from the source's joins to the target's.
@@ -316,36 +318,57 @@ class MeshApproximator:
                     direct.append(_length(X.order_type, here, placed[i]))
                 placed[i] = here
             ends.append(joins)
-        return min([*direct, _dijkstra(adj, _search(adj, ends[0]), fine // m, ends[1])[1]]), fine
+        joins, buckets, _ = _search(adj, ends[1])  # the target's joins, fixed: their heap is None
+        return min([*direct, _dijkstra(adj, _search(adj, ends[0]), fine // m, (joins, buckets, None))]), fine
 
 
 def _search(adj, starts):
-    """A new open search from the start nodes, each at its given distance, for _dijkstra to settle."""
-    best, frontier = [None] * len(adj), {}
+    """A new open search from the start nodes, each at its given distance, for _dijkstra to settle.
+
+    A search is (best, buckets, heap): each node int's distance, None where
+    unreached; each distance reached, settled or open, -> the nodes that
+    joined it, so they list every node reached; and the open distances.  A
+    distance no farther than every open one is final, as any other path
+    runs through an open node.
+    """
+    best, buckets = [None] * len(adj), {}
     for node, d in starts.items():
         best[node] = d
-        frontier.setdefault(d, []).append(node)
-    return best, frontier, sorted(frontier)  # a sorted list is a heap
+        buckets.setdefault(d, []).append(node)
+    return best, buckets, sorted(buckets)  # a sorted list is a heap
 
 
-def _dijkstra(adj, search, ratio=1, ends=None):
-    """Settle an open search in place, one distance at a time: (its distances, the least distance plus join to an end).
+def _dijkstra(adj, search, ratio, ends):
+    """Settle a search in place toward the ends' search, one distance at a time; return mu, the shortest path's length.
 
     adj holds each node int's (neighbour, weight) pairs, the weights counting
-    ratio times.  The search is (best, frontier, heap): each node int's
-    distance, None where unreached; the open buckets, distance -> the nodes
-    that joined it; and their distances.  A distance no farther than every
-    open one is final, as any other path runs through an open node.  Given
-    ends, {node: join length}, the search stops at the first open distance
-    no nearer than the least sum over the ends reached, so only that sum is
-    exact, and a later call resumes the search; without ends every distance
-    is complete.
+    ratio times; the ends' distances are the joins to the other end.  mu,
+    the least sum of a node's distance and join, starts from one pass over
+    the nodes of whichever search has reached fewer distances, and is kept
+    at every relaxation.  Fixed ends, with heap None, never settle: the
+    search stops at its first open distance no nearer than mu.  Otherwise
+    the two settle toward each other, always the one whose least open
+    distance is smaller, until those two distances sum to at least mu or
+    one search has nothing open, and both stay open for later calls.  mu is
+    then exact: were a path shorter, its first node v that one search has
+    not settled has its true distance there, from a settled predecessor, no
+    nearer than that search's least open distance; the rest of the path is
+    then nearer than the other's, which has settled v, so mu counts the
+    path.  A complete search has settled the other end, and mu counts that
+    distance.
     """
-    best, frontier, heap = search
-    nearest = min((best[e] + j for e, j in ends.items() if best[e] is not None), default=inf) if ends else inf
-    while heap and heap[0] < nearest:
+    (best, buckets, heap), (joins, _, far) = search, ends
+    fewer, more = (search, ends) if len(buckets) <= len(ends[1]) else (ends, search)
+    nearest = min((fewer[0][v] + j for nodes in fewer[1].values() for v in nodes if (j := more[0][v]) is not None),
+                  default=inf)
+    while heap and far != []:  # a meet also stops once the ends' search is complete
+        if far and far[0] < heap[0]:  # settle whichever search is nearer
+            search, ends = ends, search
+            (best, buckets, heap), (joins, _, far) = search, ends
+        if heap[0] + (far[0] if far else 0) >= nearest:
+            break
         d = heapq.heappop(heap)
-        for node in frontier.pop(d):
+        for node in buckets[d]:
             if best[node] != d:  # reached nearer after it joined this distance
                 continue
             for other, w in adj[node]:
@@ -353,13 +376,14 @@ def _dijkstra(adj, search, ratio=1, ends=None):
                 b = best[other]
                 if b is None or nd < b:
                     best[other] = nd
-                    if ends is not None and other in ends:
-                        nearest = min(nearest, nd + ends[other])
-                    if nd not in frontier:
-                        frontier[nd] = []
+                    j = joins[other]
+                    if j is not None and nd + j < nearest:
+                        nearest = nd + j
+                    if nd not in buckets:  # a new distance, as every settled one is nearer
+                        buckets[nd] = []
                         heapq.heappush(heap, nd)
-                    frontier[nd].append(other)
-    return best, nearest
+                    buckets[nd].append(other)
+    return nearest
 
 
 # -- chain-coordinate points on poset realizations -----------------------------------

@@ -1244,9 +1244,13 @@ def garside_input(rng):
     return X, phi
 
 
-def random_simplex_input(rng):
-    """A random simplex of S3/S4 subgroups, with some explicit triple groups, not all of them subgroups."""
-    n = rng.randint(3, 5)
+def random_simplex_input(rng, n=None, pair_generators=(0, 2)):
+    """A random simplex of S3/S4 subgroups, with some explicit triple groups, not all of them subgroups.
+
+    n is drawn from 3 to 5 unless given; each pair group is generated by a
+    number of its vertex group's elements drawn from pair_generators.
+    """
+    n = rng.randint(3, 5) if n is None else n
     vertex_groups = []
     for _ in range(n):
         Sd = sorted(symmetric_group(rng.choice((3, 4))))
@@ -1256,7 +1260,8 @@ def random_simplex_input(rng):
         elements, degree = sorted(G), len(next(iter(G)))
         for j in range(n):
             if j != i:
-                face_groups[(i, frozenset({i, j}))] = closure(degree, rng.sample(elements, rng.randint(0, 2)))
+                generators = rng.sample(elements, rng.randint(*pair_generators))
+                face_groups[(i, frozenset({i, j}))] = closure(degree, generators)
         for I in [I for I in combinations(range(n), 3) if i in I and rng.random() < 0.15]:
             meet = G.intersection(*(face_groups[(i, frozenset({i, j}))] for j in I if j != i))
             kind = rng.random()
@@ -1297,11 +1302,13 @@ def random_metric_of_size(rng, size):
 
 
 def mesh_queries(rng):
-    """A small complex, a mesh and four queries.
+    """A small complex, a mesh and six queries.
 
     A query joins two vertices, points on or off the mesh, two points of one
     chamber, or a point to itself; or it takes an earlier query's endpoint
     again, with a vertex or a mesh node, so that an open search resumes.
+    The last two each pair two of the earlier endpoints, in either order,
+    so that two open searches meet.
     """
     X = rng.choice(mesh_complexes())
     mesh = F(1, rng.choice((2, 3, 4) if len(X.vertices) < 8 else (2, 3)))
@@ -1329,6 +1336,8 @@ def mesh_queries(rng):
             queries.append(pair[::rng.choice((1, -1))])
         else:
             queries.append([point(kind != 3), point(kind == 1)])
+    ends = [p for pair in queries for p in pair]
+    queries += [rng.sample(ends, 2) for _ in range(2)]
     return X, mesh, queries
 
 
@@ -1485,11 +1494,16 @@ def prop_check_conditions(rng):
 
 
 def prop_local_development(rng):
-    """local_development at every vertex of a simplex drawn as for check_conditions.
+    """local_development at every vertex of a simplex from random_simplex_input.
 
-    An input SimplexOfGroups refuses is tagged "refused"; check_conditions compares the refusals.
+    Three draws in five are steered to 5 vertices and cyclic pair groups: a
+    chamber short of n vertices needs three pair cosets at a vertex that
+    meet in pairs but not all three together, which takes five vertices and
+    groups neither trivial nor whole, and the unsteered draws give few.
+    An input SimplexOfGroups refuses is tagged "refused"; check_conditions
+    compares the refusals.
     """
-    spec = random_simplex_input(rng)
+    spec = random_simplex_input(rng, 5, (1, 1)) if rng.random() < 0.6 else random_simplex_input(rng)
     try:
         S = SimplexOfGroups(*spec)
     except CublinkError:
@@ -1605,7 +1619,7 @@ def prop_dress_dimension_test(rng):
 
 
 def prop_mesh_distance(rng):
-    """Four queries to one MeshApproximator, so that a changed graph or a search left wrong shows in a later query."""
+    """Six queries to one MeshApproximator, so that a changed graph or a search left wrong shows in a later query."""
     X, mesh, queries = mesh_queries(rng)
     approx = MeshApproximator(X, mesh)
     out = [agree(lambda: [X.to_json(), str(mesh), p, q], approx.distance,

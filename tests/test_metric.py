@@ -321,9 +321,27 @@ def test_open_searches_change_no_answer(X):
 
 
 def b3_beside_an_edge():
-    """The order complex of B(3) and, apart from it, an edge: a query from one to the other is Disconnected."""
+    """The order complex of B(3) and, apart from it, an edge: a query from one to the other is Disconnected.
+
+    The farthest node of its own part is farther from some nodes of the
+    edge than from some nodes of B(3), and nearer from others, so either
+    side of a meet between the parts can complete first.
+    """
     X = order_complex(boolean_poset(3))
     return OrderedComplex("C", [*X.vertices, "p", "q"], [*X.maximal_simplices, ("p", "q")])
+
+
+def complete(adj, starts, ratio=1):
+    """Every node's distance from the starts, None where unreached: a search settled toward no ends."""
+    search = _search(adj, starts)
+    assert _dijkstra(adj, search, ratio, ([None] * len(adj), {}, None)) == inf
+    return search[0]
+
+
+def settled(search, t):
+    """Whether an open search has made t's distance final: no farther than every open distance, or nothing open."""
+    best, _, heap = search
+    return not heap or best[t] is not None and best[t] <= heap[0]
 
 
 def interleaved_queries(rng, row):
@@ -334,14 +352,16 @@ def interleaved_queries(rng, row):
     distance, then to nodes up to twice as far, where a search that stops
     before its target's distance is final could read a longer path; a pair
     turned round after its target's own shorter query, so that the target's
-    open search has not settled the source; and targets the source does not
-    reach, where there are any.
+    open search has not settled the source; pairs of two earlier endpoints,
+    whose searches are both open; and targets the source does not reach,
+    where there are any, then the same target from an earlier endpoint it
+    does not reach either.
     """
     nodes = range(len(row(0)))
     sources, out = rng.sample(nodes, 5), []
     near = lambda s: sorted((x for x in nodes if row(s)[x] is not None), key=row(s).__getitem__)[1:40]
     while len(out) < 60:
-        kind, s = rng.randrange(6), rng.choice(sources)
+        kind, s = rng.randrange(7), rng.choice(sources)
         if kind == 0:
             out.append((s, s))
         elif kind == 1 and out:
@@ -353,15 +373,21 @@ def interleaved_queries(rng, row):
         elif kind == 2:
             t = rng.choice(near(s))
             out.extend([(s, t), (t, rng.choice([x for x in near(t) if row(t)[x] < row(t)[s]] or [t])), (t, s)])
+        elif kind == 6 and out:
+            out.append(tuple(rng.sample([x for pair in out for x in pair], 2)))
         else:
             far = [x for x in nodes if row(s)[x] is None] if kind == 5 else []
             out.append((s, rng.choice(far or (near(s) if kind == 3 else nodes))))
+            if far:
+                out.append((rng.choice([x for pair in out for x in pair if row(x)[out[-1][1]] is None]), out[-1][1]))
     return out
 
 
-@pytest.mark.parametrize("X, m, cases", [(affine_A_patch(2, 3), 16, {"target reached, not final"}),
-                                         (b3_beside_an_edge(), 4, {"after Disconnected"})],
-                         ids=["patch(2,3) at 1/16", "B(3) beside an edge at 1/4"])
+@pytest.mark.parametrize("X, m, cases", [
+    (affine_A_patch(2, 3), 16, {"target reached, not final"}),
+    (b3_beside_an_edge(), 4,
+     {"after Disconnected", "a search completed in a meet", "Disconnected, both searches complete"}),
+], ids=["patch(2,3) at 1/16", "B(3) beside an edge at 1/4"])
 def test_resumed_searches_match_fresh_rows(X, m, cases):
     # one approximator's searches stop and resume between its queries; each answer must be
     # the target's distance in a fresh complete search from the query's source
@@ -370,25 +396,39 @@ def test_resumed_searches_match_fresh_rows(X, m, cases):
 
     def row(s):
         if s not in rows:
-            rows[s] = _dijkstra(adj, _search(adj, {s: 0}))[0]
+            rows[s] = complete(adj, {s: 0})
         return rows[s]
 
     for seed in range(4):
         approx, disconnected = MeshApproximator(X, F(1, m)), False
         for s, t in interleaved_queries(random.Random(f"resumed:{seed}"), row):
-            best, _, heap = approx._searches.get(s, ([None] * len(adj), {}, []))  # s's open search, if any
+            ours, theirs = (approx._searches.get(a) for a in (s, t))  # each end's open search, if any
+            best, _, heap = ours or ([None] * len(adj), {}, [])
+            final = ours is not None and settled(ours, t) or theirs is not None and settled(theirs, s)
+            both = [x for x in (ours, theirs) if x is not None and x[2] and x[2][0] > 0]  # open and partly settled
+            met = min((a + b for a, b in zip(ours[0], theirs[0]) if a is not None and b is not None),
+                      default=inf) if len(both) == 2 else None  # the least sum over nodes both reach already
+            was_open = [x for x in (ours, theirs) if x is not None and x[2]]
+            want = row(s)[t]
             seen.update(tag for tag, hit in [
                 ("p == q", s == t), ("after Disconnected", disconnected),
                 ("target at the least open distance", heap and best[t] == heap[0]),
                 ("target reached, not final", best[t] is not None and best[t] > row(s)[t]),
-                ("other endpoint's search", approx._settled(t, s) and not approx._settled(s, t))] if hit)
-            disconnected = row(s)[t] is None
+                ("other endpoint's search", bool(theirs and settled(theirs, s)) and not (ours and settled(ours, t))),
+                ("met on a node both reached before", not final and want is not None and met == want),
+                ("met while settling", not final and want is not None and met != want)] if hit)
+            disconnected = want is None
             if disconnected:
                 with pytest.raises(Disconnected):
                     approx.distance(points[s], points[t])
             else:
-                assert approx.distance(points[s], points[t]) == F(row(s)[t], m), (seed, s, t)
-    assert seen == {"p == q", "target at the least open distance", "other endpoint's search", *cases}
+                assert approx.distance(points[s], points[t]) == F(want, m), (seed, s, t)
+            seen.update(tag for tag, hit in [
+                ("a search completed in a meet", any(not x[2] for x in was_open)),
+                ("Disconnected, both searches complete",
+                 disconnected and all(a in approx._searches and not approx._searches[a][2] for a in (s, t)))] if hit)
+    assert seen == {"p == q", "target at the least open distance", "other endpoint's search",
+                    "met on a node both reached before", "met while settling", *cases}
 
 
 def test_patch_distance_matches_polyhedral_norm():
@@ -431,7 +471,7 @@ def test_pruned_mesh_graph_keeps_every_distance(X, m):
     full = [tuple(pairs.items()) for pairs in full]  # in the graph's form: (neighbour, weight) pairs per node int
     assert sum(map(len, adj)) < sum(map(len, full))
     for s in range(len(adj)):
-        assert _dijkstra(adj, _search(adj, {s: 0})) == _dijkstra(full, _search(full, {s: 0})), s
+        assert complete(adj, {s: 0}) == complete(full, {s: 0}), s
 
 
 def textbook_dijkstra(adj, starts, ratio, ends):
@@ -452,7 +492,9 @@ def textbook_dijkstra(adj, starts, ratio, ends):
 
 
 def test_bucketed_search_matches_a_textbook_dijkstra():
-    # seeded graphs with weights 1-7 on part of their nodes, so that some nodes are unreached
+    # seeded graphs with weights 1-7 on part of their nodes, so that some nodes are unreached; the ends are
+    # fixed joins (a search whose heap is None), then a search of their own that meets the first one, both
+    # new and both resumed after a meet toward other ends
     seen = set()
     for seed in range(100):
         rng = random.Random(f"dijkstra:{seed}")
@@ -467,8 +509,14 @@ def test_bucketed_search_matches_a_textbook_dijkstra():
         ends = {node: rng.choice((0, rng.randint(1, 20))) for node in rng.sample(range(n), rng.randint(1, n))}
         for ratio in range(1, 8):
             row, nearest = textbook_dijkstra(adj, starts, ratio, ends)
-            assert _dijkstra(adj, _search(adj, starts), ratio) == (row, inf), (seed, ratio)
-            assert _dijkstra(adj, _search(adj, starts), ratio, ends)[1] == nearest, (seed, ratio)
+            assert complete(adj, starts, ratio) == row, (seed, ratio)
+            joins, buckets, _ = _search(adj, ends)
+            assert _dijkstra(adj, _search(adj, starts), ratio, (joins, buckets, None)) == nearest, (seed, ratio)
+            assert _dijkstra(adj, _search(adj, starts), ratio, _search(adj, ends)) == nearest, (seed, ratio)
+            there = {rng.randrange(n): 0}
+            a, b = _search(adj, starts), _search(adj, ends)
+            _dijkstra(adj, a, ratio, _search(adj, there)), _dijkstra(adj, _search(adj, there), ratio, b)
+            assert _dijkstra(adj, a, ratio, b) == nearest, (seed, ratio)
         seen.update(tag for tag, hit in [("unreached", None in row), ("zero join", 0 in ends.values()),
                                          ("several nonzero starts", sum(map(bool, starts.values())) > 1),
                                          ("no end reached", nearest == inf)] if hit)
