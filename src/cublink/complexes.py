@@ -74,11 +74,19 @@ class OrderedComplex:
     its vertex mask; ``_incident[i]`` lists the chambers through i and
     ``_adjacency[i]`` is the mask of i's neighbours.  The link checks read
     only these, so ``maximal_simplices``, the chambers as label tuples, is
-    built on its first read.
+    built on its first read.  So is ``_relations``, every vertex's star
+    relation, on the first star read: one pass folds the chambers' steps
+    and hands each distinct step to the vertices of the chambers taking
+    it, so it costs the chambers' total size plus one append per pair.
+
+    The listed simplices are reduced in their first orientation: a simplex
+    whose vertex set repeats an earlier one's, or lies inside a kept
+    chamber, is dropped, and its order is never read.  So listing (a, b, c)
+    and then (a, c, b) gives the one type-A chamber (a, b, c).
     """
 
     __slots__ = ("order_type", "vertices", "_simplices", "_index", "_chambers",
-                 "_chamber_masks", "_incident", "_adjacency")
+                 "_chamber_masks", "_incident", "_adjacency", "_star_pairs")
 
     def __init__(self, order_type, vertices, maximal_simplices):
         if order_type not in ("A", "C"):
@@ -130,7 +138,7 @@ class OrderedComplex:
         kept.sort()
         self._chambers = tuple(t for t, _ in kept)
         self._chamber_masks = tuple(mask for _, mask in kept)
-        self._simplices = None
+        self._simplices = self._star_pairs = None
         incident = [[] for _ in self.vertices]
         adjacency = [0] * len(self.vertices)
         for c, (t, mask) in enumerate(kept):
@@ -146,6 +154,24 @@ class OrderedComplex:
         if self._simplices is None:
             self._simplices = tuple(tuple(map(self.vertices.__getitem__, t)) for t in self._chambers)
         return self._simplices
+
+    @property
+    def _relations(self):
+        """By index, each vertex's star pairs (see _star_preds), built on first read in one pass.
+
+        Each distinct chamber step keeps the OR of the masks of the chambers
+        taking it and goes to every vertex in that mask but, in type A, its head.
+        """
+        if self._star_pairs is None:
+            cyclic, steps = self.order_type == "A", {}
+            for t, mask in zip(self._chambers, self._chamber_masks):
+                for step in pairwise(t + t[:1] if cyclic else t):
+                    steps[step] = steps.get(step, 0) | mask
+            self._star_pairs = pairs = [[] for _ in self.vertices]
+            for step, mask in steps.items():
+                for v in _bits(mask & ~(1 << step[1]) if cyclic else mask):
+                    pairs[v].append(step)
+        return self._star_pairs
 
     def __eq__(self, other):
         return (
@@ -362,14 +388,19 @@ def star_poset(X, x):
     pairs involving x itself use the edge {x, y}, so St+(x) and St-(x) lie in
     the same relation.
 
-    Poset._from_preds closes the relation _star_preds gathers.  The
-    closure is a partial order exactly when the relation is acyclic; each
-    chamber orders its vertices totally, so a cycle is stitched from
-    several chambers (say a cone over an oriented rim cycle).  On one,
-    raises NotLocalPoset with the first cycle _relation_cycle finds among
-    all pairs of each chain.  In type A, x precedes its whole star, so the
-    search from x visits the rest as the loop over roots would and x
-    changes no witness.  check_type_A builds only the stars that may fail.
+    Poset._from_preds closes the relation _star_preds reads off
+    X._relations, which the first star read builds for every vertex in one
+    pass over the chambers' steps: on affine_A_patch(4, 2), 9,600 step
+    occurrences fold into 730 steps, handed out as 7,930 pairs, where
+    reading each star's chambers formed 48,000.  The closure is a partial
+    order exactly when the relation is acyclic; each chamber orders its
+    vertices totally, so a cycle is stitched from several chambers (say a
+    cone over an oriented rim cycle).  On one, raises NotLocalPoset with
+    the first cycle _relation_cycle finds among all pairs of each chain,
+    read from the chambers through x.  In type A, x precedes its whole
+    star, so the search from x visits the rest as the loop over roots
+    would and x changes no witness.  check_type_A builds only the stars
+    that may fail.
     """
     i = X._index_of(x)
     star, preds = _star_preds(X, i)
@@ -390,21 +421,16 @@ def _star_preds(X, i):
     """The star of the vertex with index i as X's indices, ascending, and by local index each one's distinct predecessors.
 
     Each chamber through the vertex, read from it, is a chain of the star
-    relation, so its consecutive pairs suffice: in type A, its cyclic steps
-    but the one into the vertex.  Each distinct pair of X's indices is
-    mapped once to local indices.
+    relation, so its steps suffice: its consecutive pairs, in type A its
+    cyclic steps but the one into the vertex.  X._relations holds those
+    pairs for every vertex, built in one pass on the first star read, so
+    here they are only mapped to local indices.
     """
     star = list(_bits(X._adjacency[i] | 1 << i))
     local = dict(zip(star, range(len(star))))
-    cyclic, chambers = X.order_type == "A", list(map(X._chambers.__getitem__, X._incident[i]))
-    pairs = set().union(*map(pairwise, chambers))
-    if cyclic:
-        pairs.update([(s[-1], s[0]) for s in chambers])
     preds = [[] for _ in star]
-    for a, b in pairs:
+    for a, b in X._relations[i]:
         preds[local[b]].append(local[a])
-    if cyclic:  # read from the vertex, a chamber has no pair into it
-        preds[local[i]] = []
     return star, preds
 
 

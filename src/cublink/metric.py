@@ -182,10 +182,12 @@ class MeshApproximator:
     pairs of the same total, and no distance changes.
 
     Each mesh node that ends a query keeps its search open between
-    queries.  A query between two mesh nodes reads its distance from either
-    end's search if that search has made it final; else it opens whichever
-    end's search is missing, and the two settle toward each other until the
-    shortest path between the ends is known (_dijkstra).
+    queries, for the approximator's life: about 0.09 MiB per distinct
+    endpoint on affine_A_patch(2, 3) at 1/64.  A query between two mesh
+    nodes reads its distance from either end's search if that search has
+    made it final; else it opens whichever end's search is missing, and the
+    two settle toward each other until the shortest path between the ends
+    is known (_dijkstra).
     A node's support is a proper face of a chamber, never a whole one, so a
     chamber holds only the nodes on its own proper faces.  An off-mesh
     endpoint is joined, for its query only, to the nodes of the chambers

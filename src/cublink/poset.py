@@ -594,6 +594,11 @@ def _flag_violations(P, direction, within):
     candidates c > b are compatible with both, and c is good when a
     maximal element lies above a, b and c; the candidates that are not
     good complete the violating triples.
+
+    A comparable pair completes no violating triple: if a lies below b,
+    every common upper bound of b and c lies above a too, and the triple
+    is bounded (likewise if b lies below a).  So b runs over the elements
+    incomparable to a, which yields the same pairs and masks.
     """
     if direction not in ("up", "down"):
         raise ValueError("direction must be 'up' or 'down'")
@@ -610,7 +615,7 @@ def _flag_violations(P, direction, within):
         compat[i] = c & within
     goods = {}  # shared maximal elements -> the elements under one of them
     for a in _bits(within):
-        for b in _bits(compat[a] >> (a + 1) << (a + 1)):
+        for b in _bits((compat[a] & ~(above[a] | below[a])) >> (a + 1) << (a + 1)):
             cand = compat[a] & compat[b] >> (b + 1) << (b + 1)
             if not cand:
                 continue

@@ -31,7 +31,7 @@ from itertools import combinations, count, permutations, product
 from math import lcm
 from typing import Callable, NamedTuple
 
-from cublink.complexes import OrderedComplex, is_local_poset, order_complex, star_poset, validate
+from cublink.complexes import OrderedComplex, _star_preds, is_local_poset, order_complex, star_poset, validate
 from cublink.cubes import (
     CubeComplex,
     LinkReport,
@@ -411,6 +411,29 @@ def star_relation(X, x):
             star |= set(s)
             rel |= set(combinations(s, 2))
     return star, rel
+
+
+def reference_star_preds(X, i):
+    """_star_preds(X, i) read chamber by chamber: the star as indices, ascending, and each one's sorted predecessors.
+
+    Each chamber through the vertex, read from it (rotated to start there in
+    type A), is a chain of the star relation, and its consecutive pairs
+    generate that chain.
+    """
+    x = X.vertices[i]
+    star, pairs = {x}, set()
+    for s in X.maximal_simplices:
+        if x in s:
+            if X.order_type == "A":
+                s = s[s.index(x):] + s[:s.index(x)]
+            star |= set(s)
+            pairs |= set(zip(s, s[1:]))
+    star = sorted(X.vertices.index(v) for v in star)
+    local = {X.vertices[j]: k for k, j in enumerate(star)}
+    preds = [set() for _ in star]
+    for a, b in pairs:
+        preds[local[b]].add(local[a])
+    return [star, [sorted(p) for p in preds]]
 
 
 def reference_relation_cycle(elements, rel):
@@ -1452,6 +1475,25 @@ def prop_star_poset(rng):
     return ["local" if cycle is None else "NotLocalPoset"]
 
 
+def _sorted_star_preds(X, i):
+    star, preds = _star_preds(X, i)
+    return [star, [sorted(p) for p in preds]]
+
+
+def prop_star_preds(rng):
+    """_star_preds at every vertex, some complexes with a two-vertex chamber beside bare vertices added."""
+    order_type = rng.choice("AC")
+    X = random_complex(rng, order_type)
+    if rng.random() < 0.4:
+        X = OrderedComplex(order_type, [*X.vertices, "p", "q", "r"], [*X.maximal_simplices, ("q", "p")])
+    for i in range(len(X.vertices)):
+        agree(lambda: X.to_json(), _sorted_star_preds, reference_star_preds, X, i)
+    sizes = set(map(len, X.maximal_simplices))
+    found = [order_type, "cycle" if reference_is_local_poset(X) else "acyclic"]
+    found += ["mixed sizes"] * (len(sizes) > 1) + ["bare vertex"] * (1 in sizes)
+    return found + [f"two-vertex chamber ({order_type})"] * (2 in sizes)
+
+
 def prop_check_type_A(rng):
     X, shown = _complex_case(rng, "A" if rng.random() < 0.95 else "C")
     return tags(agree(shown, check_type_A, reference_check_type_A, X))
@@ -1645,6 +1687,8 @@ PROPERTIES = {
     "flag_condition": Property(prop_flag_condition, 2, frozenset({"up", "down", "none"})),
     "validate": Property(prop_validate, 2, frozenset({"valid", "InconsistentOrder", "NotFlag"})),
     "star_poset": Property(prop_star_poset, 2, frozenset({"local", "NotLocalPoset"})),
+    "_star_preds": Property(prop_star_preds, 2, frozenset(
+        {"A", "C", "cycle", "acyclic", "mixed sizes", "bare vertex", "two-vertex chamber (A)", "two-vertex chamber (C)"})),
     "check_type_A": Property(prop_check_type_A, 2, frozenset(
         {"pass", "lattice", "InconsistentOrder", "NotFlag", "NotLocalPoset"})),
     "check_type_C(poset)": Property(prop_check_type_C_poset, 1, frozenset({"pass", "lattice", "flag_up", "flag_down"})),

@@ -11,6 +11,7 @@ import pytest
 from cublink.complexes import (
     OrderedComplex,
     _clique_masks,
+    _star_preds,
     canonical_rotation,
     is_local_poset,
     order_complex,
@@ -346,6 +347,19 @@ def test_isolated_vertex_star():
     X = OrderedComplex("C", ["a", "b", "c"], [("a", "b")])
     sp = star_poset(X, "c")
     assert sp.poset.elements == ("c",)
+
+
+def test_two_vertex_type_a_chamber_beside_a_bare_vertex():
+    # the chamber's two cyclic steps run both ways; each vertex, read from
+    # itself, keeps only the step out of it, and the bare vertex gets none
+    X = OrderedComplex("A", ["a", "b", "c"], [("b", "a")])
+    assert X._relations == [[(0, 1)], [(1, 0)], []]
+    assert _star_preds(X, 0) == ([0, 1], [[], [0]])
+    assert _star_preds(X, 1) == ([0, 1], [[1], []])
+    assert _star_preds(X, 2) == ([2], [[]])
+    assert star_poset(X, "a").poset.lt("a", "b") and star_poset(X, "b").poset.lt("b", "a")
+    assert star_poset(X, "c").poset.elements == ("c",)
+    assert is_local_poset(X) is None
 
 
 def test_star_poset_invariant_under_rotation():

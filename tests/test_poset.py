@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cublink.complexes import OrderedComplex, order_complex, validate
+from cublink.cubes import CubeComplex, cube_corpus
 from cublink.errors import CycleDetected, DuplicateLabel, NoMinimum, NotFlag, NotGraded, UnknownLabel
 from cublink import poset as poset_module
 from cublink.generators import boolean_poset, noncrossing_partitions, random_ranked_poset
@@ -21,6 +22,7 @@ from cublink.poset import (
     grade_completion,
     with_bounds,
 )
+from oracle import random_poset
 
 
 def chain_poset(k):
@@ -406,6 +408,30 @@ def test_flag_holds_on_chain():
     P = chain_poset(4)
     assert flag_condition(P, "up") is None
     assert flag_condition(P, "down") is None
+
+
+def _full_flag_scan(P, direction):
+    """Each pair a < b (by index) with its third elements c > b of violating triples, as a mask; comparable pairs kept."""
+    closed = [m | 1 << i for i, m in enumerate(P._up if direction == "up" else P._down)]
+    for a, b in combinations(range(len(P)), 2):
+        bad = 0
+        for c in range(b + 1, len(P)):
+            if closed[a] & closed[c] and closed[b] & closed[c] and not closed[a] & closed[b] & closed[c]:
+                bad |= 1 << c
+        if closed[a] & closed[b] and bad:
+            yield a, b, bad
+
+
+def test_flag_scan_skips_only_pairs_that_complete_no_violation():
+    # _flag_violations passes over comparable pairs; it yields exactly what
+    # a scan of every pair of elements with a common bound yields
+    rng = random.Random(34)
+    posets = [CubeComplex(cubes).face_poset() for cubes in cube_corpus().values()]
+    posets += [random_poset(rng) for _ in range(300)] + [noncrossing_partitions(5), boolean_poset(4)]
+    for P in posets:
+        for direction in ("up", "down"):
+            got = list(poset_module._flag_violations(P, direction, (1 << len(P)) - 1))
+            assert got == list(_full_flag_scan(P, direction)), (P.to_json(), direction)
 
 
 # -- grading completion ----------------------------------------------------------
