@@ -179,8 +179,11 @@ def cmd_generate(args):
         X = column_complex(args.n, args.depth)
         payload = X.to_json()
         if args.phi_out:
-            with open(args.phi_out, "w") as fh:
-                json.dump(column_shift(args.n, args.depth), fh, indent=2, sort_keys=True)
+            try:
+                with open(args.phi_out, "w") as fh:
+                    json.dump(column_shift(args.n, args.depth), fh, indent=2, sort_keys=True)
+            except OSError as err:
+                raise UsageError(f"cannot write --phi-out: {err}") from err
     else:
         raise UsageError(f"unknown family {args.family!r}")
     return _emit(payload)

@@ -240,8 +240,8 @@ class OrderedComplex:
 # -- validation ---------------------------------------------------------------
 
 
-def validate(X, require_flag=True):
-    """Check face-order consistency and (optionally) flagness.
+def validate(X):
+    """Check face-order consistency, then flagness.
 
     Two chambers disagree on their shared face exactly when they disagree on
     a shared edge (type C) or triangle (type A), so one pass records the
@@ -250,12 +250,11 @@ def validate(X, require_flag=True):
     masks of faces whose indices agree modulo 61 collide) and every chamber
     that breaks it: linear in the chambers' edges or triangles.  The
     InconsistentOrder witness is the shared face of the first pair of
-    chambers, in maximal_simplices order, that disagree.  Then, with
-    require_flag, _check_flag.  Returns the complex itself for chaining.
+    chambers, in maximal_simplices order, that disagree.  Then
+    _check_flag.  Returns the complex itself for chaining.
 
-    The link checkers run this orientation pass, with require_flag False,
-    only after their own flag check fails or their own relation closes a
-    cycle; their flag check has run by then.  A clash on an edge
+    The link checkers run validate only after their own flag check fails or
+    their own relation closes a cycle.  A clash on an edge
     {u, v} (type C) puts v after u in one chamber through u and before it
     in another, and a clash on a triangle {a, b, c} (type A) does the same
     to b and c read from a; so it closes a 2-cycle in the star relation at
@@ -275,8 +274,7 @@ def validate(X, require_flag=True):
     if clashes:
         i, j = min(clashes)
         raise InconsistentOrder(X._labels(X._chamber_masks[i] & X._chamber_masks[j]))
-    if require_flag:
-        _check_flag(X)
+    _check_flag(X)
     return X
 
 

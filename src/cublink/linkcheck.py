@@ -55,30 +55,30 @@ def _checked(X, order_type):
     """Check the order type and flagness, the preconditions read before any relation is built.
 
     Face-order consistency is left to the relation the checker builds next:
-    a clash closes a cycle in it (see validate), so validate's orientation
-    pass runs only on a failure, through _validated.
+    a clash closes a cycle in it (see validate), so validate runs only on a
+    failure, through _refuse.
     """
     if X.order_type != order_type:
         raise PreconditionFailed(ValueError(f"expected a type-{order_type} complex"))
     try:
         _check_flag(X)
     except NotFlag as err:
-        _validated(X)
-        raise PreconditionFailed(err) from err
+        _refuse(X, err)
 
 
-def _validated(X):
-    """Raise PreconditionFailed for an orientation clash on X, if it has one.
+def _refuse(X, cause):
+    """Raise PreconditionFailed for the failure of X that ranks highest: validate's, else cause.
 
-    Called after the flag check fails or a relation closes a cycle, before
-    the caller raises its own cause, so InconsistentOrder outranks NotFlag,
-    which outranks NotLocalPoset, and each keeps its witness.  The flag
-    check has run by then (see _checked), so validate skips it.
+    Called after the flag check fails or a relation closes a cycle, so
+    InconsistentOrder outranks NotFlag, which outranks NotLocalPoset, and
+    each keeps its witness.  validate's flag check runs again here, but
+    only on an input that fails.
     """
     try:
-        validate(X, require_flag=False)
+        validate(X)
     except CublinkError as err:
         raise PreconditionFailed(err) from err
+    raise PreconditionFailed(cause) from cause
 
 
 def _star(X, x):
@@ -86,8 +86,7 @@ def _star(X, x):
     try:
         return star_poset(X, x).poset
     except NotLocalPoset as err:
-        _validated(X)
-        raise PreconditionFailed(err) from err
+        _refuse(X, err)
 
 
 def check_type_A(X):
@@ -217,9 +216,8 @@ def _global_order(X):
     try:
         return Poset._from_preds(X.vertices, preds)
     except CycleDetected as err:
-        _validated(X)
         violation = is_local_poset(X)
-        raise PreconditionFailed(NotLocalPoset(*violation) if violation else err) from err
+        _refuse(X, NotLocalPoset(*violation) if violation else err)
 
 
 def _garside(X, phi):

@@ -192,7 +192,8 @@ class MeshApproximator:
     chamber holds only the nodes on its own proper faces.  An off-mesh
     endpoint is joined, for its query only, to the nodes of the chambers
     containing its support, and to the other endpoint if it is off-mesh
-    there; such a query keeps no search.
+    there; such a query meets two fresh searches, one from each end's
+    joins, and keeps neither.
 
     A complex and mesh with more than MAX_PAIRS pairs of mesh nodes that
     share a chamber are refused before any node is made.
@@ -297,7 +298,7 @@ class MeshApproximator:
         return None
 
     def _off_mesh(self, source, target):
-        """(distance, scale) of a query with an off-mesh endpoint: one search, from the source's joins to the target's.
+        """(distance, scale) of a query with an off-mesh endpoint: two fresh searches, from each end's joins, meet.
 
         The scale also clears the endpoints' weights, so the graph's edges count scale // m times.  The distance is inf
         where no path joins the endpoints.
@@ -320,8 +321,7 @@ class MeshApproximator:
                     direct.append(_length(X.order_type, here, placed[i]))
                 placed[i] = here
             ends.append(joins)
-        joins, buckets, _ = _search(adj, ends[1])  # the target's joins, fixed: their heap is None
-        return min([*direct, _dijkstra(adj, _search(adj, ends[0]), fine // m, (joins, buckets, None))]), fine
+        return min([*direct, _dijkstra(adj, _search(adj, ends[0]), fine // m, _search(adj, ends[1]))]), fine
 
 
 def _search(adj, starts):
@@ -341,33 +341,31 @@ def _search(adj, starts):
 
 
 def _dijkstra(adj, search, ratio, ends):
-    """Settle a search in place toward the ends' search, one distance at a time; return mu, the shortest path's length.
+    """Settle two searches in place toward each other, one distance at a time; return mu, the shortest path's length.
 
     adj holds each node int's (neighbour, weight) pairs, the weights counting
-    ratio times; the ends' distances are the joins to the other end.  mu,
-    the least sum of a node's distance and join, starts from one pass over
-    the nodes of whichever search has reached fewer distances, and is kept
-    at every relaxation.  Fixed ends, with heap None, never settle: the
-    search stops at its first open distance no nearer than mu.  Otherwise
-    the two settle toward each other, always the one whose least open
-    distance is smaller, until those two distances sum to at least mu or
-    one search has nothing open, and both stay open for later calls.  mu is
-    then exact: were a path shorter, its first node v that one search has
-    not settled has its true distance there, from a settled predecessor, no
-    nearer than that search's least open distance; the rest of the path is
-    then nearer than the other's, which has settled v, so mu counts the
-    path.  A complete search has settled the other end, and mu counts that
-    distance.
+    ratio times.  mu, the least sum of a node's distances in the two
+    searches, starts from one pass over the nodes of whichever search has
+    reached fewer distances, and is kept at every relaxation.  The searches
+    settle toward each other, always the one whose least open distance is
+    smaller, until those two distances sum to at least mu or one search has
+    nothing open, and both stay open for later calls.  mu is then exact:
+    were a path shorter, its first node v that one search has not settled
+    has its true distance there, from a settled predecessor, no nearer than
+    that search's least open distance; the rest of the path is then nearer
+    than the other's, which has settled v, so mu counts the path.  A
+    complete search has settled every node it reaches, so mu counts every
+    node that both reach.
     """
     (best, buckets, heap), (joins, _, far) = search, ends
     fewer, more = (search, ends) if len(buckets) <= len(ends[1]) else (ends, search)
     nearest = min((fewer[0][v] + j for nodes in fewer[1].values() for v in nodes if (j := more[0][v]) is not None),
                   default=inf)
-    while heap and far != []:  # a meet also stops once the ends' search is complete
-        if far and far[0] < heap[0]:  # settle whichever search is nearer
+    while heap and far:
+        if far[0] < heap[0]:  # settle whichever search is nearer
             search, ends = ends, search
             (best, buckets, heap), (joins, _, far) = search, ends
-        if heap[0] + (far[0] if far else 0) >= nearest:
+        if heap[0] + far[0] >= nearest:
             break
         d = heapq.heappop(heap)
         for node in buckets[d]:

@@ -386,7 +386,7 @@ def reference_nonface_clique(X):
     return None
 
 
-def reference_validate(X, require_flag=True):
+def reference_validate(X):
     """The shared face of the first pair of chambers that order it differently; then a minimal empty clique."""
     for s, t in combinations(X.maximal_simplices, 2):
         shared = frozenset(s) & frozenset(t)
@@ -395,7 +395,7 @@ def reference_validate(X, require_flag=True):
             a, b = _least_rotation(a), _least_rotation(b)
         if a != b:
             raise InconsistentOrder(shared)
-    clique = reference_nonface_clique(X) if require_flag else None
+    clique = reference_nonface_clique(X)
     if clique is not None:
         raise NotFlag(clique)
     return X
@@ -1462,8 +1462,7 @@ def _complex_case(rng, order_type=None):
 
 def prop_validate(rng):
     X, shown = _complex_case(rng)
-    require_flag = rng.random() < 0.5
-    return tags(agree(shown, validate, reference_validate, X, require_flag), "valid")
+    return tags(agree(shown, validate, reference_validate, X), "valid")
 
 
 def prop_star_poset(rng):

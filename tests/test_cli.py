@@ -179,6 +179,15 @@ def test_dist_names_integer_labels_by_their_printed_form(tmp_path, capsys, p, q,
     assert json.loads(capsys.readouterr().out)["distance"] == distance
 
 
+def test_unwritable_phi_out_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "no" / "such" / "dir" / "phi.json"
+    assert main(["generate", "column", "--n", "2", "--phi-out", str(path)]) == 2
+    out = capsys.readouterr().out
+    error = json.loads(out)
+    assert error["error"] == "usage" and str(path) in error["detail"]
+    assert out == json.dumps(error) + "\n"  # the error object alone: no complex before it
+
+
 def test_generator_parameter_out_of_range_exits_two(capsys):
     assert main(["generate", "boolean", "--n", "-1"]) == 2
     assert json.loads(capsys.readouterr().out) == {"error": "input", "detail": "boolean_poset supports 0 <= n <= 10"}

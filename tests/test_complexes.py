@@ -57,7 +57,7 @@ def test_cyclic_consistency_up_to_rotation():
         ["a", "b", "c", "d", "e"],
         [("a", "b", "c", "d"), ("b", "c", "a", "e")],
     )
-    validate(X, require_flag=False)
+    validate(X)
 
 
 def test_cyclic_inconsistency_detected():
@@ -67,7 +67,7 @@ def test_cyclic_inconsistency_detected():
         [("a", "b", "c", "d"), ("a", "c", "b", "e")],
     )
     with pytest.raises(InconsistentOrder):
-        validate(X, require_flag=False)
+        validate(X)
 
 
 def test_first_clashing_pair_wins_over_first_clash_found():
@@ -79,7 +79,7 @@ def test_first_clashing_pair_wins_over_first_clash_found():
         [("a", "b", "e"), ("c", "d", "f"), ("d", "c", "g"), ("e", "b", "h")],
     )
     with pytest.raises(InconsistentOrder) as err:
-        validate(X, require_flag=False)
+        validate(X)
     assert err.value.face == frozenset({"b", "e"})
 
 

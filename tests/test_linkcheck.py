@@ -223,7 +223,7 @@ def test_inconsistent_order_outranks_not_flag_outranks_a_relation_cycle(check, o
 
 
 def test_passing_checks_run_no_orientation_pass(monkeypatch):
-    def no_orientation_pass(X, require_flag=True):
+    def no_orientation_pass(X):
         raise AssertionError("validate ran")
 
     monkeypatch.setattr(linkcheck, "validate", no_orientation_pass)

@@ -270,7 +270,9 @@ def test_disconnected_components_raise():
     # the searches from a and p run out inside their own components; either must answer a query across them
     approx = MeshApproximator(X, F(1, 2))
     assert approx.distance("a", "b") == approx.distance("p", "q") == 1
-    for p, q in (("a", "q"), ("q", "a"), ("b", "p"), ("p", "b"), ({"a": F(1, 2), "b": F(1, 2)}, "q")):
+    # and a meet of two off-mesh ends, one in each component
+    off = {"a": F(1, 3), "b": F(2, 3)}, {"p": F(1, 4), "q": F(3, 4)}
+    for p, q in (("a", "q"), ("q", "a"), ("b", "p"), ("p", "b"), ({"a": F(1, 2), "b": F(1, 2)}, "q"), off, off[::-1]):
         with pytest.raises(Disconnected):
             approx.distance(p, q)
 
@@ -331,11 +333,9 @@ def b3_beside_an_edge():
     return OrderedComplex("C", [*X.vertices, "p", "q"], [*X.maximal_simplices, ("p", "q")])
 
 
-def complete(adj, starts, ratio=1):
-    """Every node's distance from the starts, None where unreached: a search settled toward no ends."""
-    search = _search(adj, starts)
-    assert _dijkstra(adj, search, ratio, ([None] * len(adj), {}, None)) == inf
-    return search[0]
+def complete(adj, starts):
+    """Every node's distance from the starts, None where unreached."""
+    return textbook_dijkstra(adj, starts, 1, {})[0]
 
 
 def settled(search, t):
@@ -493,8 +493,8 @@ def textbook_dijkstra(adj, starts, ratio, ends):
 
 def test_bucketed_search_matches_a_textbook_dijkstra():
     # seeded graphs with weights 1-7 on part of their nodes, so that some nodes are unreached; the ends are
-    # fixed joins (a search whose heap is None), then a search of their own that meets the first one, both
-    # new and both resumed after a meet toward other ends
+    # a search of their own that meets the first one, both new and both resumed after a meet toward other
+    # ends, and each distance a resumed search has made final is the textbook one
     seen = set()
     for seed in range(100):
         rng = random.Random(f"dijkstra:{seed}")
@@ -509,14 +509,12 @@ def test_bucketed_search_matches_a_textbook_dijkstra():
         ends = {node: rng.choice((0, rng.randint(1, 20))) for node in rng.sample(range(n), rng.randint(1, n))}
         for ratio in range(1, 8):
             row, nearest = textbook_dijkstra(adj, starts, ratio, ends)
-            assert complete(adj, starts, ratio) == row, (seed, ratio)
-            joins, buckets, _ = _search(adj, ends)
-            assert _dijkstra(adj, _search(adj, starts), ratio, (joins, buckets, None)) == nearest, (seed, ratio)
             assert _dijkstra(adj, _search(adj, starts), ratio, _search(adj, ends)) == nearest, (seed, ratio)
             there = {rng.randrange(n): 0}
             a, b = _search(adj, starts), _search(adj, ends)
             _dijkstra(adj, a, ratio, _search(adj, there)), _dijkstra(adj, _search(adj, there), ratio, b)
             assert _dijkstra(adj, a, ratio, b) == nearest, (seed, ratio)
+            assert all(a[0][v] == row[v] for v in range(n) if settled(a, v)), (seed, ratio)
         seen.update(tag for tag, hit in [("unreached", None in row), ("zero join", 0 in ends.values()),
                                          ("several nonzero starts", sum(map(bool, starts.values())) > 1),
                                          ("no end reached", nearest == inf)] if hit)
