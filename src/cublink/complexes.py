@@ -29,20 +29,28 @@ def canonical_rotation(t):
     return t[i:] + t[:i]
 
 
-def _clique_masks(adjacency):
-    """Maximal cliques, as masks, of the graph whose vertex i has neighbour mask adjacency[i].
+def _clique_masks(adjacency, faces=()):
+    """Maximal cliques, as masks, of the graph whose vertex i has neighbour mask adjacency[i], but the faces.
 
     Bron-Kerbosch with a pivot of most candidate neighbours; the branches live
-    on an explicit stack, so deep graphs do not reach the recursion limit.
+    on an explicit stack, so deep graphs do not reach the recursion limit,
+    and a branch with no candidates is decided as it is made.  faces are
+    cliques, as masks, looked up by their bytes, as the hashes of int masks
+    collide (see validate).  A branch whose clique and candidates together
+    form a face holds no other maximal clique: each clique in it lies in
+    that face, and a maximal clique inside a face is the face itself.  So
+    the whole graph and each branch of at most one candidate are looked up,
+    and skipped if they form a face.  A wider branch is not looked up: in
+    a complex its candidates seldom lie in one chamber, and on
+    affine_A_patch(4, 3) those lookups cost more than the branches they skip.
     """
-    cliques = []
-    stack = [(0, (1 << len(adjacency)) - 1, 0)]
+    width, everyone = (len(adjacency) + 7) // 8, (1 << len(adjacency)) - 1
+    faces = {m.to_bytes(width, "little") for m in faces}
+    if everyone.to_bytes(width, "little") in faces:
+        return []
+    cliques, stack = ([], [(0, everyone, 0)]) if everyone else ([0], [])
     while stack:
         clique, candidates, excluded = stack.pop()
-        if not candidates:
-            if not excluded:
-                cliques.append(clique)
-            continue
         rest, most = candidates | excluded, -1  # the pivot is the lowest of the most
         while rest:
             bit = rest & -rest
@@ -55,7 +63,12 @@ def _clique_masks(adjacency):
         while rest:
             bit = rest & -rest
             v = bit.bit_length() - 1
-            stack.append((clique | bit, candidates & adjacency[v], excluded & adjacency[v]))
+            inner, within = clique | bit, candidates & adjacency[v]
+            if within & (within - 1) or (inner | within).to_bytes(width, "little") not in faces:
+                if within:
+                    stack.append((inner, within, excluded & adjacency[v]))
+                elif not excluded & adjacency[v]:
+                    cliques.append(inner)
             candidates ^= bit
             excluded |= bit
             rest ^= bit
@@ -71,11 +84,12 @@ class OrderedComplex:
 
     Index i stands for ``vertices[i]``, in label order.  ``_chambers[c]`` is
     the c-th maximal simplex as a tuple of indices and ``_chamber_masks[c]``
-    its vertex mask; ``_incident[i]`` lists the chambers through i and
-    ``_adjacency[i]`` is the mask of i's neighbours.  The link checks read
-    only these, so ``maximal_simplices``, the chambers as label tuples, is
-    built on its first read.  So is ``_relations``, every vertex's star
-    relation, on the first star read: one pass folds the chambers' steps
+    its vertex mask, and ``_adjacency[i]`` is the mask of i's neighbours.
+    The link checks read only these, so ``maximal_simplices``, the chambers
+    as label tuples, is built on its first read.  So is ``_incident[i]``,
+    the chambers through i, which only carriers and the relation-cycle
+    witness read, and ``_relations``, every vertex's star relation, on the
+    first star read: one pass folds the chambers' steps
     and hands each distinct step to the vertices of the chambers taking
     it, so it costs the chambers' total size plus one append per pair.
 
@@ -86,7 +100,7 @@ class OrderedComplex:
     """
 
     __slots__ = ("order_type", "vertices", "_simplices", "_index", "_chambers",
-                 "_chamber_masks", "_incident", "_adjacency", "_star_pairs")
+                 "_chamber_masks", "_through", "_adjacency", "_star_pairs")
 
     def __init__(self, order_type, vertices, maximal_simplices):
         if order_type not in ("A", "C"):
@@ -135,17 +149,17 @@ class OrderedComplex:
         for _, mask in kept:
             covered |= mask
         kept += [((v,), 1 << v) for v in range(len(self.vertices)) if not covered >> v & 1]  # bare vertices
-        kept.sort()
+        leading = [[] for _ in self.vertices]  # lexicographic order: by leading index, then within each
+        for tm in kept:
+            leading[tm[0][0]].append(tm)
+        kept = [tm for bucket in leading for tm in sorted(bucket)]
         self._chambers = tuple(t for t, _ in kept)
         self._chamber_masks = tuple(mask for _, mask in kept)
-        self._simplices = self._star_pairs = None
-        incident = [[] for _ in self.vertices]
+        self._simplices = self._star_pairs = self._through = None
         adjacency = [0] * len(self.vertices)
-        for c, (t, mask) in enumerate(kept):
+        for t, mask in kept:
             for v in t:
-                incident[v].append(c)
                 adjacency[v] |= mask
-        self._incident = tuple(map(tuple, incident))
         self._adjacency = tuple(m & ~(1 << v) for v, m in enumerate(adjacency))
 
     @property
@@ -154,6 +168,17 @@ class OrderedComplex:
         if self._simplices is None:
             self._simplices = tuple(tuple(map(self.vertices.__getitem__, t)) for t in self._chambers)
         return self._simplices
+
+    @property
+    def _incident(self):
+        """By index, the chambers through each vertex, ascending, built on first read."""
+        if self._through is None:
+            through = [[] for _ in self.vertices]
+            for c, t in enumerate(self._chambers):
+                for v in t:
+                    through[v].append(c)
+            self._through = tuple(map(tuple, through))
+        return self._through
 
     @property
     def _relations(self):
@@ -169,8 +194,11 @@ class OrderedComplex:
                     steps[step] = steps.get(step, 0) | mask
             self._star_pairs = pairs = [[] for _ in self.vertices]
             for step, mask in steps.items():
-                for v in _bits(mask & ~(1 << step[1]) if cyclic else mask):
-                    pairs[v].append(step)
+                mask &= ~(cyclic << step[1])  # in type A, all but the head
+                while mask:
+                    low = mask & -mask
+                    pairs[low.bit_length() - 1].append(step)
+                    mask ^= low
         return self._star_pairs
 
     def __eq__(self, other):
@@ -206,7 +234,7 @@ class OrderedComplex:
             if v not in self._index:
                 return iter(())
             mask |= 1 << self._index[v]
-        ids = min((self._incident[i] for i in _bits(mask)), key=len, default=range(len(self._chambers)))
+        ids = min(map(self._incident.__getitem__, _bits(mask)), key=len, default=range(len(self._chambers)))
         return (c for c in ids if self._chamber_masks[c] & mask == mask)
 
     def carrier(self, face):
@@ -282,15 +310,12 @@ def _check_flag(X):
     """Raise NotFlag unless every clique of the 1-skeleton spans a simplex; reads no order.
 
     A face inside a maximal clique lies in a chamber, which is itself a
-    clique, so a maximal clique is a face exactly when it is a chamber.
-    The chambers are looked up by their masks' bytes, not by the masks,
-    whose hashes collide as in validate.  NotFlag carries a minimal empty
-    clique, shrunk from the first maximal clique in label order that is not
-    a chamber.
+    clique, so a maximal clique is a face exactly when it is a chamber, and
+    the clique search skips the branches that span a chamber.  NotFlag
+    carries a minimal empty clique, shrunk from the first maximal clique in
+    label order that is not a chamber.
     """
-    width = (len(X.vertices) + 7) // 8  # 0 below: the one clique of the empty complex
-    chambers = {m.to_bytes(width, "little") for m in (0, *X._chamber_masks)}
-    nonfaces = [c for c in _clique_masks(X._adjacency) if c.to_bytes(width, "little") not in chambers]
+    nonfaces = _clique_masks(X._adjacency, (0, *X._chamber_masks))  # 0: the one clique of the empty complex
     if nonfaces:
         clique = min(nonfaces, key=lambda c: tuple(_bits(c)))
         raise NotFlag(_shrink_to_minimal_nonface(X, clique))
@@ -415,21 +440,28 @@ def star_poset(X, x):
     return StarPoset(x, X.order_type, poset)
 
 
-def _star_preds(X, i):
+def _star_preds(X, i, center=True):
     """The star of the vertex with index i as X's indices, ascending, and by local index each one's distinct predecessors.
 
     Each chamber through the vertex, read from it, is a chain of the star
     relation, so its steps suffice: its consecutive pairs, in type A its
     cyclic steps but the one into the vertex.  X._relations holds those
     pairs for every vertex, built in one pass on the first star read, so
-    here they are only mapped to local indices.
+    here they are only mapped to local indices.  With center false the
+    vertex and its pairs from it are left out; it must head no pair, as
+    in type A.
     """
-    star = list(_bits(X._adjacency[i] | 1 << i))
-    local = dict(zip(star, range(len(star))))
-    preds = [[] for _ in star]
+    local, m = {}, X._adjacency[i] | center << i
+    while m:
+        low = m & -m
+        local[low.bit_length() - 1] = len(local)
+        m ^= low
+    preds = [[] for _ in local]
     for a, b in X._relations[i]:
-        preds[local[b]].append(local[a])
-    return star, preds
+        k = local.get(a)
+        if k is not None:
+            preds[local[b]].append(k)
+    return list(local), preds
 
 
 # -- realizations of posets ---------------------------------------------------------

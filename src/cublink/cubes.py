@@ -176,7 +176,7 @@ def cube_link_reports(K):
         for s in corner:
             for k in _bits(s):
                 adjacency[k] |= s
-        missing = [c for c in _clique_masks([m & ~(1 << k) for k, m in enumerate(adjacency)]) if c not in corner]
+        missing = _clique_masks([m & ~(1 << k) for k, m in enumerate(adjacency)], corner)
         flag_witness = None
         if missing:
             clique = min(missing, key=lambda c: tuple(_bits(c)))

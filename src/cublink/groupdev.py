@@ -6,8 +6,8 @@ group inside it.  Condition checks run over group elements exactly.  A group
 is closed, and a face group tested for product-closure, by growing it from
 its generators, each element composed once with each generator taken; a
 product of two face groups is formed coset by coset.  On the symmetric
-group of degree 6 (720 elements) the build takes under 0.1 s, reading it
-from JSON about 0.2 s, and the conditions 0.7-1.2 s (CPython 3.11, one
+group of degree 6 (720 elements) the build takes about 0.04 s, reading it
+from JSON about 0.07 s, and the conditions 0.5-0.6 s (CPython 3.11, one
 core of a 2-core x86-64 machine shared with other tenants).
 """
 
@@ -18,6 +18,7 @@ from itertools import combinations, islice
 
 from .complexes import OrderedComplex, _clique_masks
 from .errors import IncompatibleInclusions, NotASubgroup, ParameterTooLarge, UnknownLabel
+from .generators import _check_range
 from .poset import _bits
 
 # permutations are tuples in one-line notation over 0..degree-1
@@ -235,8 +236,7 @@ class SimplexOfGroups:
         n = data["n"]
         _check_size(n)  # before any group is closed
         for vg in data["vertex_groups"]:
-            if vg["degree"] > 8:
-                raise ParameterTooLarge(f"a vertex group supports degree <= 8, not {vg['degree']}")
+            _check_range("a vertex group", "degree", vg["degree"], 0, 8)
         vertex_groups = [closure(vg["degree"], vg["generators"], f"face [{i}] at vertex {i}")
                          for i, vg in enumerate(data["vertex_groups"])]
         face_groups = {}

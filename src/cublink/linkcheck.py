@@ -98,16 +98,19 @@ def check_type_A(X):
     when the flag check fails or a star relation closes a cycle, as every
     clash does (see _checked).
 
-    Each star is decided from the masks and lower covers of its relation's
-    closure, which _may_have_bowtie reads, and only a star that may have a
-    bowtie, or whose relation has a cycle, is built by star_poset: for its
-    witness or its NotLocalPoset.  The vertices go in label order, so the
-    first cycle is is_local_poset's, and it outranks every bowtie.
+    Each star St(x) is decided from the masks and lower covers of the
+    closure of its relation on St(x) - x, which _may_have_bowtie reads.  x
+    heads no pair and lies below the rest, so it is the 0̂ that
+    _may_have_bowtie adjoins, and each cycle of St(x) avoids it.  Only a
+    star that may have a bowtie, or whose relation has a cycle, is built by
+    star_poset: for its witness or its NotLocalPoset.  The vertices go in
+    label order, so the first cycle is is_local_poset's, and it outranks
+    every bowtie.
     """
     _checked(X, "A")
     failures = []
     for i, x in enumerate(X.vertices):
-        order, down, lower = _closure(_star_preds(X, i)[1])
+        order, down, lower = _closure(_star_preds(X, i, False)[1])
         if len(order) == len(down) and not _may_have_bowtie(down, lower):
             continue
         bowtie = find_bowtie(_star(X, x))

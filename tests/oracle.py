@@ -413,12 +413,13 @@ def star_relation(X, x):
     return star, rel
 
 
-def reference_star_preds(X, i):
-    """_star_preds(X, i) read chamber by chamber: the star as indices, ascending, and each one's sorted predecessors.
+def reference_star_preds(X, i, center=True):
+    """_star_preds(X, i, center) read chamber by chamber: the star as indices, ascending, and each one's sorted predecessors.
 
     Each chamber through the vertex, read from it (rotated to start there in
     type A), is a chain of the star relation, and its consecutive pairs
-    generate that chain.
+    generate that chain.  Without its center the star loses the vertex and
+    the pairs from it.
     """
     x = X.vertices[i]
     star, pairs = {x}, set()
@@ -428,6 +429,9 @@ def reference_star_preds(X, i):
                 s = s[s.index(x):] + s[:s.index(x)]
             star |= set(s)
             pairs |= set(zip(s, s[1:]))
+    if not center:
+        star.discard(x)
+        pairs = {(a, b) for a, b in pairs if a != x}
     star = sorted(X.vertices.index(v) for v in star)
     local = {X.vertices[j]: k for k, j in enumerate(star)}
     preds = [set() for _ in star]
@@ -1465,6 +1469,36 @@ def prop_validate(rng):
     return tags(agree(shown, validate, reference_validate, X), "valid")
 
 
+@cache
+def small_flag_complexes():
+    """Flag complexes with a few dozen chambers: patches of dimensions 2 and 3, and the order complexes of B(3) and NC(4)."""
+    return (affine_A_patch(2, 1), affine_A_patch(2, 2), affine_A_patch(3, 1),
+            order_complex(boolean_poset(3)), order_complex(noncrossing_partitions(4)))
+
+
+def prop_validate_minus_a_chamber(rng):
+    """validate on a small flag complex with one chamber dropped, its labels shuffled half the time.
+
+    Every chamber left is a face, so the clique search skips most of its
+    branches; the tags say whether the dropped chamber is the nonface named,
+    a smaller nonface inside it is, or the rest is flag.
+    """
+    X = rng.choice(small_flag_complexes())
+    chambers = list(X.maximal_simplices)
+    hole = chambers.pop(rng.randrange(len(chambers)))
+    labels = list(X.vertices)
+    if rng.random() < 0.5:
+        labels = [f"v{k}" for k in range(len(labels))]
+        rng.shuffle(labels)
+    name = dict(zip(X.vertices, labels))
+    Y = OrderedComplex(X.order_type, labels, [tuple(map(name.get, s)) for s in chambers])
+    out = agree(lambda: Y.to_json(), validate, reference_validate, Y)
+    if "error" not in out:
+        return ["valid"]
+    return ["NotFlag: the chamber" if out["message"] == str(NotFlag(frozenset(map(name.get, hole))))
+            else f"{out['error']}: inside it"]
+
+
 def prop_star_poset(rng):
     """star_poset at every vertex, then is_local_poset."""
     X, shown = _complex_case(rng)
@@ -1474,19 +1508,20 @@ def prop_star_poset(rng):
     return ["local" if cycle is None else "NotLocalPoset"]
 
 
-def _sorted_star_preds(X, i):
-    star, preds = _star_preds(X, i)
+def _sorted_star_preds(X, i, center=True):
+    star, preds = _star_preds(X, i, center)
     return [star, [sorted(p) for p in preds]]
 
 
 def prop_star_preds(rng):
-    """_star_preds at every vertex, some complexes with a two-vertex chamber beside bare vertices added."""
+    """_star_preds at every vertex, in type A also without it; some complexes with a two-vertex chamber beside bare vertices added."""
     order_type = rng.choice("AC")
     X = random_complex(rng, order_type)
     if rng.random() < 0.4:
         X = OrderedComplex(order_type, [*X.vertices, "p", "q", "r"], [*X.maximal_simplices, ("q", "p")])
     for i in range(len(X.vertices)):
-        agree(lambda: X.to_json(), _sorted_star_preds, reference_star_preds, X, i)
+        for center in (True, False) if order_type == "A" else (True,):
+            agree(lambda: X.to_json(), _sorted_star_preds, reference_star_preds, X, i, center)
     sizes = set(map(len, X.maximal_simplices))
     found = [order_type, "cycle" if reference_is_local_poset(X) else "acyclic"]
     found += ["mixed sizes"] * (len(sizes) > 1) + ["bare vertex"] * (1 in sizes)
@@ -1685,6 +1720,8 @@ PROPERTIES = {
     "find_balanced_bowtie": Property(prop_find_balanced_bowtie, 2, frozenset({"found", "none", "NotGraded"})),
     "flag_condition": Property(prop_flag_condition, 2, frozenset({"up", "down", "none"})),
     "validate": Property(prop_validate, 2, frozenset({"valid", "InconsistentOrder", "NotFlag"})),
+    "validate(minus a chamber)": Property(prop_validate_minus_a_chamber, 4, frozenset(
+        {"valid", "NotFlag: the chamber", "NotFlag: inside it"})),
     "star_poset": Property(prop_star_poset, 2, frozenset({"local", "NotLocalPoset"})),
     "_star_preds": Property(prop_star_preds, 2, frozenset(
         {"A", "C", "cycle", "acyclic", "mixed sizes", "bare vertex", "two-vertex chamber (A)", "two-vertex chamber (C)"})),

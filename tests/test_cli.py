@@ -457,6 +457,9 @@ def test_oversized_input_is_refused_before_it_is_built(tmp_path, capsys, argv, d
      {"error": "input", "detail": "(0, 0) is not a permutation of degree 2"}),
     (["groupdev"], {"n": 1, "vertex_groups": [ONE], "face_subgroups": {}},
      {"error": "input", "detail": "a simplex of groups needs at least 2 vertices"}),
+    (["groupdev"], {"n": 2, "vertex_groups": [{"degree": -1, "generators": []}, ONE],
+                    "face_subgroups": {"0|0,1": [], "1|0,1": []}},
+     {"error": "input", "detail": "a vertex group supports 0 <= degree <= 8"}),
     (["check", "--type", "C"], {"type": "C", "maximal_simplices": [["a", "b"]]},
      {"error": "input", "detail": "input lacks key 'vertices'"}),
     (["check", "--type", "A"], {"vertices": ["a", "b"], "maximal_simplices": [["a", "b"]]},
@@ -474,7 +477,7 @@ def test_oversized_input_is_refused_before_it_is_built(tmp_path, capsys, argv, d
 ], ids=["weights-sum-to-half", "negative-weight", "support-spans-no-simplex", "mesh-2/3", "decreasing-coords",
         "too-few-coords", "coord-past-one", "repeated-point", "ragged-matrix", "zero-distance", "asymmetric-matrix",
         "mixed-denominator-triangle", "nonzero-diagonal",
-        "repeated-simplex-vertex", "undeclared-vertex", "type-B", "not-a-permutation", "one-vertex",
+        "repeated-simplex-vertex", "undeclared-vertex", "type-B", "not-a-permutation", "one-vertex", "negative-degree",
         "complex-lacks-vertices", "complex-lacks-type", "poset-lacks-elements", "metric-lacks-dist",
         "groupdev-lacks-vertex-groups", "groupdev-lacks-generators", "chain-point-lacks-coords"])
 def test_input_error_exits_two_with_its_error_object(tmp_path, capsys, argv, data, error):

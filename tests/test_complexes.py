@@ -18,8 +18,9 @@ from cublink.complexes import (
     star_poset,
     validate,
 )
-from cublink.errors import DuplicateLabel, InconsistentOrder, NotFlag, NotLocalPoset
+from cublink.errors import DuplicateLabel, InconsistentOrder, NotFlag, NotLocalPoset, PreconditionFailed
 from cublink.generators import affine_A_patch, boolean_poset
+from cublink.linkcheck import check_type_A, check_type_C
 from cublink.poset import Poset, _key, find_bowtie
 
 
@@ -114,6 +115,50 @@ def test_cliques_match_a_brute_force_subset_enumeration():
         assert len(found) == len(maximal) and set(found) == maximal, seed
 
 
+def test_pruned_clique_search_drops_exactly_the_faces():
+    # faces are cliques, maximal or not, the empty one included; only a maximal one can go missing
+    for seed in range(200):
+        rng = random.Random(f"faces:{seed}")
+        n, p, q = rng.randint(0, 11), rng.random(), rng.choice((0.1, 0.5, 0.9, 1.0))
+        adjacency = [0] * n
+        for a, b in combinations(range(n), 2):
+            if rng.random() < p:
+                adjacency[a] |= 1 << b
+                adjacency[b] |= 1 << a
+        cliques = [m for m in range(1 << n)
+                   if all((adjacency[v] | 1 << v) & m == m for v in range(n) if m >> v & 1)]
+        faces = {m for m in cliques if rng.random() < q}
+        found = _clique_masks(adjacency, faces)
+        unpruned = [m for m in _clique_masks(adjacency) if m not in faces]
+        assert len(found) == len(unpruned) and set(found) == set(unpruned), seed
+
+
+def test_empty_triangles_beside_filled_chambers_give_the_first_as_witness():
+    # {a, b, e} is a clique (ab lies in the tetrahedron abcd, ae in aefg, be in bey) but spans no chamber;
+    # so does {c, g, y}, later in label order
+    simplices = [("a", "b", "c", "d"), ("a", "e", "f", "g"), ("b", "e", "y"),
+                 ("c", "g", "h"), ("c", "y", "i"), ("g", "y", "j")]
+    for order_type, check in (("A", check_type_A), ("C", check_type_C)):
+        X = OrderedComplex(order_type, "abcdefghijy", simplices)
+        with pytest.raises(NotFlag) as err:
+            validate(X)
+        assert err.value.clique == frozenset("abe")
+        with pytest.raises(PreconditionFailed) as info:
+            check(X)
+        assert info.value.cause.clique == frozenset("abe")
+
+
+def test_patch_without_an_interior_chamber_names_that_chamber():
+    # every facet of the chamber lies in a neighbouring chamber, so the whole chamber is a minimal nonface
+    X = affine_A_patch(4, 2)
+    hole = ("0,0,0,0,0", "0,0,0,0,1", "0,0,0,1,1", "0,0,1,1,1", "0,1,1,1,1")
+    assert hole in X.maximal_simplices
+    Y = OrderedComplex("A", X.vertices, [s for s in X.maximal_simplices if s != hole])
+    with pytest.raises(PreconditionFailed) as info:
+        check_type_A(Y)
+    assert isinstance(info.value.cause, NotFlag) and info.value.cause.clique == frozenset(hole)
+
+
 def test_reduction_drops_duplicates_and_faces():
     # the face (a, c) lies in the second simplex through each of its vertices
     X = OrderedComplex(
@@ -149,6 +194,18 @@ def test_reduction_keeps_exactly_the_maximal_simplices_in_first_orientation():
             X = OrderedComplex(order_type, vertices, simplices)
             rotate = canonical_rotation if order_type == "A" else tuple
             assert sorted(X.maximal_simplices) == sorted(map(rotate, want))
+
+
+def test_chambers_are_kept_in_lexicographic_order_of_their_index_tuples_whatever_the_listing():
+    # several chambers share each leading index, and a shuffled listing puts them out of order within it
+    X = affine_A_patch(3, 2)
+    rng = random.Random("chamber order")
+    for order_type in "AC":
+        listed = list(X.maximal_simplices)
+        rng.shuffle(listed)
+        Y = OrderedComplex(order_type, X.vertices, listed)
+        assert Y._chambers == tuple(sorted(Y._chambers)) and len(Y._chambers) == len(listed)
+        assert Y._chamber_masks == tuple(sum(1 << v for v in t) for t in Y._chambers)
 
 
 def test_reduction_keeps_one_of_rotated_type_a_duplicates():
