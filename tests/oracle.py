@@ -1479,9 +1479,9 @@ def small_flag_complexes():
 def prop_validate_minus_a_chamber(rng):
     """validate on a small flag complex with one chamber dropped, its labels shuffled half the time.
 
-    Every chamber left is a face, so the clique search skips most of its
-    branches; the tags say whether the dropped chamber is the nonface named,
-    a smaller nonface inside it is, or the rest is flag.
+    Every chamber left is a face, which the clique search skips; the tags
+    say whether the dropped chamber is the nonface named, a smaller
+    nonface inside it is, or the rest is flag.
     """
     X = rng.choice(small_flag_complexes())
     chambers = list(X.maximal_simplices)
