@@ -212,7 +212,10 @@ def _parse_point(raw, X):
         return {printed.get(v, v): frac(w) for v, w in spec["weights"].items()}
     if isinstance(spec, dict) and "chain" in spec:
         _check_shape(spec, {"chain": ["label"], "coords": [None]}, "a point")
-        return PLPoint.from_json({**spec, "chain": [printed.get(x, x) for x in spec["chain"]]}).to_barycentric()
+        chain = [printed.get(x, x) for x in spec["chain"]]
+        for x in chain:  # each must name a vertex, even one of weight 0, which to_barycentric drops
+            X._index_of(x)
+        return PLPoint.from_json({**spec, "chain": chain}).to_barycentric()
     raise UsageError("points are vertex labels, {'weights': ...}, or {'chain': ..., 'coords': ...}")
 
 

@@ -12,21 +12,7 @@ from dataclasses import dataclass
 from itertools import combinations, groupby, pairwise
 
 from .errors import CycleDetected, InconsistentOrder, NotFlag, NotLocalPoset, UnknownLabel
-from .poset import Poset, _bits, _key, _label_order
-
-
-def canonical_rotation(t):
-    """Lexicographically least rotation, the canonical form of a cyclic tuple.
-
-    A least rotation starts at a position holding the least key, so only
-    those rotations are compared; on a tie the first such position wins.
-    """
-    if not t:
-        return t
-    keys = tuple(map(_key, t))
-    least = min(keys)
-    i = min((i for i, k in enumerate(keys) if k == least), key=lambda i: keys[i:] + keys[:i])
-    return t[i:] + t[:i]
+from .poset import Poset, _bits, _label_order
 
 
 def _clique_masks(adjacency, faces=()):
@@ -86,12 +72,12 @@ class OrderedComplex:
     the c-th maximal simplex as a tuple of indices and ``_chamber_masks[c]``
     its vertex mask, and ``_adjacency[i]`` is the mask of i's neighbours.
     The link checks read only these, so ``maximal_simplices``, the chambers
-    as label tuples, is built on its first read.  So is ``_incident[i]``,
-    the chambers through i, which only carriers and the relation-cycle
-    witness read, and ``_relations``, every vertex's star relation, on the
-    first star read: one pass folds the chambers' steps
-    and hands each distinct step to the vertices of the chambers taking
-    it, so it costs the chambers' total size plus one append per pair.
+    as label tuples, is built on its first read, and so is ``_relations``,
+    every vertex's star relation, on the first star read: one pass folds
+    the chambers' steps and hands each distinct step to the vertices of the
+    chambers taking it, so it costs the chambers' total size plus one
+    append per pair.  The chambers that hold a face are found by one scan
+    of ``_chamber_masks`` (``_holding``).
 
     The listed simplices are reduced in their first orientation: a simplex
     whose vertex set repeats an earlier one's, or lies inside a kept
@@ -100,7 +86,7 @@ class OrderedComplex:
     """
 
     __slots__ = ("order_type", "vertices", "_simplices", "_index", "_chambers",
-                 "_chamber_masks", "_through", "_adjacency", "_star_pairs")
+                 "_chamber_masks", "_adjacency", "_star_pairs")
 
     def __init__(self, order_type, vertices, maximal_simplices):
         if order_type not in ("A", "C"):
@@ -155,7 +141,7 @@ class OrderedComplex:
         kept = [tm for bucket in leading for tm in sorted(bucket)]
         self._chambers = tuple(t for t, _ in kept)
         self._chamber_masks = tuple(mask for _, mask in kept)
-        self._simplices = self._star_pairs = self._through = None
+        self._simplices = self._star_pairs = None
         adjacency = [0] * len(self.vertices)
         for t, mask in kept:
             for v in t:
@@ -168,17 +154,6 @@ class OrderedComplex:
         if self._simplices is None:
             self._simplices = tuple(tuple(map(self.vertices.__getitem__, t)) for t in self._chambers)
         return self._simplices
-
-    @property
-    def _incident(self):
-        """By index, the chambers through each vertex, ascending, built on first read."""
-        if self._through is None:
-            through = [[] for _ in self.vertices]
-            for c, t in enumerate(self._chambers):
-                for v in t:
-                    through[v].append(c)
-            self._through = tuple(map(tuple, through))
-        return self._through
 
     @property
     def _relations(self):
@@ -223,19 +198,18 @@ class OrderedComplex:
     def _labels(self, mask):
         return frozenset(self.vertices[i] for i in _bits(mask))
 
-    def carriers(self, face):
-        """Indices of the maximal simplices that contain the face, ascending.
+    def _holding(self, mask):
+        """Indices of the chambers whose masks hold the mask, ascending."""
+        return (c for c, m in enumerate(self._chamber_masks) if m & mask == mask)
 
-        Only the chambers through one vertex of the face can contain it, so
-        this scans the shortest incidence list among the face's vertices.
-        """
+    def carriers(self, face):
+        """Indices of the maximal simplices that contain the face, ascending; none if it names an unknown label."""
         mask = 0
         for v in face:
             if v not in self._index:
                 return iter(())
             mask |= 1 << self._index[v]
-        ids = min(map(self._incident.__getitem__, _bits(mask)), key=len, default=range(len(self._chambers)))
-        return (c for c in ids if self._chamber_masks[c] & mask == mask)
+        return self._holding(mask)
 
     def carrier(self, face):
         """Index of the first maximal simplex that contains the face, or None."""
@@ -339,7 +313,7 @@ def _shrink_to_minimal_nonface(X, clique):
     """
     for v in _bits(clique):
         smaller = clique ^ 1 << v
-        if smaller.bit_count() >= 2 and not any(m & smaller == smaller for m in X._chamber_masks):
+        if smaller.bit_count() >= 2 and next(X._holding(smaller), None) is None:
             clique = smaller
     return X._labels(clique)
 
@@ -432,7 +406,7 @@ def star_poset(X, x):
         poset = Poset._from_preds(labels, preds)
     except CycleDetected:
         local, succ = dict(zip(star, range(len(star)))), [0] * len(star)
-        for s in map(X._chambers.__getitem__, X._incident[i]):
+        for s in map(X._chambers.__getitem__, X._holding(1 << i)):
             k = s.index(i) if X.order_type == "A" else 0
             for a, b in combinations(s[k:] + s[:k], 2):
                 succ[local[a]] |= 1 << local[b]

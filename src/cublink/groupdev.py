@@ -128,7 +128,7 @@ def _perm_label(p):
 
 
 def _check_face_key(n, i, I):
-    if i not in I or not I <= set(range(n)):
+    if len(I) < 2 or i not in I or not I <= set(range(n)):  # (i, {i}) is the vertex group, not a face
         raise UnknownLabel(f"face key ({i}, {sorted(I)}) is malformed")
 
 
@@ -242,8 +242,12 @@ class SimplexOfGroups:
         face_groups = {}
         for key, gens in data["face_subgroups"].items():
             head, _, idx = key.partition("|")
-            i = int(head)
-            I = frozenset(int(t) for t in idx.split(","))
+            i, indices = int(head), [int(t) for t in idx.split(",")]
+            I = frozenset(indices)
+            if len(I) < len(indices):
+                raise ValueError(f"face key {key!r} repeats an index")
+            if (i, I) in face_groups:
+                raise ValueError(f"face key {key!r} names face {sorted(I)} at vertex {i} again")
             _check_face_key(n, i, I)
             if i >= len(vertex_groups):  # __init__'s check, before the index below
                 raise ValueError("one ambient group per vertex is required")

@@ -133,14 +133,14 @@ def _length(order_type, a, b):
 def as_point(X, point):
     """Normalize a vertex label or weight mapping into a barycentric point."""
     if isinstance(point, dict):
+        for v in point:  # every label, even one of weight 0, must name a vertex
+            if v not in X._index:
+                raise UnknownLabel(f"unknown vertex {v!r}")
         weights = {v: frac(w) for v, w in point.items() if frac(w) != 0}
         if sum(weights.values(), Fraction(0)) != 1:
             raise ValueError("barycentric weights must sum to 1")
         if any(w < 0 for w in weights.values()):
             raise ValueError("barycentric weights must be nonnegative")
-        for v in weights:
-            if v not in X._index:
-                raise UnknownLabel(f"unknown vertex {v!r}")
         if not X.has_simplex(weights.keys()):
             raise UnknownLabel(f"support {sorted(map(str, weights))} spans no simplex")
         return weights

@@ -13,6 +13,7 @@ over its down-sets runs on the other posets and names a bowtie.
 
 from __future__ import annotations
 
+import reprlib
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -301,7 +302,11 @@ class Poset:
 
 
 def poset_from_json(data):
-    return Poset.from_covers(data["elements"], [tuple(p) for p in data["covers"]])
+    pairs = [tuple(p) for p in data["covers"]]
+    for p in pairs:
+        if len(p) != 2:  # quoted in part, as a cover may be long
+            raise ValueError(f"cover {reprlib.repr(list(p))} is not a pair of labels")
+    return Poset.from_covers(data["elements"], pairs)
 
 
 def _bits(mask):

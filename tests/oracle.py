@@ -401,6 +401,12 @@ def reference_validate(X):
     return X
 
 
+def reference_carriers(X, face):
+    """carriers, carrier and has_simplex by a label-set scan: the chambers holding the face, the first, and whether it spans one."""
+    holding = [c for c, s in enumerate(X.maximal_simplices) if set(face) <= set(s)]
+    return [holding, holding[0] if holding else None, not face or bool(holding)]
+
+
 def star_relation(X, x):
     """The star of x and its relation: y before z when a chamber through x holds both, y first as read from x."""
     star, rel = {x}, set()
@@ -629,7 +635,7 @@ def reference_face_groups(n, vertex_groups, face_groups):
     table = {}
     for (i, I), elements in face_groups.items():
         I = frozenset(I)
-        if i not in I or not I <= set(range(n)):
+        if len(I) < 2 or i not in I or not I <= set(range(n)):
             raise UnknownLabel(f"face key ({i}, {sorted(I)}) is malformed")
         table[(i, I)] = frozenset(map(tuple, elements))
     for i in range(n):
@@ -1528,6 +1534,40 @@ def prop_star_preds(rng):
     return found + [f"two-vertex chamber ({order_type})"] * (2 in sizes)
 
 
+def _carriers(X, face):
+    return [list(X.carriers(face)), X.carrier(face), X.has_simplex(face)]
+
+
+def prop_carriers(rng):
+    """carriers, carrier and has_simplex on faces inside chambers, random vertex sets, the empty face and unknown labels.
+
+    A third of the complexes have 62 to 90 vertices, so that their masks
+    pass bit 61, where the hashes of int masks start to collide.
+    """
+    order_type = rng.choice("AC")
+    if rng.random() < 0.33:
+        vertices = [f"u{k}" for k in range(rng.randint(62, 90))]
+        X = OrderedComplex(order_type, vertices,
+                           [rng.sample(vertices, rng.randint(1, 6)) for _ in range(rng.randint(1, 40))])
+    else:
+        X = random_complex_of_type(rng, order_type)
+    found = ["past 61 vertices"] * (len(X.vertices) > 61)
+    for kind in ("chamber", "chamber", "random", "empty", "unknown"):
+        if kind == "chamber":
+            s = rng.choice(X.maximal_simplices)
+            face = rng.sample(s, rng.randint(1, len(s)))
+        elif kind == "empty":
+            face = []
+        else:
+            face = rng.sample(X.vertices, rng.randint(1, min(4, len(X.vertices))))
+            if kind == "unknown":
+                face.insert(rng.randint(0, len(face)), "nowhere")
+        holding, _, _ = agree(lambda: [X.to_json(), face], _carriers, reference_carriers, X, face)
+        size = ("none", "one", "several")[min(len(holding), 2)]
+        found.append({"empty": "empty face", "unknown": "unknown label"}.get(kind, size))
+    return found
+
+
 def prop_check_type_A(rng):
     X, shown = _complex_case(rng, "A" if rng.random() < 0.95 else "C")
     return tags(agree(shown, check_type_A, reference_check_type_A, X))
@@ -1725,6 +1765,8 @@ PROPERTIES = {
     "star_poset": Property(prop_star_poset, 2, frozenset({"local", "NotLocalPoset"})),
     "_star_preds": Property(prop_star_preds, 2, frozenset(
         {"A", "C", "cycle", "acyclic", "mixed sizes", "bare vertex", "two-vertex chamber (A)", "two-vertex chamber (C)"})),
+    "carriers": Property(prop_carriers, 2, frozenset(
+        {"none", "one", "several", "empty face", "unknown label", "past 61 vertices"})),
     "check_type_A": Property(prop_check_type_A, 2, frozenset(
         {"pass", "lattice", "InconsistentOrder", "NotFlag", "NotLocalPoset"})),
     "check_type_C(poset)": Property(prop_check_type_C_poset, 1, frozenset({"pass", "lattice", "flag_up", "flag_down"})),

@@ -12,6 +12,7 @@ from cublink import cli
 from cublink.cli import main
 from cublink.complexes import OrderedComplex
 from cublink.generators import boolean_poset
+from cublink.groupdev import factorization_violation
 from cublink.linkcheck import check_garside
 
 
@@ -419,6 +420,18 @@ def test_oversized_input_is_refused_before_it_is_built(tmp_path, capsys, argv, d
     assert json.loads(capsys.readouterr().out) == {"error": "ParameterTooLarge", "detail": detail}
 
 
+def _factorization_with_faces(extra, first=False):
+    """factorization_violation's JSON with the extra face keys added after its own, or before them."""
+    data = factorization_violation().to_json()
+    faces = data["face_subgroups"]
+    data["face_subgroups"] = {**extra, **faces} if first else {**faces, **extra}
+    return data
+
+
+ZERO_WEIGHT_ZZ = [json.dumps({"weights": {"{}": "1/2", "{1}": "1/2", "zz": 0}}),
+                  json.dumps({"chain": ["{}", "zz"], "coords": ["1"]})]
+
+
 @pytest.mark.parametrize("argv, data, error", [
     (["dist", "--from", json.dumps({"weights": {"a": "1/2"}}), "--to", "b"], SQUARE,
      {"error": "input", "detail": "barycentric weights must sum to 1"}),
@@ -474,12 +487,30 @@ def test_oversized_input_is_refused_before_it_is_built(tmp_path, capsys, argv, d
      {"error": "input", "detail": "an object in input['vertex_groups'] lacks key 'generators'"}),
     (["dist", "--from", json.dumps({"chain": ["0", "a", "1"]}), "--to", "b"], SQUARE,
      {"error": "input", "detail": "a point lacks key 'coords'"}),
+    (["dist", "--from", ZERO_WEIGHT_ZZ[0], "--to", "{1,2}"], boolean_poset(2).to_json(),
+     {"error": "UnknownLabel", "detail": "unknown vertex 'zz'"}),
+    (["dist", "--from", ZERO_WEIGHT_ZZ[1], "--to", "{1,2}"], boolean_poset(2).to_json(),
+     {"error": "UnknownLabel", "detail": "unknown vertex 'zz'"}),
+    (["check", "--type", "C"], {"elements": ["a", "b"], "covers": [["a", "b", "c"]]},
+     {"error": "input", "detail": "cover ['a', 'b', 'c'] is not a pair of labels"}),
+    (["check", "--type", "C"], {"elements": ["a", "b"], "covers": [["a"]]},
+     {"error": "input", "detail": "cover ['a'] is not a pair of labels"}),
+    (["groupdev", "--conditions-only"], _factorization_with_faces({"0|1,0": [[0, 1, 2]]}),
+     {"error": "input", "detail": "face key '0|1,0' names face [0, 1] at vertex 0 again"}),
+    (["groupdev", "--conditions-only"], _factorization_with_faces({"0|1,0": [[0, 1, 2]]}, first=True),
+     {"error": "input", "detail": "face key '0|0,1' names face [0, 1] at vertex 0 again"}),
+    (["groupdev", "--conditions-only"], _factorization_with_faces({"0|0,1,1": []}),
+     {"error": "input", "detail": "face key '0|0,1,1' repeats an index"}),
+    (["groupdev", "--conditions-only"], _factorization_with_faces({"0|0": []}),
+     {"error": "UnknownLabel", "detail": "face key (0, [0]) is malformed"}),
 ], ids=["weights-sum-to-half", "negative-weight", "support-spans-no-simplex", "mesh-2/3", "decreasing-coords",
         "too-few-coords", "coord-past-one", "repeated-point", "ragged-matrix", "zero-distance", "asymmetric-matrix",
         "mixed-denominator-triangle", "nonzero-diagonal",
         "repeated-simplex-vertex", "undeclared-vertex", "type-B", "not-a-permutation", "one-vertex", "negative-degree",
         "complex-lacks-vertices", "complex-lacks-type", "poset-lacks-elements", "metric-lacks-dist",
-        "groupdev-lacks-vertex-groups", "groupdev-lacks-generators", "chain-point-lacks-coords"])
+        "groupdev-lacks-vertex-groups", "groupdev-lacks-generators", "chain-point-lacks-coords",
+        "zero-weight-unknown-label", "zero-weight-unknown-chain-element", "cover-of-three-labels", "cover-of-one-label",
+        "face-named-twice-later-key", "face-named-twice-earlier-key", "face-key-repeats-an-index", "face-key-of-one-index"])
 def test_input_error_exits_two_with_its_error_object(tmp_path, capsys, argv, data, error):
     path = tmp_path / "input.json"
     path.write_text(json.dumps(data))

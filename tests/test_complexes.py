@@ -12,7 +12,6 @@ from cublink.complexes import (
     OrderedComplex,
     _clique_masks,
     _star_preds,
-    canonical_rotation,
     is_local_poset,
     order_complex,
     star_poset,
@@ -192,7 +191,7 @@ def test_reduction_keeps_exactly_the_maximal_simplices_in_first_orientation():
         want = [s for key, s in first.items() if not any(key < other for other in first)]
         for order_type in "AC":
             X = OrderedComplex(order_type, vertices, simplices)
-            rotate = canonical_rotation if order_type == "A" else tuple
+            rotate = rotations_by_key if order_type == "A" else tuple
             assert sorted(X.maximal_simplices) == sorted(map(rotate, want))
 
 
@@ -270,14 +269,6 @@ def rotations_by_key(t):
     return min((t[i:] + t[:i] for i in range(len(t))), key=lambda r: tuple(map(_key, r)))
 
 
-def test_canonical_rotation_matches_all_rotations_with_repeats():
-    rng = random.Random(0)
-    for _ in range(2000):
-        t = tuple(rng.choice(["a", "b", "c", 1, "1"]) for _ in range(rng.randint(0, 8)))
-        assert canonical_rotation(t) == rotations_by_key(t), t
-    assert canonical_rotation(("b", "a", "b", "a")) == ("a", "b", "a", "b")
-
-
 def test_labels_that_print_the_same_are_duplicates():
     with pytest.raises(DuplicateLabel):
         OrderedComplex("C", [1, "1", "b"], [(1, "b"), ("1", "b")])
@@ -306,7 +297,6 @@ def test_rotating_a_stored_tuple_gives_equal_complex():
     X = OrderedComplex("A", ["a", "b", "c"], [("a", "b", "c")])
     Y = OrderedComplex("A", ["a", "b", "c"], [("b", "c", "a")])
     assert X == Y
-    assert canonical_rotation(("c", "a", "b")) == ("a", "b", "c")
 
 
 # -- local poset and star posets ------------------------------------------------

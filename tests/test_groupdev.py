@@ -121,6 +121,16 @@ def test_missing_pair_group_rejected():
         SimplexOfGroups(3, [one, one, one], {(0, frozenset({0, 1})): one})
 
 
+def test_a_vertex_named_as_a_face_is_refused_not_overwritten():
+    # (0, {0}) is the vertex group itself; taken as a face group it would be silently replaced
+    S = factorization_violation()
+    faces = {(i, I): H for (i, I), H in S.face_groups.items() if len(I) > 1}
+    SimplexOfGroups(3, S.vertex_groups, faces)
+    faces[(0, frozenset({0}))] = closure(3, [(1, 0, 2)])
+    with pytest.raises(UnknownLabel, match=r"face key \(0, \[0\]\) is malformed"):
+        SimplexOfGroups(3, S.vertex_groups, faces)
+
+
 def test_more_than_eight_vertices_is_too_large():
     # n = 8 is the largest table, 8 * 2^7 faces; n = 9 is refused before its table is filled
     assert check_conditions(trivial_simplex(8)).passed
