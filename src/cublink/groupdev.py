@@ -166,6 +166,8 @@ class SimplexOfGroups:
         for (i, I), elements in face_groups.items():
             I = frozenset(I)
             _check_face_key(n, i, I)
+            if (i, I) in table:  # else the later naming would win, and the key order decide the verdict
+                raise ValueError(f"face {sorted(I)} at vertex {i} is named twice")
             table[(i, I)] = frozenset(map(tuple, elements))
         for i in range(n):
             table[(i, frozenset({i}))] = self.vertex_groups[i]
@@ -246,13 +248,12 @@ class SimplexOfGroups:
             I = frozenset(indices)
             if len(I) < len(indices):
                 raise ValueError(f"face key {key!r} repeats an index")
-            if (i, I) in face_groups:
-                raise ValueError(f"face key {key!r} names face {sorted(I)} at vertex {i} again")
             _check_face_key(n, i, I)
             if i >= len(vertex_groups):  # __init__'s check, before the index below
                 raise ValueError("one ambient group per vertex is required")
             degree = data["vertex_groups"][i]["degree"]
-            face_groups[(i, I)] = closure(degree, gens, f"face {sorted(I)} at vertex {i}")
+            # keyed as written, so that __init__ refuses a face two keys name
+            face_groups[(i, tuple(indices))] = closure(degree, gens, f"face {sorted(I)} at vertex {i}")
         return cls(n, vertex_groups, face_groups)
 
 

@@ -637,6 +637,8 @@ def reference_face_groups(n, vertex_groups, face_groups):
         I = frozenset(I)
         if len(I) < 2 or i not in I or not I <= set(range(n)):
             raise UnknownLabel(f"face key ({i}, {sorted(I)}) is malformed")
+        if (i, I) in table:
+            raise ValueError(f"face {sorted(I)} at vertex {i} is named twice")
         table[(i, I)] = frozenset(map(tuple, elements))
     for i in range(n):
         table[(i, frozenset({i}))] = vertex_groups[i]

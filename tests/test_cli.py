@@ -496,9 +496,9 @@ ZERO_WEIGHT_ZZ = [json.dumps({"weights": {"{}": "1/2", "{1}": "1/2", "zz": 0}}),
     (["check", "--type", "C"], {"elements": ["a", "b"], "covers": [["a"]]},
      {"error": "input", "detail": "cover ['a'] is not a pair of labels"}),
     (["groupdev", "--conditions-only"], _factorization_with_faces({"0|1,0": [[0, 1, 2]]}),
-     {"error": "input", "detail": "face key '0|1,0' names face [0, 1] at vertex 0 again"}),
+     {"error": "input", "detail": "face [0, 1] at vertex 0 is named twice"}),
     (["groupdev", "--conditions-only"], _factorization_with_faces({"0|1,0": [[0, 1, 2]]}, first=True),
-     {"error": "input", "detail": "face key '0|0,1' names face [0, 1] at vertex 0 again"}),
+     {"error": "input", "detail": "face [0, 1] at vertex 0 is named twice"}),
     (["groupdev", "--conditions-only"], _factorization_with_faces({"0|0,1,1": []}),
      {"error": "input", "detail": "face key '0|0,1,1' repeats an index"}),
     (["groupdev", "--conditions-only"], _factorization_with_faces({"0|0": []}),

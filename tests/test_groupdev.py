@@ -126,9 +126,18 @@ def test_a_vertex_named_as_a_face_is_refused_not_overwritten():
     S = factorization_violation()
     faces = {(i, I): H for (i, I), H in S.face_groups.items() if len(I) > 1}
     SimplexOfGroups(3, S.vertex_groups, faces)
-    faces[(0, frozenset({0}))] = closure(3, [(1, 0, 2)])
     with pytest.raises(UnknownLabel, match=r"face key \(0, \[0\]\) is malformed"):
-        SimplexOfGroups(3, S.vertex_groups, faces)
+        SimplexOfGroups(3, S.vertex_groups, {**faces, (0, frozenset({0})): closure(3, [(1, 0, 2)])})
+
+
+def test_a_face_named_twice_is_refused_in_either_order():
+    # (0, (0, 1)) and (0, (1, 0)) name one face; else the later naming wins and decides the verdict
+    S = factorization_violation()
+    faces = {(i, tuple(sorted(I))): H for (i, I), H in S.face_groups.items() if len(I) > 1}
+    again = {(0, (1, 0)): closure(3, [])}
+    for table in ({**faces, **again}, {**again, **faces}):
+        with pytest.raises(ValueError, match=r"^face \[0, 1\] at vertex 0 is named twice$"):
+            SimplexOfGroups(3, S.vertex_groups, table)
 
 
 def test_more_than_eight_vertices_is_too_large():
